@@ -214,6 +214,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _sim_files(out_dir: Path) -> list[Path] | None:
+    """The per-seed count files listed by ``simulate.json``, or None without a manifest.
+
+    Only the seeds of the last ``simulate`` into ``out_dir`` are pooled, so
+    files left behind by an earlier run with more seeds never mix in.
+    """
+    manifest = out_dir / "simulate.json"
+    if not manifest.is_file():
+        return None
+    try:
+        seeds = json.loads(manifest.read_text(encoding="utf-8"))["seeds"]
+        names = [f"sim_seed{int(s)}.csv" for s in seeds]
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{manifest}: bad manifest: {exc}") from exc
+    for name in names:
+        if not (out_dir / name).is_file():
+            raise DataFormatError(f"{out_dir / name}: listed in {manifest} but missing")
+    return [out_dir / name for name in names]
+
+
 def _pool_csv_counts(files: list[Path]) -> dict[str, np.ndarray]:
     """Sum per-bin counts across runs, padding to the longest grid."""
     pooled: dict[str, np.ndarray] = {}
@@ -233,9 +253,9 @@ def _pool_csv_counts(files: list[Path]) -> dict[str, np.ndarray]:
 def _cmd_validate(args: argparse.Namespace) -> int:
     exp = _experiment(args)
     out_dir = _out_dir(args, exp)
-    files = sorted(out_dir.glob("sim_seed*.csv"))
+    files = _sim_files(out_dir)
     if not files:
-        raise DataFormatError(f"no sim_seed*.csv files in {out_dir}; run simulate first")
+        raise DataFormatError(f"no simulate.json in {out_dir}; run simulate first")
     pooled = _pool_csv_counts(files)
     config = exp.sim_config(exp.seed0, exp.profiles())
     moments = predict_bin_moments(config, n_runs=len(files))
@@ -262,7 +282,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if overall else EXIT_VERDICT_FALSE
 
 
-def _sim_mean_by_bin(files: list[Path]) -> dict[str, np.ndarray] | None:
+def _sim_mean_by_bin(files: list[Path] | None) -> dict[str, np.ndarray] | None:
     if not files:
         return None
     pooled = _pool_csv_counts(files)
@@ -331,7 +351,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         }
         print(dual_path)
 
-    sim_files = sorted(out_dir.glob("sim_seed*.csv"))
+    sim_files = _sim_files(out_dir)
     means = _sim_mean_by_bin(sim_files)
     if means is not None and not exp.retain_until_swap:
         config = exp.sim_config(exp.seed0, profiles)

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Any
 
 from .analytics import LinkParams, best_static_split
+from .constants import C_LIGHT, DEFAULT_COINCIDENCE_WINDOW, DEFAULT_EMISSION_PERIOD, DEFAULT_P_BSM
 from .errors import ConfigError, DataFormatError
 from .passes import GroundStation, OpticalParams, PassProfile, SatelliteConfig, propagate_pass
 from .sim import SimConfig
@@ -292,11 +293,13 @@ def load_experiment(path: str | Path) -> Experiment:
     link = LinkParams(
         m_sat=satellite.memory_slots,
         m_ground=_intval(link_raw, "m_ground", "spec.link", None),
-        emission_period_s=_num(link_raw, "emission_period_s", "spec.link", 1e-6),
-        acceptance_window_s=_num(link_raw, "acceptance_window_s", "spec.link", 1.5e-9),
-        p_bsm=_num(link_raw, "p_bsm", "spec.link", 0.5),
+        emission_period_s=_num(link_raw, "emission_period_s", "spec.link", DEFAULT_EMISSION_PERIOD),
+        acceptance_window_s=_num(
+            link_raw, "acceptance_window_s", "spec.link", DEFAULT_COINCIDENCE_WINDOW
+        ),
+        p_bsm=_num(link_raw, "p_bsm", "spec.link", DEFAULT_P_BSM),
         processing_delay_s=_num(link_raw, "processing_delay_s", "spec.link", 0.0),
-        light_speed_mps=_num(link_raw, "light_speed_mps", "spec.link", 299792458.0),
+        light_speed_mps=_num(link_raw, "light_speed_mps", "spec.link", C_LIGHT),
     )
 
     pass_raw = doc["pass"]

@@ -471,9 +471,12 @@ def write_profile(profile: PassProfile, destination: str | Path | TextIO) -> Non
 
 def _parse_float(token: str, row: int, column: str, where: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError as exc:
         raise DataFormatError(f"{where}: row {row}, column {column}: not a number: {token!r}") from exc
+    if not math.isfinite(value):
+        raise DataFormatError(f"{where}: row {row}, column {column}: not finite: {token!r}")
+    return value
 
 
 def read_profile(source: str | Path | TextIO) -> PassProfile:

@@ -13,12 +13,16 @@ round-trip distance that fixes the confirmation time.
 Dual runs drive two legs against a shared satellite memory according to an
 allocation policy, and swap onboard: whenever both legs hold confirmed
 pairs, one pair from each is consumed and an end-to-end pair is emitted at
-that instant.  By default confirmed pairs vacate their memory slot into an
-unbounded application buffer awaiting the swap.  With
-``retain_until_swap`` the satellite half of a confirmed pair keeps its
-slot until the swap consumes it, so a leg running ahead of its partner
-throttles itself once its share of the memory fills up; this is the mode
-that reflects a finite onboard memory end to end.
+that instant.  That is one first-in-first-out rule in both buffer modes:
+the i-th end-to-end pair appears when the later of the two legs' i-th
+confirmed pairs confirms, so swap times are a pure function of the two
+confirmation streams, and pairs left over on the longer leg never swap.
+By default confirmed pairs vacate their memory slot into an unbounded
+application buffer awaiting the swap.  With ``retain_until_swap`` the
+satellite half of a confirmed pair keeps its slot until the swap consumes
+it, so a leg running ahead of its partner throttles itself once its share
+of the memory fills up; this is the mode that reflects a finite onboard
+memory end to end.
 
 Determinism: every run is a pure function of (config, seed).  Each leg
 draws from its own PCG64 stream derived from the seed and the leg index,
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
@@ -96,6 +101,8 @@ class SimConfig:
             )
         if len(self.link_params) != len(self.profiles):
             raise ConfigError("need one LinkParams per profile")
+        if not isinstance(self.rng_seed, numbers.Integral):
+            raise ConfigError(f"rng_seed must be an integer: {self.rng_seed!r}")
         if not 0 <= int(self.rng_seed) < 2**64:
             raise ConfigError(f"rng_seed must fit in 64 bits: {self.rng_seed}")
         if self.bin_width_s <= 0.0:
@@ -323,14 +330,6 @@ class _Block:
 class _LegSchedule:
     blocks: tuple[_Block, ...]
 
-    @property
-    def n_rounds(self) -> int:
-        return sum(b.k for b in self.blocks)
-
-    def confirm_times(self) -> np.ndarray:
-        parts = [b.confirm_times() for b in self.blocks]
-        return np.concatenate(parts) if parts else np.empty(0)
-
 
 def _eligible_count(n: int, v_r: float, params: LinkParams, drift: bool) -> int:
     """Photons whose drift stays inside the window: k * |dt_shift| <= w.
@@ -344,6 +343,13 @@ def _eligible_count(n: int, v_r: float, params: LinkParams, drift: bool) -> int:
         abs(v_r) * params.emission_period_s
     )
     return min(n, int(math.floor(bound)) + 1)
+
+
+def _next_true(mask: np.ndarray) -> np.ndarray:
+    """Index of the first true entry at or after each position (size + 1 entries, size if none)."""
+    n = mask.size
+    idx = np.where(np.append(mask, True), np.arange(n + 1), n)
+    return np.minimum.accumulate(idx[::-1])[::-1]
 
 
 def _leg_schedule(
@@ -367,11 +373,7 @@ def _leg_schedule(
     eligible_sample = profile.visible & (capacity >= 1)
     t_em = params.emission_period_s
 
-    # next eligible sample at or after i, as a fast lookup
-    nxt = np.full(n_samples + 1, n_samples, dtype=np.int64)
-    for i in range(n_samples - 1, -1, -1):
-        nxt[i] = i if eligible_sample[i] else nxt[i + 1]
-
+    nxt = _next_true(eligible_sample)
     blocks: list[_Block] = []
     if not np.any(eligible_sample):
         return _LegSchedule(blocks=())
@@ -476,23 +478,11 @@ def _simulate_leg(
 
 
 def _bin_counts(times: np.ndarray, weights: np.ndarray, width: float, n_bins: int) -> np.ndarray:
-    out = np.zeros(n_bins, dtype=np.int64)
+    """Sum ``weights`` into bins of ``width`` starting at t = 0, in the weights' dtype."""
+    out = np.zeros(n_bins, dtype=weights.dtype)
     if times.size:
-        idx = np.floor_divide(times, width).astype(np.int64)
-        np.add.at(out, idx, weights.astype(np.int64))
+        np.add.at(out, np.floor_divide(times, width).astype(np.int64), weights)
     return out
-
-
-def _n_bins(width: float, *time_arrays: np.ndarray) -> int:
-    top = 0.0
-    for arr in time_arrays:
-        if arr.size:
-            top = max(top, float(arr.max()))
-        else:
-            continue
-    if top == 0.0 and all(a.size == 0 for a in time_arrays):
-        return 0
-    return int(math.floor(top / width)) + 1
 
 
 def _capacity_series(config: SimConfig) -> list[np.ndarray]:
@@ -527,17 +517,7 @@ def run_single(config: SimConfig) -> SimResult:
     conf, succ, rounds = _simulate_leg(
         schedule, _leg_rng(config.rng_seed, 0), 0, config.capture_rounds
     )
-    n_bins = _n_bins(config.bin_width_s, conf)
-    counts = _bin_counts(conf, succ, config.bin_width_s, n_bins)
-    return SimResult(
-        bin_width_s=config.bin_width_s,
-        pairs_per_leg=(counts,),
-        pairs_end_to_end=np.zeros(n_bins, dtype=np.int64),
-        seed=config.rng_seed,
-        policy=config.policy,
-        config_echo=config.echo_dict(),
-        rounds=rounds,
-    )
+    return _result(config, [conf], [succ], rounds)
 
 
 def run_dual(config: SimConfig) -> SimResult:
@@ -554,16 +534,34 @@ def run(config: SimConfig) -> SimResult:
     return run_single(config) if config.policy == "single" else run_dual(config)
 
 
-def _swap_merge(conf_a: np.ndarray, succ_a: np.ndarray, conf_b: np.ndarray, succ_b: np.ndarray) -> np.ndarray:
-    """Swap times under greedy first-in-first-out consumption.
+def _result(
+    config: SimConfig,
+    conf: Sequence[np.ndarray],
+    succ: Sequence[np.ndarray],
+    rounds: list[Round] | None,
+) -> SimResult:
+    """Bin each leg's confirmations (times ``conf``, pairs ``succ``) and the swaps.
 
-    The i-th end-to-end pair appears when the later of the two i-th leg
-    pairs confirms; leftover pairs on the longer leg never swap.
+    The i-th end-to-end pair appears at the later of the two legs' i-th
+    confirmed pairs, so no swap falls past the last confirmation's bin.
     """
-    t_a = np.repeat(conf_a, succ_a)
-    t_b = np.repeat(conf_b, succ_b)
-    n = min(t_a.size, t_b.size)
-    return np.maximum(t_a[:n], t_b[:n])
+    width = config.bin_width_s
+    tops = [float(c.max()) for c in conf if c.size]
+    n_bins = int(math.floor(max(0.0, *tops) / width)) + 1 if tops else 0
+    swaps = np.empty(0)
+    if len(conf) == 2:
+        t_a, t_b = (np.repeat(c, s) for c, s in zip(conf, succ))
+        n = min(t_a.size, t_b.size)
+        swaps = np.maximum(t_a[:n], t_b[:n])
+    return SimResult(
+        bin_width_s=width,
+        pairs_per_leg=tuple(_bin_counts(c, s, width, n_bins) for c, s in zip(conf, succ)),
+        pairs_end_to_end=_bin_counts(swaps, np.ones(swaps.size, dtype=np.int64), width, n_bins),
+        seed=config.rng_seed,
+        policy=config.policy,
+        config_echo=config.echo_dict(),
+        rounds=rounds,
+    )
 
 
 def _run_dual_fast(config: SimConfig) -> SimResult:
@@ -579,21 +577,7 @@ def _run_dual_fast(config: SimConfig) -> SimResult:
         succ.append(s)
         if rounds is not None and r is not None:
             rounds.extend(r)
-    swap_times = _swap_merge(conf[0], succ[0], conf[1], succ[1])
-    n_bins = _n_bins(config.bin_width_s, conf[0], conf[1], swap_times)
-    counts = tuple(
-        _bin_counts(conf[leg], succ[leg], config.bin_width_s, n_bins) for leg in range(2)
-    )
-    e2e = _bin_counts(swap_times, np.ones(swap_times.size, dtype=np.int64), config.bin_width_s, n_bins)
-    return SimResult(
-        bin_width_s=config.bin_width_s,
-        pairs_per_leg=counts,
-        pairs_end_to_end=e2e,
-        seed=config.rng_seed,
-        policy=config.policy,
-        config_echo=config.echo_dict(),
-        rounds=rounds,
-    )
+    return _result(config, conf, succ, rounds)
 
 
 def _run_dual_event(config: SimConfig) -> SimResult:
@@ -602,7 +586,9 @@ def _run_dual_event(config: SimConfig) -> SimResult:
     The legs interact through the swap (a confirmation on one leg can free
     slots on both), so rounds cannot be prescheduled.  Events are processed
     in (time, confirmation-before-start, leg) order; a leg blocked on slots
-    wakes at the next swap opportunity or allocation change.
+    wakes at the next swap opportunity or allocation change.  Swaps are
+    consumed here for slot accounting only; their times follow from the
+    confirmations.
     """
     caps = _capacity_series(config)
     profiles = config.profiles
@@ -627,10 +613,7 @@ def _run_dual_event(config: SimConfig) -> SimResult:
         leg_vr.append(list(map(float, p.radial_velocity_mps)))
         vis = np.asarray(p.visible, dtype=bool)
         leg_vis.append(vis)
-        nxt = np.full(n_samples + 1, n_samples, dtype=np.int64)
-        for i in range(n_samples - 1, -1, -1):
-            nxt[i] = i if vis[i] else nxt[i + 1]
-        leg_next_vis.append(nxt)
+        leg_next_vis.append(_next_true(vis))
 
     rngs = [_leg_rng(config.rng_seed, leg) for leg in range(2)]
     pools = [
@@ -647,7 +630,6 @@ def _run_dual_event(config: SimConfig) -> SimResult:
     round_idx = [0, 0]
     conf_times: list[list[float]] = [[], []]
     conf_succ: list[list[int]] = [[], []]
-    swap_times: list[float] = []
     rounds: list[Round] | None = [] if config.capture_rounds else None
 
     for leg in range(2):
@@ -685,7 +667,6 @@ def _run_dual_event(config: SimConfig) -> SimResult:
             if k > 0:
                 pools[0].consume(k)
                 pools[1].consume(k)
-                swap_times.extend([t] * k)
                 # freed slots may unblock a waiting leg immediately
                 if mode[other] == "start" and ev[other] > t:
                     ev[other] = t
@@ -743,24 +724,13 @@ def _run_dual_event(config: SimConfig) -> SimResult:
             )
         round_idx[leg] += 1
 
-    conf_arr = [np.asarray(conf_times[leg]) for leg in range(2)]
-    succ_arr = [np.asarray(conf_succ[leg], dtype=np.int64) for leg in range(2)]
-    swap_arr = np.asarray(swap_times)
-    n_bins = _n_bins(config.bin_width_s, conf_arr[0], conf_arr[1], swap_arr)
-    counts = tuple(
-        _bin_counts(conf_arr[leg], succ_arr[leg], config.bin_width_s, n_bins) for leg in range(2)
-    )
-    e2e = _bin_counts(swap_arr, np.ones(swap_arr.size, dtype=np.int64), config.bin_width_s, n_bins)
     if rounds is not None:
         rounds.sort(key=lambda r: (r.confirm_time_s, r.leg, r.index))
-    return SimResult(
-        bin_width_s=config.bin_width_s,
-        pairs_per_leg=counts,
-        pairs_end_to_end=e2e,
-        seed=config.rng_seed,
-        policy=config.policy,
-        config_echo=config.echo_dict(),
-        rounds=rounds,
+    return _result(
+        config,
+        [np.asarray(c) for c in conf_times],
+        [np.asarray(s, dtype=np.int64) for s in conf_succ],
+        rounds,
     )
 
 
@@ -782,9 +752,9 @@ class RoundLog:
 def replay(config: SimConfig, log: RoundLog | Sequence[Round]) -> SimResult:
     """Rebuild per-bin counts from a round log without re-simulating.
 
-    Swaps are replayed by consuming confirmed pairs greedily in
-    confirmation order, which reproduces both buffer modes exactly.  A log
-    from a different engine version is refused.
+    Rounds are taken in confirmation order and swaps are rebuilt with the
+    engine's first-in-first-out rule, which reproduces both buffer modes
+    exactly.  A log from a different engine version is refused.
     """
     if isinstance(log, RoundLog):
         if log.engine_version != ENGINE_VERSION:
@@ -800,39 +770,16 @@ def replay(config: SimConfig, log: RoundLog | Sequence[Round]) -> SimResult:
     n_legs = config.n_legs
     conf: list[list[float]] = [[] for _ in range(n_legs)]
     succ: list[list[int]] = [[] for _ in range(n_legs)]
-    buffers = [0] * n_legs
-    swap_times: list[float] = []
     for r in ordered:
         if not 0 <= r.leg < n_legs:
             raise ReplayError(f"round references leg {r.leg} of a {n_legs}-leg config")
         conf[r.leg].append(r.confirm_time_s)
         succ[r.leg].append(r.n_success)
-        buffers[r.leg] += r.n_success
-        if n_legs == 2:
-            k = min(buffers)
-            if k > 0:
-                buffers[0] -= k
-                buffers[1] -= k
-                swap_times.extend([r.confirm_time_s] * k)
-    conf_arr = [np.asarray(c) for c in conf]
-    succ_arr = [np.asarray(s, dtype=np.int64) for s in succ]
-    swap_arr = np.asarray(swap_times)
-    n_bins = _n_bins(config.bin_width_s, *conf_arr, swap_arr)
-    counts = tuple(
-        _bin_counts(conf_arr[leg], succ_arr[leg], config.bin_width_s, n_bins)
-        for leg in range(n_legs)
-    )
-    e2e = _bin_counts(
-        swap_arr, np.ones(swap_arr.size, dtype=np.int64), config.bin_width_s, n_bins
-    )
-    return SimResult(
-        bin_width_s=config.bin_width_s,
-        pairs_per_leg=counts,
-        pairs_end_to_end=e2e,
-        seed=config.rng_seed,
-        policy=config.policy,
-        config_echo=config.echo_dict(),
-        rounds=list(ordered),
+    return _result(
+        config,
+        [np.asarray(c) for c in conf],
+        [np.asarray(s, dtype=np.int64) for s in succ],
+        list(ordered),
     )
 
 

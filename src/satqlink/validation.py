@@ -24,7 +24,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
-from .sim import SimConfig, SimResult, _capacity_series, _leg_schedule
+from .sim import SimConfig, SimResult, _bin_counts, _capacity_series, _leg_schedule
 
 __all__ = [
     "BinMoments",
@@ -92,11 +92,8 @@ def predict_bin_moments(config: SimConfig, n_runs: int = 1) -> tuple[BinMoments,
             mu_r = np.concatenate(mu_parts)
             var_r = np.concatenate(var_parts)
             n_bins = int(math.floor(float(conf.max()) / config.bin_width_s)) + 1
-            idx = np.floor_divide(conf, config.bin_width_s).astype(np.int64)
-            mu = np.zeros(n_bins)
-            var = np.zeros(n_bins)
-            np.add.at(mu, idx, mu_r)
-            np.add.at(var, idx, var_r)
+            mu = _bin_counts(conf, mu_r, config.bin_width_s, n_bins)
+            var = _bin_counts(conf, var_r, config.bin_width_s, n_bins)
         else:
             mu = np.zeros(0)
             var = np.zeros(0)

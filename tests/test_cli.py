@@ -197,6 +197,10 @@ def test_validate_detects_wrong_model(single_spec, tmp_path):
 
 def test_report_outputs(dual_spec, tmp_path):
     out = tmp_path / "out"
+    # without a simulate manifest the report has no simulation section
+    assert main(["report", "--spec", dual_spec, "--out", str(out)]) == 0
+    assert "simulation" not in json.loads((out / "report_summary.json").read_text())
+    assert not (out / "report_bins.csv").exists()
     assert main(["simulate", "--spec", dual_spec, "--out", str(out), "--seeds", "1"]) == 0
     assert main(["report", "--spec", dual_spec, "--out", str(out)]) == 0
     summary = json.loads((out / "report_summary.json").read_text())
@@ -221,3 +225,22 @@ def test_policy_override_changes_outputs(dual_spec, tmp_path):
     splits = {tuple(line.split(",")[2:4]) for line in lines[1:]}
     assert len(splits) == 1  # static policy holds one split for the whole pass
     assert (dyn / "rate_dual.csv").read_bytes() != (stat / "rate_dual.csv").read_bytes()
+
+
+def test_validate_pools_only_manifest_seeds(dual_spec, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["--spec", dual_spec, "--out", str(out)]
+    assert main(["simulate", *args, "--m-sat", "100", "--seeds", "4"]) == 0
+    assert main(["simulate", *args, "--m-sat", "50", "--seeds", "2"]) == 0
+    # seeds 2 and 3 of the m_S=100 run are still on disk and must not mix in
+    assert (out / "sim_seed3.csv").exists()
+    assert main(["validate", *args, "--m-sat", "50", "--seeds", "2"]) == 0
+    assert json.loads((out / "validation.json").read_text())["runs_pooled"] == 2
+    assert main(["report", *args, "--m-sat", "50"]) == 0
+    summary = json.loads((out / "report_summary.json").read_text())
+    assert summary["simulation"]["runs_pooled"] == 2
+    # a file the manifest lists but the directory lacks is a data error
+    (out / "sim_seed1.csv").unlink()
+    capsys.readouterr()
+    assert main(["validate", *args, "--m-sat", "50"]) == 3
+    assert "sim_seed1.csv" in capsys.readouterr().err

@@ -262,6 +262,15 @@ def test_read_profile_errors_cite_rows():
         _read(GOOD_HEADER + "0,5e5,45,0,0.1,2\n")
     with pytest.raises(DataFormatError, match="eta: must be 0 when visible=0"):
         _read(GOOD_HEADER + "0,5e5,45,0,0.1,0\n")
+    # non-finite values are refused where they stand, not deep in the engine
+    with pytest.raises(DataFormatError, match="row 4, column distance_m: not finite"):
+        _read(GOOD_HEADER + "0,5e5,45,0,0.1,1\n1,nan,45,0,0.1,1\n")
+    with pytest.raises(DataFormatError, match="row 3, column elevation_deg: not finite"):
+        _read(GOOD_HEADER + "0,5e5,nan,0,0.1,1\n")
+    with pytest.raises(DataFormatError, match="row 3, column radial_velocity_mps: not finite"):
+        _read(GOOD_HEADER + "0,5e5,45,-inf,0.1,1\n")
+    with pytest.raises(DataFormatError, match="row 3, column t_s: not finite"):
+        _read(GOOD_HEADER + "inf,5e5,45,0,0.1,1\n")
 
 
 def test_propagate_rejects_bad_grid():

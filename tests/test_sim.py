@@ -6,6 +6,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satqlink import (
     ConfigError,
@@ -141,6 +143,8 @@ def test_sim_config_validation():
                   static_split=(5, 5))  # static needs two legs
     with pytest.raises(ConfigError):
         SimConfig(profiles=(profile,), link_params=(good,), policy="single", rng_seed=-1)
+    with pytest.raises(ConfigError, match="integer"):
+        SimConfig(profiles=(profile,), link_params=(good,), policy="single", rng_seed=1.5)
     with pytest.raises(ConfigError):
         SimConfig(profiles=(profile,), link_params=(good,), policy="single", rng_seed=0,
                   retain_until_swap=True)
@@ -228,14 +232,64 @@ def test_bin_width_preserves_totals():
 
 
 def test_replay_reproduces_counts():
+    retained = [
+        dual_config(policy=policy, seed=seed, split=split, capture=True, retain=True)
+        for seed in range(10)
+        for policy, split in (("dynamic_int", None), ("static", (4, 6)))
+    ]
     for config in (single_config(eta=0.7, p=0.5, capture=True),
                    dual_config(capture=True),
-                   dual_config(capture=True, retain=True)):
+                   *retained):
         original = run(config)
         replayed = replay(config, original.rounds)
         for leg in range(len(original.pairs_per_leg)):
             assert np.array_equal(original.pairs_per_leg[leg], replayed.pairs_per_leg[leg])
         assert np.array_equal(original.pairs_end_to_end, replayed.pairs_end_to_end)
+
+
+def _greedy_swap_times(conf, succ):
+    """Reference swap rule: after each confirmation, in confirmation order, swap min(buffers)."""
+    events = sorted(
+        (t, leg, i, n) for leg in range(2) for i, (t, n) in enumerate(zip(conf[leg], succ[leg]))
+    )
+    buffers = [0, 0]
+    swaps = []
+    for t, leg, _, n in events:
+        buffers[leg] += n
+        k = min(buffers)
+        buffers[0] -= k
+        buffers[1] -= k
+        swaps += [t] * k
+    return swaps
+
+
+_leg_stream = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(0, 4)), max_size=25
+).map(lambda rows: (np.cumsum([d for d, _ in rows], dtype=float), [n for _, n in rows]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(leg_a=_leg_stream, leg_b=_leg_stream)
+def test_swap_rule_matches_greedy_consumer(leg_a, leg_b):
+    # whole-second confirmation times on unit bins: each bin holds exactly
+    # the swaps at its time, so equal bins mean equal (sorted) swap times
+    conf = [leg_a[0], leg_b[0]]
+    succ = [np.asarray(leg[1], dtype=np.int64) for leg in (leg_a, leg_b)]
+    result = sim_mod._result(dual_config(), conf, succ, None)
+    want = _greedy_swap_times(conf, succ)
+    expected = np.zeros(result.n_bins, dtype=np.int64)
+    np.add.at(expected, np.asarray(want, dtype=np.int64), 1)
+    assert np.array_equal(result.pairs_end_to_end, expected)
+    assert result.total_end_to_end == min(int(s.sum()) for s in succ)
+
+
+@given(st.lists(st.booleans(), max_size=30))
+def test_next_true_matches_backward_scan(flags):
+    mask = np.asarray(flags, dtype=bool)
+    want = [mask.size] * (mask.size + 1)
+    for i in range(mask.size - 1, -1, -1):
+        want[i] = i if mask[i] else want[i + 1]
+    assert sim_mod._next_true(mask).tolist() == want
 
 
 def test_round_log_roundtrip_and_version_guard():
