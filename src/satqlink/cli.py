@@ -256,6 +256,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     files = _sim_files(out_dir)
     if not files:
         raise DataFormatError(f"no simulate.json in {out_dir}; run simulate first")
+    if args.seeds is not None and args.seeds != len(files):
+        raise DataFormatError(f"--seeds {args.seeds} but simulate.json lists {len(files)} seeds")
     pooled = _pool_csv_counts(files)
     config = exp.sim_config(exp.seed0, exp.profiles())
     moments = predict_bin_moments(config, n_runs=len(files))
@@ -399,7 +401,7 @@ def _add_common(sub: argparse.ArgumentParser, seeds: bool = False) -> None:
     )
     sub.add_argument("--drift", choices=["on", "off"], default=None, help="override drift handling")
     if seeds:
-        sub.add_argument("--seeds", type=int, default=None, help="override number of seeds")
+        sub.add_argument("--seeds", type=int, default=None, help="seed count; validate checks simulate.json")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,7 +28,12 @@ Determinism: every run is a pure function of (config, seed).  Each leg
 draws from its own PCG64 stream derived from the seed and the leg index,
 and every emitted photon consumes exactly two uniforms, loss first, latch
 second, drifted or not, so counts are reproducible across platforms and
-across the vectorized and event-driven code paths.
+across the vectorized and event-driven code paths.  Under that contract a
+block draw of k photons equals k single-photon draws, which lets both paths
+draw ahead: the vectorized path a block of rounds at a time, the event loop
+a chunk of photons at a time.  Within one profile sample every photon of a
+leg sees the same channel, so the event loop counts a round's successes as
+the difference of two entries of the prefix sum of a window's success mask.
 """
 
 from __future__ import annotations
@@ -36,9 +41,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -49,7 +54,6 @@ from .passes import PassProfile
 __all__ = [
     "ENGINE_VERSION",
     "SimConfig",
-    "MemoryPool",
     "Round",
     "SimResult",
     "RoundLog",
@@ -161,58 +165,6 @@ class SimConfig:
         }
 
 
-@dataclass
-class MemoryPool:
-    """Slot accounting for one leg's share of the satellite memory.
-
-    Without retention, confirmed pairs leave their slot for an unbounded
-    application buffer, so free + in_flight == capacity at all times.  With
-    retention the buffered pairs go on occupying slots until consumed by a
-    swap, and free tracks what is left.
-    """
-
-    capacity: int
-    retain_until_swap: bool = False
-    in_flight: int = 0
-    entangled_buffer: int = 0
-    free_slots: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.capacity < 0 or self.in_flight < 0 or self.entangled_buffer < 0:
-            raise ConfigError("pool counts must be >= 0")
-        self._refresh()
-
-    def _occupied(self) -> int:
-        return self.in_flight + (self.entangled_buffer if self.retain_until_swap else 0)
-
-    def _refresh(self) -> None:
-        self.free_slots = max(0, self.capacity - self._occupied())
-
-    def resize(self, capacity: int) -> None:
-        """Follow an allocation change; occupancy above the new cap just blocks."""
-        self.capacity = capacity
-        self._refresh()
-
-    def start_round(self, n: int) -> None:
-        if n < 1 or n > self.free_slots:
-            raise ConfigError(f"cannot start round of {n} with {self.free_slots} free slots")
-        self.in_flight += n
-        self._refresh()
-
-    def confirm(self, n_round: int, n_success: int) -> None:
-        if n_success < 0 or n_success > n_round or n_round > self.in_flight:
-            raise ConfigError("confirmation does not match the round in flight")
-        self.in_flight -= n_round
-        self.entangled_buffer += n_success
-        self._refresh()
-
-    def consume(self, n: int) -> None:
-        if n < 0 or n > self.entangled_buffer:
-            raise ConfigError(f"cannot consume {n} of {self.entangled_buffer} buffered pairs")
-        self.entangled_buffer -= n
-        self._refresh()
-
-
 @dataclass(frozen=True)
 class Round:
     """One confirmed protocol round.
@@ -315,8 +267,6 @@ class _Block:
     eta: float
     p_bsm: float
     v_r: float
-    t_rt: float
-    sample: int
 
     @property
     def k(self) -> int:
@@ -337,12 +287,13 @@ def _eligible_count(n: int, v_r: float, params: LinkParams, drift: bool) -> int:
     Photon indices are 0-based and the first photon is re-synchronized each
     round, so the count is floor(w c / (|v_r| T_em)) + 1, capped at n.
     """
-    if not drift or v_r == 0.0:
+    shift = abs(v_r) * params.emission_period_s
+    # a |v_r| so small that the shift underflows to 0 or the bound overflows
+    # to inf drifts no photon out
+    if not drift or shift == 0.0:
         return n
-    bound = params.acceptance_window_s * params.light_speed_mps / (
-        abs(v_r) * params.emission_period_s
-    )
-    return min(n, int(math.floor(bound)) + 1)
+    bound = params.acceptance_window_s * params.light_speed_mps / shift
+    return n if bound >= n else int(math.floor(bound)) + 1
 
 
 def _next_true(mask: np.ndarray) -> np.ndarray:
@@ -350,6 +301,18 @@ def _next_true(mask: np.ndarray) -> np.ndarray:
     n = mask.size
     idx = np.where(np.append(mask, True), np.arange(n + 1), n)
     return np.minimum.accumulate(idx[::-1])[::-1]
+
+
+def _sample_start(j: int, t_grid0: float, step: float) -> float:
+    """First time the engine's sample arithmetic, ``int((t - t_grid0) // step)``, puts in sample j.
+
+    Usually ``t_grid0 + j * step``; on grids such as step 0.1 s that time can
+    floor into sample j - 1, and a jump to it would never leave that sample.
+    """
+    t = t_grid0 + j * step
+    while int((t - t_grid0) // step) < j:
+        t = math.nextafter(t, math.inf)
+    return t
 
 
 def _leg_schedule(
@@ -377,7 +340,7 @@ def _leg_schedule(
     blocks: list[_Block] = []
     if not np.any(eligible_sample):
         return _LegSchedule(blocks=())
-    t = t_grid0 + float(nxt[0]) * step
+    t = _sample_start(int(nxt[0]), t_grid0, step)
     while t < cover_end - 1e-12:
         i = int((t - t_grid0) // step)
         if i >= n_samples:
@@ -386,7 +349,7 @@ def _leg_schedule(
             j = int(nxt[i])
             if j >= n_samples:
                 break
-            t = t_grid0 + j * step
+            t = _sample_start(j, t_grid0, step)
             continue
         n = min(int(capacity[i]), int(params.m_ground))
         dt = (n - 1) * t_em + float(t_rt[i])
@@ -408,8 +371,6 @@ def _leg_schedule(
                 eta=float(profile.eta[i]),
                 p_bsm=params.p_bsm,
                 v_r=v_r,
-                t_rt=float(t_rt[i]),
-                sample=i,
             )
         )
     return _LegSchedule(blocks=tuple(blocks))
@@ -418,15 +379,6 @@ def _leg_schedule(
 def _leg_rng(seed: int, leg: int) -> np.random.Generator:
     """Independent per-leg stream: PCG64 keyed on (seed, leg index)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=int(seed), spawn_key=(leg,))))
-
-
-def _draw_round(rng: np.random.Generator, n: int, eligible: int, eta: float, p_bsm: float) -> np.ndarray:
-    """Per-photon success mask of one round; photons past ``eligible`` cannot latch."""
-    u = rng.random((n, 2))
-    ok = (u[:, 0] < eta) & (u[:, 1] < p_bsm)
-    if eligible < n:
-        ok[eligible:] = False
-    return ok
 
 
 def _outcome_string(ok: np.ndarray, eligible: int) -> str:
@@ -580,15 +532,71 @@ def _run_dual_fast(config: SimConfig) -> SimResult:
     return _result(config, conf, succ, rounds)
 
 
+# photons per PCG64 draw and per success prefix sum, per leg; the buffers
+# are allocated once per run, so the event loop allocates no array
+_CHUNK_ROWS = 2**12
+_WINDOW_ROWS = 2048
+
+
+class _PhotonStream:
+    """One leg's photons: uniforms drawn a chunk ahead, read a window at a time.
+
+    In the current window, held at one ``eta``, ``ok[k]`` is the success of
+    photon k and ``prefix[k]`` the successes among photons 0..k-1.
+    """
+
+    __slots__ = ("rng", "u", "pos", "ok", "latch", "counts", "prefix", "sample", "off", "size")
+
+    def __init__(self, rng: np.random.Generator, max_n: int) -> None:
+        self.rng = rng
+        self.u = np.empty((_CHUNK_ROWS + max_n, 2))  # row = (loss, latch) uniforms
+        self.pos = self.u.shape[0]  # row of the window's first photon; nothing drawn yet
+        width = max(_WINDOW_ROWS, max_n)
+        self.ok = np.empty(width, dtype=bool)
+        self.latch = np.empty(width, dtype=bool)
+        self.counts = np.zeros(width + 1, dtype=np.int64)
+        self.prefix = [0] * (width + 1)
+        self.sample = -1  # profile sample of the window
+        self.off = 0  # photons of the window already emitted
+        self.size = 0
+
+    def window(self, sample: int, n: int, eta: float, p_bsm: float) -> None:
+        """Open a window of at least ``n`` photons after those already emitted."""
+        self.pos += self.off
+        left = self.u.shape[0] - self.pos
+        if left < n:
+            self.u[:left] = self.u[self.pos :]
+            self.rng.random(out=self.u[left:])
+            self.pos = 0
+        m = min(max(_WINDOW_ROWS, n), self.u.shape[0] - self.pos)
+        u = self.u[self.pos : self.pos + m]
+        ok = self.ok[:m]
+        np.less(u[:, 0], eta, out=ok)
+        ok &= np.less(u[:, 1], p_bsm, out=self.latch[:m])
+        np.cumsum(ok, out=self.counts[1 : m + 1])
+        self.prefix[1 : m + 1] = self.counts[1 : m + 1].tolist()
+        self.sample, self.off, self.size = sample, 0, m
+
+
 def _run_dual_event(config: SimConfig) -> SimResult:
     """Event-driven dual run used when confirmed pairs retain their slots.
 
     The legs interact through the swap (a confirmation on one leg can free
     slots on both), so rounds cannot be prescheduled.  Events are processed
     in (time, confirmation-before-start, leg) order; a leg blocked on slots
-    wakes at the next swap opportunity or allocation change.  Swaps are
-    consumed here for slot accounting only; their times follow from the
-    confirmations.
+    wakes at the partner's next confirmation or the next sample boundary.
+    A leg has at most one round in flight, so at a start its free slots are
+    its allocation minus its buffered pairs (retained) or the allocation
+    itself (unbounded); an allocation never exceeds m_sat <= m_ground, so
+    that is the train length.  Swaps are consumed here for slot accounting only;
+    their times follow from the confirmations.
+
+    Photons are drawn a chunk at a time; one draw of k rows consumes the
+    leg's stream exactly as k single-photon draws do.  While a leg stays in
+    one profile sample its photons share one ``eta``, so a success mask and
+    its prefix sum are built once per window of photons, and a round of n
+    photons (the first ``eligible`` of them able to latch) starting at
+    window offset o has ``prefix[o + eligible] - prefix[o]`` successes.
     """
     caps = _capacity_series(config)
     profiles = config.profiles
@@ -596,118 +604,108 @@ def _run_dual_event(config: SimConfig) -> SimResult:
     t_grid0 = float(profiles[0].t_s[0])
     n_samples = profiles[0].n_samples
     cover_end = t_grid0 + n_samples * step
+    retain = config.retain_until_swap
 
-    # per-leg per-sample lookups as plain lists (hot loop)
-    leg_eta: list[list[float]] = []
-    leg_trt: list[list[float]] = []
-    leg_vr: list[list[float]] = []
-    leg_vis: list[np.ndarray] = []
-    leg_next_vis: list[np.ndarray] = []
+    # per-leg constants and per-sample lookups as plain lists (hot loop)
+    eta: list[list[float]] = []
+    t_rt: list[list[float]] = []
+    v_r: list[list[float]] = []
+    next_vis: list[list[int]] = []
+    alloc: list[list[int]] = []
+    cap_e: list[list[int]] = []  # drift-eligible photons of an m_sat train
+    t_em: list[float] = []
     for leg in range(2):
         p = profiles[leg]
         params = config.link_params[leg]
-        leg_eta.append(list(map(float, p.eta)))
-        leg_trt.append(
-            list(map(float, 2.0 * p.distance_m / params.light_speed_mps + params.processing_delay_s))
-        )
-        leg_vr.append(list(map(float, p.radial_velocity_mps)))
-        vis = np.asarray(p.visible, dtype=bool)
-        leg_vis.append(vis)
-        leg_next_vis.append(_next_true(vis))
+        visible = np.asarray(p.visible, dtype=bool)
+        eta.append(p.eta.tolist())
+        t_rt.append((2.0 * p.distance_m / params.light_speed_mps + params.processing_delay_s).tolist())
+        v_r.append(p.radial_velocity_mps.tolist())
+        next_vis.append(_next_true(visible).tolist())
+        alloc.append(caps[leg].tolist())
+        cap_e.append([_eligible_count(config.m_s, v, params, config.drift) for v in v_r[leg]])
+        t_em.append(params.emission_period_s)
 
-    rngs = [_leg_rng(config.rng_seed, leg) for leg in range(2)]
-    pools = [
-        MemoryPool(capacity=int(caps[leg][0]), retain_until_swap=config.retain_until_swap)
-        for leg in range(2)
-    ]
-    cap_lists = [list(map(int, caps[leg])) for leg in range(2)]
-    m_ground = [int(config.link_params[leg].m_ground) for leg in range(2)]
+    streams = [_PhotonStream(_leg_rng(config.rng_seed, leg), config.m_s) for leg in range(2)]
 
-    # leg state: mode 'start' | 'conf' | 'done'; ev = event time
-    mode = ["start", "start"]
+    # leg state: next event time, whether it is a confirmation, finished
     ev = [cover_end, cover_end]
-    pending: list[tuple[int, int] | None] = [None, None]  # (n_round, n_success) awaiting conf
+    confirming = [False, False]
+    done = [False, False]
+    buffered = [0, 0]  # confirmed pairs awaiting a swap
     round_idx = [0, 0]
     conf_times: list[list[float]] = [[], []]
     conf_succ: list[list[int]] = [[], []]
     rounds: list[Round] | None = [] if config.capture_rounds else None
 
     for leg in range(2):
-        j = int(leg_next_vis[leg][0])
+        j = next_vis[leg][0]
         if j < n_samples:
-            ev[leg] = t_grid0 + j * step
+            ev[leg] = _sample_start(j, t_grid0, step)
         else:
-            mode[leg] = "done"
-
-    def pick() -> int | None:
-        best = None
-        best_key = None
-        for leg in range(2):
-            if mode[leg] == "done":
-                continue
-            key = (ev[leg], 0 if mode[leg] == "conf" else 1, leg)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = leg
-        return best
+            done[leg] = True
 
     while True:
-        leg = pick()
-        if leg is None:
-            break
+        if done[0]:
+            if done[1]:
+                break
+            leg = 1
+        elif done[1] or ev[0] < ev[1] or (ev[0] == ev[1] and (confirming[0] or not confirming[1])):
+            leg = 0
+        else:
+            leg = 1
         other = 1 - leg
         t = ev[leg]
-        if mode[leg] == "conf":
-            n_round, n_success = pending[leg]  # type: ignore[misc]
-            pending[leg] = None
-            pools[leg].confirm(n_round, n_success)
-            conf_times[leg].append(t)
-            conf_succ[leg].append(n_success)
-            k = min(pools[0].entangled_buffer, pools[1].entangled_buffer)
+        if confirming[leg]:
+            confirming[leg] = False
+            buffered[leg] += conf_succ[leg][-1]
+            k = buffered[0] if buffered[0] < buffered[1] else buffered[1]
             if k > 0:
-                pools[0].consume(k)
-                pools[1].consume(k)
+                buffered[0] -= k
+                buffered[1] -= k
                 # freed slots may unblock a waiting leg immediately
-                if mode[other] == "start" and ev[other] > t:
+                if not confirming[other] and ev[other] > t:
                     ev[other] = t
-            mode[leg] = "start"
-            ev[leg] = t  # next round may begin at once
-            continue
+            continue  # ev[leg] == t: the next round may begin at once
 
         # start attempt
         if t >= cover_end - 1e-12:
-            mode[leg] = "done"
+            done[leg] = True
             continue
         i = int((t - t_grid0) // step)
         if i >= n_samples:
-            mode[leg] = "done"
+            done[leg] = True
             continue
-        if not leg_vis[leg][i]:
-            j = int(leg_next_vis[leg][i])
+        j = next_vis[leg][i]
+        if j != i:  # not visible
             if j >= n_samples:
-                mode[leg] = "done"
+                done[leg] = True
             else:
-                ev[leg] = t_grid0 + j * step
+                ev[leg] = _sample_start(j, t_grid0, step)
             continue
-        pools[leg].resize(cap_lists[leg][i])
-        avail = min(pools[leg].free_slots, m_ground[leg])
-        if avail < 1:
+        n = alloc[leg][i] - buffered[leg] if retain else alloc[leg][i]
+        if n < 1:
             # wake at the partner's confirmation (a swap may free slots) or
             # at the next sample boundary (the allocation may grow)
-            wake = t_grid0 + (i + 1) * step
-            if mode[other] == "conf" and ev[other] < wake:
+            wake = _sample_start(i + 1, t_grid0, step)
+            if confirming[other] and ev[other] < wake:
                 wake = max(ev[other], t)
             ev[leg] = wake
             continue
-        n = avail
-        params = config.link_params[leg]
-        eligible = _eligible_count(n, leg_vr[leg][i], params, config.drift)
-        ok = _draw_round(rngs[leg], n, eligible, leg_eta[leg][i], params.p_bsm)
-        n_success = int(np.count_nonzero(ok))
-        pools[leg].start_round(n)
-        conf_t = t + (n - 1) * params.emission_period_s + leg_trt[leg][i]
-        pending[leg] = (n, n_success)
-        mode[leg] = "conf"
+        eligible = cap_e[leg][i]
+        if eligible > n:
+            eligible = n
+        stream = streams[leg]
+        if stream.sample != i or stream.off + n > stream.size:
+            stream.window(i, n, eta[leg][i], config.link_params[leg].p_bsm)
+        off = stream.off
+        n_success = stream.prefix[off + eligible] - stream.prefix[off]
+        stream.off = off + n
+        conf_t = t + (n - 1) * t_em[leg] + t_rt[leg][i]
+        # a leg's rounds confirm in the order they start
+        conf_times[leg].append(conf_t)
+        conf_succ[leg].append(n_success)
+        confirming[leg] = True
         ev[leg] = conf_t
         if rounds is not None:
             rounds.append(
@@ -716,10 +714,10 @@ def _run_dual_event(config: SimConfig) -> SimResult:
                     index=round_idx[leg],
                     start_time_s=t,
                     train_length=n,
-                    v_r_at_start_mps=leg_vr[leg][i],
+                    v_r_at_start_mps=v_r[leg][i],
                     confirm_time_s=conf_t,
                     n_success=n_success,
-                    outcomes=_outcome_string(ok, eligible),
+                    outcomes=_outcome_string(stream.ok[off : off + n], eligible),
                 )
             )
         round_idx[leg] += 1

@@ -236,6 +236,11 @@ def test_validate_pools_only_manifest_seeds(dual_spec, tmp_path, capsys):
     assert (out / "sim_seed3.csv").exists()
     assert main(["validate", *args, "--m-sat", "50", "--seeds", "2"]) == 0
     assert json.loads((out / "validation.json").read_text())["runs_pooled"] == 2
+    # a seed count the manifest does not hold is refused, naming both counts
+    capsys.readouterr()
+    assert main(["validate", *args, "--m-sat", "50", "--seeds", "7"]) == 3
+    err = capsys.readouterr().err
+    assert "--seeds 7" in err and "lists 2 seeds" in err
     assert main(["report", *args, "--m-sat", "50"]) == 0
     summary = json.loads((out / "report_summary.json").read_text())
     assert summary["simulation"]["runs_pooled"] == 2
