@@ -24,14 +24,26 @@ the integer-valued optimum is
 
     m_A = ceil((m_S - 1) * x / (x + y)),   m_B = m_S - m_A,
 
-which exhaustive search confirms is the integer argmax.  All operations
-here are pure and deterministic.
+which exhaustive search confirms is the integer argmax.
+
+Each formula is written once, as a private array kernel that takes numpy
+columns over profile samples or plain floats alike.  The profile-level
+series evaluate the kernels on whole columns and the public scalar
+functions wrap them, so the two agree bit for bit.  Float expressions keep
+one evaluation order: p * m * eta / t_rt for a dual leg, p * eta * N / t_rt
+for a single link.  All operations here are pure and deterministic.
+
+Known gap: the model takes a round to last t_rt, while the simulator's
+rounds last (N - 1) * T_em + t_rt, so the closed form overstates the
+engine's mean rate by a margin that grows with N; on the demo pass under
+the dynamic split, 1.3 % at m_S = 100 and 7.7 % at m_S = 1000.  The exact
+per-bin moments of :mod:`satqlink.validation` follow the engine instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -43,7 +55,7 @@ from .constants import (
     DEFAULT_P_BSM,
 )
 from .errors import ConfigError, GridMismatchError, NoOverlapError, NoVisibilityError
-from .passes import PassProfile
+from .passes import PassProfile, _text_io
 
 __all__ = [
     "LinkParams",
@@ -128,15 +140,67 @@ class LinkState:
     def __post_init__(self) -> None:
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigError(f"eta out of [0, 1]: {self.eta}")
-        if self.t_rt_s <= 0.0:
-            raise ConfigError(f"t_rt_s must be > 0: {self.t_rt_s}")
+        if not (math.isfinite(self.t_rt_s) and self.t_rt_s > 0.0):
+            raise ConfigError(f"t_rt_s must be finite and > 0: {self.t_rt_s}")
+        if not math.isfinite(self.v_r_mps):
+            raise ConfigError(f"v_r_mps must be finite: {self.v_r_mps}")
+
+
+# --------------------------------------------------------------------------
+# array kernels: each formula of the model, on numpy columns or plain floats
+
+
+def _round_trip(distance_m, params: LinkParams):
+    """Classical confirmation delay: 2 * distance / c plus processing."""
+    return 2.0 * distance_m / params.light_speed_mps + params.processing_delay_s
+
+
+def _drift_bound(v_r_mps, params: LinkParams):
+    """Unfloored train-length cap w * c / (|v_r| * T_em); inf where v_r = 0."""
+    w_c = params.acceptance_window_s * params.light_speed_mps
+    with np.errstate(divide="ignore", over="ignore"):
+        return w_c / (np.abs(v_r_mps) * params.emission_period_s)
+
+
+def _capped_train(v_r_mps, params: LinkParams):
+    """Train length under the drift cap, unfloored: min(m_sat, w * c / (|v_r| * T_em))."""
+    return np.minimum(float(params.m_sat), _drift_bound(v_r_mps, params))
+
+
+def _single_rate(eta, t_rt, n_train, params: LinkParams):
+    """Pair rate of one link: p * eta * N / t_rt."""
+    return params.p_bsm * eta * n_train / t_rt
+
+
+def _dual_rate(eta_a, t_a, eta_b, t_b, m_a, m_b, params_a: LinkParams, params_b: LinkParams):
+    """Swapped two-leg rate: min(p_A * m_A * eta_A / t_A, p_B * m_B * eta_B / t_B)."""
+    return np.minimum(params_a.p_bsm * m_a * eta_a / t_a, params_b.p_bsm * m_b * eta_b / t_b)
+
+
+def _loads(eta_a, t_a, eta_b, t_b):
+    """Per-leg loads x = t_A / eta_A and y = t_B / eta_B that the splits weigh."""
+    return t_a / eta_a, t_b / eta_b
+
+
+def _split_real(x, y, m_s):
+    """Leg A's real slot share equalizing the leg rates: m_S * x / (x + y)."""
+    return m_s * x / (x + y)
+
+
+def _split_int(x, y, m_s):
+    """Leg A's integer slot share maximizing the min-rate: ceil((m_S - 1) * x / (x + y))."""
+    return np.ceil((m_s - 1) * x / (x + y)).astype(np.int64)
+
+
+# --------------------------------------------------------------------------
+# scalar API
 
 
 def round_trip_time(distance_m: float, params: LinkParams) -> float:
     """Classical confirmation delay: 2 * distance / c plus processing."""
     if distance_m <= 0.0:
         raise ConfigError(f"distance_m must be > 0: {distance_m}")
-    return 2.0 * distance_m / params.light_speed_mps + params.processing_delay_s
+    return _round_trip(distance_m, params)
 
 
 def differential_shift(v_r_mps: float, params: LinkParams) -> float:
@@ -149,19 +213,15 @@ def max_train_length(v_r_mps: float, params: LinkParams) -> float:
 
     Returns ``math.inf`` for v_r = 0 (no drift, unbounded train).
     """
-    if v_r_mps == 0.0:
-        return math.inf
-    bound = params.acceptance_window_s * params.light_speed_mps / (
-        abs(v_r_mps) * params.emission_period_s
-    )
-    return float(math.floor(bound))
+    bound = float(_drift_bound(v_r_mps, params))
+    return math.inf if bound == math.inf else float(math.floor(bound))
 
 
 def single_link_rate(state: LinkState, n_train: float, params: LinkParams) -> float:
     """Pair rate of one link running trains of ``n_train`` photons: p * eta * N / t_rt."""
     if n_train < 1:
         raise ConfigError(f"n_train must be >= 1: {n_train}")
-    return params.p_bsm * state.eta * n_train / state.t_rt_s
+    return _single_rate(state.eta, state.t_rt_s, n_train, params)
 
 
 def corrected_rate(state: LinkState, params: LinkParams) -> float:
@@ -169,20 +229,12 @@ def corrected_rate(state: LinkState, params: LinkParams) -> float:
 
     r* = p * eta * min(m_sat, w * c / (|v_r| * T_em)) / t_rt; the cap is
     used unfloored here, matching the closed-form envelope rather than the
-    integer train the simulator runs.  Evaluation order matches
-    :func:`single_link_rate` so the two agree bit-for-bit wherever the cap
+    integer train the simulator runs.  It is the same kernel as
+    :func:`single_link_rate`, so the two agree bit-for-bit wherever the cap
     is inactive.
     """
-    if state.v_r_mps == 0.0:
-        cap = float(params.m_sat)
-    else:
-        cap = min(
-            float(params.m_sat),
-            params.acceptance_window_s
-            * params.light_speed_mps
-            / (abs(state.v_r_mps) * params.emission_period_s),
-        )
-    return params.p_bsm * state.eta * cap / state.t_rt_s
+    n_train = _capped_train(state.v_r_mps, params)
+    return float(_single_rate(state.eta, state.t_rt_s, n_train, params))
 
 
 def dual_rate(
@@ -202,9 +254,8 @@ def dual_rate(
         params_b = params_a
     if m_a < 0 or m_b < 0:
         raise ConfigError(f"slot shares must be >= 0: ({m_a}, {m_b})")
-    r_a = params_a.p_bsm * m_a * state_a.eta / state_a.t_rt_s
-    r_b = params_b.p_bsm * m_b * state_b.eta / state_b.t_rt_s
-    return min(r_a, r_b)
+    sa, sb = state_a, state_b
+    return float(_dual_rate(sa.eta, sa.t_rt_s, sb.eta, sb.t_rt_s, m_a, m_b, params_a, params_b))
 
 
 def _load_ratios(state_a: LinkState, state_b: LinkState) -> tuple[float, float]:
@@ -212,7 +263,7 @@ def _load_ratios(state_a: LinkState, state_b: LinkState) -> tuple[float, float]:
         raise NoVisibilityError(
             f"memory allocation needs both legs transmitting, got eta=({state_a.eta}, {state_b.eta})"
         )
-    return state_a.t_rt_s / state_a.eta, state_b.t_rt_s / state_b.eta
+    return _loads(state_a.eta, state_a.t_rt_s, state_b.eta, state_b.t_rt_s)
 
 
 def allocate_real(state_a: LinkState, state_b: LinkState, m_s: int) -> tuple[float, float]:
@@ -222,28 +273,22 @@ def allocate_real(state_a: LinkState, state_b: LinkState, m_s: int) -> tuple[flo
     m_B = m_S - m_A.  This maximizes the min-rate over all real splits
     summing to m_S.
     """
-    x, y = _load_ratios(state_a, state_b)
-    m_a = m_s * x / (x + y)
+    m_a = _split_real(*_load_ratios(state_a, state_b), m_s)
     return m_a, m_s - m_a
 
 
 def allocate_int(state_a: LinkState, state_b: LinkState, m_s: int) -> tuple[int, int]:
     """Integer slot split maximizing the min-rate.
 
-    m_A = ceil((m_S - 1) * x / (x + y)), m_B = floor((m_S - 1) * y / (x + y) + 1);
-    the two always sum to m_S and exhaustive search over integer splits
-    confirms optimality.  Both legs always receive at least one slot.
+    m_A = ceil((m_S - 1) * x / (x + y)) and m_B = m_S - m_A, which equals
+    floor((m_S - 1) * y / (x + y) + 1) up to float ties; exhaustive search
+    over integer splits confirms optimality.  Both legs always receive at
+    least one slot.
     """
     if m_s < 2:
         raise ConfigError(f"integer allocation needs m_s >= 2: {m_s}")
-    x, y = _load_ratios(state_a, state_b)
-    a = (m_s - 1) * x / (x + y)
-    m_a = int(math.ceil(a))
-    m_b = int(math.floor((m_s - 1) * y / (x + y) + 1.0))
-    if m_a + m_b != m_s:
-        # float tie fell on opposite sides of an integer; keep the identity
-        m_b = m_s - m_a
-    return m_a, m_b
+    m_a = int(_split_int(*_load_ratios(state_a, state_b), m_s))
+    return m_a, m_s - m_a
 
 
 # --------------------------------------------------------------------------
@@ -274,6 +319,47 @@ def _check_aligned(profile_a: PassProfile, profile_b: PassProfile) -> None:
         )
 
 
+def _transmitting(profile: PassProfile) -> np.ndarray:
+    return profile.visible & (profile.eta > 0)
+
+
+def _covisible(profile_a, profile_b, params_a, params_b):
+    """Mask of the samples where both legs transmit, and there each leg's eta and round trip."""
+    _check_aligned(profile_a, profile_b)
+    both = _transmitting(profile_a) & _transmitting(profile_b)
+    t_a = _round_trip(profile_a.distance_m[both], params_a)
+    t_b = _round_trip(profile_b.distance_m[both], params_b)
+    return both, profile_a.eta[both], t_a, profile_b.eta[both], t_b
+
+
+def _dual_rate_series(profile_a, profile_b, m_a, m_b, params_a, params_b) -> np.ndarray:
+    """Dual rate under per-sample slot shares ``m_a``, ``m_b``; zero unless both legs transmit."""
+    both, eta_a, t_a, eta_b, t_b = _covisible(profile_a, profile_b, params_a, params_b)
+    out = np.zeros(profile_a.n_samples)
+    out[both] = _dual_rate(eta_a, t_a, eta_b, t_b, m_a[both], m_b[both], params_a, params_b)
+    return out
+
+
+def _split_totals(profile_a, profile_b, m_s, params_a, params_b) -> np.ndarray:
+    """Dual rate summed over the co-visible samples for every fixed split m_A = 0..m_S.
+
+    One vector per sample is added in sample order, so each total is the
+    same float as a sequential sum over samples; ``np.sum`` would add
+    pairwise and can move the argmax.
+    """
+    both, eta_a, t_a, eta_b, t_b = _covisible(profile_a, profile_b, params_a, params_b)
+    if not both.any():
+        raise NoOverlapError(
+            f"stations {profile_a.station} and {profile_b.station} are never co-visible"
+        )
+    m_a = np.arange(m_s + 1)
+    m_b = m_s - m_a
+    totals = np.zeros(m_s + 1)
+    for sample in zip(eta_a.tolist(), t_a.tolist(), eta_b.tolist(), t_b.tolist()):
+        totals += _dual_rate(*sample, m_a, m_b, params_a, params_b)
+    return totals
+
+
 def best_static_split(
     profile_a: PassProfile,
     profile_b: PassProfile,
@@ -292,28 +378,9 @@ def best_static_split(
     """
     if params_b is None:
         params_b = params_a
-    _check_aligned(profile_a, profile_b)
-    both = np.flatnonzero(
-        profile_a.visible & profile_b.visible & (profile_a.eta > 0) & (profile_b.eta > 0)
-    )
-    if both.size == 0:
-        raise NoOverlapError(
-            f"stations {profile_a.station} and {profile_b.station} are never co-visible"
-        )
-    states = [
-        (link_state_at(profile_a, int(i), params_a), link_state_at(profile_b, int(i), params_b))
-        for i in both
-    ]
-    best_total = -1.0
-    best: tuple[int, int] = (0, 0)
-    for m_a in range(m_s + 1):
-        total = 0.0
-        for sa, sb in states:
-            total += dual_rate(sa, sb, m_a, m_s - m_a, params_a, params_b)
-        if total > best_total:
-            best_total = total
-            best = (m_a, m_s - m_a)
-    return best
+    # argmax returns the first maximum, the smaller m_A on ties
+    m_a = int(np.argmax(_split_totals(profile_a, profile_b, m_s, params_a, params_b)))
+    return m_a, m_s - m_a
 
 
 @dataclass(frozen=True)
@@ -353,17 +420,7 @@ class AllocationResult:
 
     def to_json_dict(self) -> dict:
         """Summary with fields named exactly as the dataclass fields."""
-        return {
-            "t_s": self.t_s.tolist(),
-            "m_A_real": self.m_A_real.tolist(),
-            "m_B_real": self.m_B_real.tolist(),
-            "m_A_int": self.m_A_int.tolist(),
-            "m_B_int": self.m_B_int.tolist(),
-            "rate_real": self.rate_real.tolist(),
-            "rate_int": self.rate_int.tolist(),
-            "static_split": list(self.static_split),
-            "static_rate": self.static_rate.tolist(),
-        }
+        return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
 
 
 def allocation_series(
@@ -385,45 +442,33 @@ def allocation_series(
         params_b = params_a
     if m_s < 2:
         raise ConfigError(f"allocation needs m_s >= 2: {m_s}")
-    _check_aligned(profile_a, profile_b)
-    n = profile_a.n_samples
-    m_a_real = np.empty(n)
-    m_a_int = np.empty(n, dtype=np.int64)
-    rate_real = np.zeros(n)
-    rate_int = np.zeros(n)
-    static_rate = np.zeros(n)
+    both, eta_a, t_a, eta_b, t_b = _covisible(profile_a, profile_b, params_a, params_b)
     split = best_static_split(profile_a, profile_b, m_s, params_a, params_b)
 
-    vis_a = profile_a.visible & (profile_a.eta > 0)
-    vis_b = profile_b.visible & (profile_b.eta > 0)
-    for i in range(n):
-        if vis_a[i] and vis_b[i]:
-            sa = link_state_at(profile_a, i, params_a)
-            sb = link_state_at(profile_b, i, params_b)
-            m_a_real[i] = allocate_real(sa, sb, m_s)[0]
-            m_a_int[i] = allocate_int(sa, sb, m_s)[0]
-            rate_real[i] = dual_rate(sa, sb, m_a_real[i], m_s - m_a_real[i], params_a, params_b)
-            rate_int[i] = dual_rate(sa, sb, m_a_int[i], m_s - m_a_int[i], params_a, params_b)
-            static_rate[i] = dual_rate(sa, sb, split[0], split[1], params_a, params_b)
-        elif vis_a[i]:
-            m_a_real[i] = float(m_s)
-            m_a_int[i] = m_s
-        elif vis_b[i]:
-            m_a_real[i] = 0.0
-            m_a_int[i] = 0
-        else:
-            m_a_real[i] = m_s / 2.0
-            m_a_int[i] = m_s - m_s // 2
+    vis_a = _transmitting(profile_a)
+    dark = ~(vis_a | _transmitting(profile_b))
+    m_a_real = np.where(vis_a, float(m_s), 0.0)
+    m_a_real[dark] = m_s / 2.0
+    m_a_int = np.where(vis_a, m_s, 0).astype(np.int64)
+    m_a_int[dark] = m_s - m_s // 2
+    x, y = _loads(eta_a, t_a, eta_b, t_b)
+    m_a_real[both] = _split_real(x, y, m_s)
+    m_a_int[both] = _split_int(x, y, m_s)
+
+    def rate(m_a: np.ndarray, m_b: np.ndarray) -> np.ndarray:
+        return _dual_rate_series(profile_a, profile_b, m_a, m_b, params_a, params_b)
+
+    n = profile_a.n_samples
     return AllocationResult(
         t_s=profile_a.t_s.copy(),
         m_A_real=m_a_real,
         m_B_real=m_s - m_a_real,
         m_A_int=m_a_int,
         m_B_int=m_s - m_a_int,
-        rate_real=rate_real,
-        rate_int=rate_int,
+        rate_real=rate(m_a_real, m_s - m_a_real),
+        rate_int=rate(m_a_int, m_s - m_a_int),
         static_split=split,
-        static_rate=static_rate,
+        static_rate=rate(np.full(n, split[0]), np.full(n, split[1])),
     )
 
 
@@ -437,13 +482,10 @@ def rate_series(
     With the drift correction the series is the corrected rate; without it
     the plain rate with N = m_sat.
     """
+    on = _transmitting(profile)
+    n_train = _capped_train(profile.radial_velocity_mps[on], params) if use_drift_correction else params.m_sat
     out = np.zeros(profile.n_samples)
-    for i in np.flatnonzero(profile.visible & (profile.eta > 0)):
-        state = link_state_at(profile, int(i), params)
-        if use_drift_correction:
-            out[i] = corrected_rate(state, params)
-        else:
-            out[i] = single_link_rate(state, params.m_sat, params)
+    out[on] = _single_rate(profile.eta[on], _round_trip(profile.distance_m[on], params), n_train, params)
     return out
 
 
@@ -455,9 +497,7 @@ def write_rate_csv(
     m_b: Iterable[int] | None = None,
 ) -> None:
     """Write a rate series as ``t_s,rate_pairs_per_s[,m_A,m_B]`` CSV."""
-    own = isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__")
-    fh = open(destination, "w", encoding="utf-8", newline="\n") if own else destination
-    try:
+    with _text_io(destination, "w") as (fh, _):
         with_m = m_a is not None and m_b is not None
         fh.write("t_s,rate_pairs_per_s,m_A,m_B\n" if with_m else "t_s,rate_pairs_per_s\n")
         if with_m:
@@ -466,6 +506,3 @@ def write_rate_csv(
         else:
             for t, r in zip(t_s, rate):
                 fh.write(f"{t:.12g},{r:.12g}\n")
-    finally:
-        if own:
-            fh.close()

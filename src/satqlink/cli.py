@@ -26,9 +26,8 @@ from typing import Callable, TextIO
 import numpy as np
 
 from .analytics import (
+    _dual_rate_series,
     allocation_series,
-    dual_rate,
-    link_state_at,
     max_train_length,
     rate_series,
     write_rate_csv,
@@ -37,7 +36,7 @@ from .errors import ConfigError, DataFormatError, SatLinkError
 from .experiment import Experiment, load_experiment
 from .passes import propagate_pass, write_profile
 from .sim import ENGINE_VERSION, run, write_round_log, write_sim_csv, read_sim_csv
-from .validation import compare_counts, predict_bin_moments, write_validation_csv
+from .validation import _pad_sum, compare_counts, predict_bin_moments, write_validation_csv
 
 __all__ = ["main", "entry"]
 
@@ -115,17 +114,6 @@ def _cmd_gen_pass(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _static_rate_series(exp: Experiment, profiles, split) -> np.ndarray:
-    pa, pb = profiles
-    out = np.zeros(pa.n_samples)
-    both = (pa.visible & (pa.eta > 0)) & (pb.visible & (pb.eta > 0))
-    for i in np.flatnonzero(both):
-        sa = link_state_at(pa, int(i), exp.link)
-        sb = link_state_at(pb, int(i), exp.link)
-        out[i] = dual_rate(sa, sb, split[0], split[1], exp.link)
-    return out
-
-
 def _cmd_rate(args: argparse.Namespace) -> int:
     exp = _experiment(args)
     out_dir = _out_dir(args, exp)
@@ -139,10 +127,10 @@ def _cmd_rate(args: argparse.Namespace) -> int:
             written.append(path)
     elif exp.policy == "static":
         split = exp.resolve_static_split(profiles)
-        series = _static_rate_series(exp, profiles, split)
-        path = out_dir / "rate_dual.csv"
         m_a = np.full(profiles[0].n_samples, split[0])
         m_b = np.full(profiles[0].n_samples, split[1])
+        series = _dual_rate_series(profiles[0], profiles[1], m_a, m_b, exp.link, exp.link)
+        path = out_dir / "rate_dual.csv"
         _atomic_text(path, lambda fh: write_rate_csv(fh, profiles[0].t_s, series, m_a, m_b))
         written.append(path)
     else:
@@ -234,20 +222,13 @@ def _sim_files(out_dir: Path) -> list[Path] | None:
     return [out_dir / name for name in names]
 
 
-def _pool_csv_counts(files: list[Path]) -> dict[str, np.ndarray]:
-    """Sum per-bin counts across runs, padding to the longest grid."""
-    pooled: dict[str, np.ndarray] = {}
-    for path in files:
-        cols = read_sim_csv(path)
-        for key in ("pairs_legA", "pairs_legB", "pairs_end_to_end"):
-            have = pooled.get(key, np.zeros(0, dtype=np.int64))
-            new = cols[key]
-            n = max(len(have), len(new))
-            out = np.zeros(n, dtype=np.int64)
-            out[: len(have)] += have
-            out[: len(new)] += new
-            pooled[key] = out
-    return pooled
+def _pooled_counts(files: list[Path]) -> dict[str, np.ndarray]:
+    """Per-bin counts of each column summed across runs, padded to the longest grid."""
+    runs = [read_sim_csv(path) for path in files]
+    return {
+        key: _pad_sum([cols[key] for cols in runs])
+        for key in ("pairs_legA", "pairs_legB", "pairs_end_to_end")
+    }
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -258,7 +239,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         raise DataFormatError(f"no simulate.json in {out_dir}; run simulate first")
     if args.seeds is not None and args.seeds != len(files):
         raise DataFormatError(f"--seeds {args.seeds} but simulate.json lists {len(files)} seeds")
-    pooled = _pool_csv_counts(files)
+    pooled = _pooled_counts(files)
     config = exp.sim_config(exp.seed0, exp.profiles())
     moments = predict_bin_moments(config, n_runs=len(files))
     leg_names = [st.name for st in exp.stations]
@@ -287,8 +268,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _sim_mean_by_bin(files: list[Path] | None) -> dict[str, np.ndarray] | None:
     if not files:
         return None
-    pooled = _pool_csv_counts(files)
-    return {key: col / len(files) for key, col in pooled.items()}
+    return {key: col / len(files) for key, col in _pooled_counts(files).items()}
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -21,7 +21,9 @@ Conventions: SI units, angles in degrees in all public fields (suffix
 from __future__ import annotations
 
 import math
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -215,6 +217,9 @@ class PassProfile:
         for name, arr in arrays.items():
             if arr.shape != (n,):
                 raise ConfigError(f"profile column {name} has shape {arr.shape}, want ({n},)")
+            if name != "visible" and not np.all(np.isfinite(arr)):
+                row = int(np.argmin(np.isfinite(arr)))
+                raise ConfigError(f"profile column {name} is not finite at sample {row}: {arr[row]}")
             object.__setattr__(self, name, arr)
         if self.step_s <= 0.0:
             raise ConfigError(f"step_s must be > 0: {self.step_s}")
@@ -443,6 +448,21 @@ def overpass_geometry(
 # --------------------------------------------------------------------------
 # CSV interchange
 
+@contextmanager
+def _text_io(target, mode: str) -> Iterator[tuple[TextIO, str]]:
+    """Yield a text handle for ``target`` and the name that error messages cite.
+
+    A path (``str``, ``bytes`` or ``os.PathLike``) is opened as UTF-8, with
+    LF line ends when writing, and closed on exit; an open handle is used as
+    is and left open.
+    """
+    if isinstance(target, (str, bytes, os.PathLike)):
+        with open(target, mode, encoding="utf-8", newline="\n" if "w" in mode else None) as fh:
+            yield fh, os.fsdecode(target)
+    else:
+        yield target, getattr(target, "name", "<stream>")
+
+
 _CSV_HEADER = "t_s,distance_m,elevation_deg,radial_velocity_mps,eta,visible"
 _META_RE = re.compile(r"^# station=(?P<station>\S+) epoch=(?P<epoch>\S+) step_s=(?P<step>\S+)$")
 
@@ -453,9 +473,7 @@ def write_profile(profile: PassProfile, destination: str | Path | TextIO) -> Non
     Numeric fields carry 12 significant digits so a read/write cycle
     reproduces values to well past the 9 digits the format guarantees.
     """
-    own = isinstance(destination, (str, Path))
-    fh: TextIO = open(destination, "w", encoding="utf-8", newline="\n") if own else destination
-    try:
+    with _text_io(destination, "w") as (fh, _):
         fh.write(f"# station={profile.station} epoch={profile.epoch} step_s={profile.step_s:.12g}\n")
         fh.write(_CSV_HEADER + "\n")
         for i in range(profile.n_samples):
@@ -464,9 +482,6 @@ def write_profile(profile: PassProfile, destination: str | Path | TextIO) -> Non
                 f"{profile.elevation_deg[i]:.12g},{profile.radial_velocity_mps[i]:.12g},"
                 f"{profile.eta[i]:.12g},{1 if profile.visible[i] else 0}\n"
             )
-    finally:
-        if own:
-            fh.close()
 
 
 def _parse_float(token: str, row: int, column: str, where: str) -> float:
@@ -486,10 +501,7 @@ def read_profile(source: str | Path | TextIO) -> PassProfile:
     row 1) and column.  All profile invariants are re-checked on ingest, so
     hand-edited files cannot smuggle in inconsistent samples.
     """
-    own = isinstance(source, (str, Path))
-    fh: TextIO = open(source, "r", encoding="utf-8") if own else source
-    where = str(source) if own else getattr(source, "name", "<stream>")
-    try:
+    with _text_io(source, "r") as (fh, where):
         meta_line = fh.readline().rstrip("\n")
         meta = _META_RE.match(meta_line)
         if not meta:
@@ -524,9 +536,6 @@ def read_profile(source: str | Path | TextIO) -> PassProfile:
                 raise DataFormatError(f"{where}: row {row}, column eta: must be 0 when visible=0")
             if len(cols[0]) >= 2 and cols[0][-1] <= cols[0][-2]:
                 raise DataFormatError(f"{where}: row {row}, column t_s: not increasing")
-    finally:
-        if own:
-            fh.close()
     try:
         return PassProfile(
             station=meta["station"],

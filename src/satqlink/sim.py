@@ -47,9 +47,9 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .analytics import LinkParams, allocation_series
+from .analytics import LinkParams, _round_trip, allocation_series
 from .errors import ConfigError, DataFormatError, ReplayError
-from .passes import PassProfile
+from .passes import PassProfile, _text_io
 
 __all__ = [
     "ENGINE_VERSION",
@@ -332,7 +332,7 @@ def _leg_schedule(
     step = profile.step_s
     n_samples = profile.n_samples
     cover_end = t_grid0 + n_samples * step
-    t_rt = 2.0 * profile.distance_m / params.light_speed_mps + params.processing_delay_s
+    t_rt = _round_trip(profile.distance_m, params)
     eligible_sample = profile.visible & (capacity >= 1)
     t_em = params.emission_period_s
 
@@ -619,7 +619,7 @@ def _run_dual_event(config: SimConfig) -> SimResult:
         params = config.link_params[leg]
         visible = np.asarray(p.visible, dtype=bool)
         eta.append(p.eta.tolist())
-        t_rt.append((2.0 * p.distance_m / params.light_speed_mps + params.processing_delay_s).tolist())
+        t_rt.append(_round_trip(p.distance_m, params).tolist())
         v_r.append(p.radial_velocity_mps.tolist())
         next_vis.append(_next_true(visible).tolist())
         alloc.append(caps[leg].tolist())
@@ -786,9 +786,7 @@ _SIM_CSV_HEADER = "bin_start_s,pairs_legA,pairs_legB,pairs_end_to_end"
 
 def write_sim_csv(result: SimResult, destination: str | Path | TextIO) -> None:
     """Write per-bin counts; single-link runs carry zeros in the unused columns."""
-    own = isinstance(destination, (str, Path))
-    fh: TextIO = open(destination, "w", encoding="utf-8", newline="\n") if own else destination
-    try:
+    with _text_io(destination, "w") as (fh, _):
         fh.write(_SIM_CSV_HEADER + "\n")
         leg_a = result.pairs_per_leg[0]
         leg_b = (
@@ -801,17 +799,11 @@ def write_sim_csv(result: SimResult, destination: str | Path | TextIO) -> None:
             fh.write(
                 f"{starts[i]:.12g},{int(leg_a[i])},{int(leg_b[i])},{int(result.pairs_end_to_end[i])}\n"
             )
-    finally:
-        if own:
-            fh.close()
 
 
 def read_sim_csv(source: str | Path | TextIO) -> dict[str, np.ndarray]:
     """Read counts written by :func:`write_sim_csv` into column arrays."""
-    own = isinstance(source, (str, Path))
-    fh: TextIO = open(source, "r", encoding="utf-8") if own else source
-    where = str(source) if own else getattr(source, "name", "<stream>")
-    try:
+    with _text_io(source, "r") as (fh, where):
         header = fh.readline().rstrip("\n")
         if header != _SIM_CSV_HEADER:
             raise DataFormatError(f"{where}: row 1: bad header {header!r}")
@@ -832,9 +824,6 @@ def read_sim_csv(source: str | Path | TextIO) -> dict[str, np.ndarray]:
                     cols[k].append(int(parts[k + 1]))
             except ValueError as exc:
                 raise DataFormatError(f"{where}: row {row}: {exc}") from exc
-    finally:
-        if own:
-            fh.close()
     return {
         "bin_start_s": np.asarray(starts),
         "pairs_legA": np.asarray(cols[0], dtype=np.int64),
@@ -847,9 +836,7 @@ def write_round_log(result: SimResult, destination: str | Path | TextIO) -> None
     """Write the round log as newline-delimited JSON, one header then one record per round."""
     if result.rounds is None:
         raise ConfigError("result has no round log; run with capture_rounds=True")
-    own = isinstance(destination, (str, Path))
-    fh: TextIO = open(destination, "w", encoding="utf-8", newline="\n") if own else destination
-    try:
+    with _text_io(destination, "w") as (fh, _):
         header = {
             "engine_version": result.engine_version,
             "seed": int(result.seed),
@@ -870,17 +857,11 @@ def write_round_log(result: SimResult, destination: str | Path | TextIO) -> None
             if r.outcomes is not None:
                 rec["outcomes"] = r.outcomes
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def read_round_log(source: str | Path | TextIO) -> RoundLog:
     """Read a log written by :func:`write_round_log`."""
-    own = isinstance(source, (str, Path))
-    fh: TextIO = open(source, "r", encoding="utf-8") if own else source
-    where = str(source) if own else getattr(source, "name", "<stream>")
-    try:
+    with _text_io(source, "r") as (fh, where):
         first = fh.readline()
         if not first.strip():
             raise DataFormatError(f"{where}: empty round log")
@@ -913,9 +894,6 @@ def read_round_log(source: str | Path | TextIO) -> RoundLog:
                 )
             except (json.JSONDecodeError, KeyError, ValueError) as exc:
                 raise DataFormatError(f"{where}: row {row}: {exc}") from exc
-    finally:
-        if own:
-            fh.close()
     return RoundLog(
         engine_version=str(header["engine_version"]),
         seed=int(header["seed"]),

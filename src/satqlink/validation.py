@@ -24,6 +24,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
+from .passes import _text_io
 from .sim import SimConfig, SimResult, _bin_counts, _capacity_series, _leg_schedule
 
 __all__ = [
@@ -147,11 +148,11 @@ class ValidationReport:
         }
 
 
-def _pad(arr: np.ndarray, n: int) -> np.ndarray:
-    if arr.size >= n:
-        return arr
-    out = np.zeros(n, dtype=arr.dtype)
-    out[: arr.size] = arr
+def _pad_sum(arrays: Sequence[np.ndarray], n: int = 0) -> np.ndarray:
+    """Sum of ``arrays``, each zero-padded to the longest of them and of ``n``."""
+    out = np.zeros(max(n, *(a.size for a in arrays)), dtype=arrays[0].dtype)
+    for a in arrays:
+        out[: a.size] += a
     return out
 
 
@@ -164,9 +165,9 @@ def compare_counts(counts: np.ndarray, moments: BinMoments) -> ValidationReport:
     """
     counts = np.asarray(counts)
     n = max(counts.size, moments.n_bins)
-    c = _pad(counts.astype(np.int64), n)
-    mu = _pad(moments.mu, n)
-    sigma = _pad(moments.sigma, n)
+    c = _pad_sum([counts.astype(np.int64)], n)
+    mu = _pad_sum([moments.mu], n)
+    sigma = _pad_sum([moments.sigma], n)
 
     z = np.full(n, np.nan)
     evaluated = ~((mu == 0.0) & (c == 0))
@@ -216,23 +217,14 @@ def pool_counts(results: Sequence[SimResult], leg: int = 0) -> np.ndarray:
     if not results:
         raise ConfigError("pool_counts needs at least one result")
     width = results[0].bin_width_s
-    n = 0
-    for r in results:
-        if abs(r.bin_width_s - width) > 1e-12:
-            raise GridMismatchError("pooled results must share one bin width")
-        n = max(n, r.pairs_per_leg[leg].size)
-    out = np.zeros(n, dtype=np.int64)
-    for r in results:
-        c = r.pairs_per_leg[leg]
-        out[: c.size] += c
-    return out
+    if any(abs(r.bin_width_s - width) > 1e-12 for r in results):
+        raise GridMismatchError("pooled results must share one bin width")
+    return _pad_sum([r.pairs_per_leg[leg] for r in results])
 
 
 def write_validation_csv(report: ValidationReport, destination: str | Path | TextIO) -> None:
     """Write per-bin rows as ``bin_start_s,mu,sigma,count,z``."""
-    own = isinstance(destination, (str, Path))
-    fh: TextIO = open(destination, "w", encoding="utf-8", newline="\n") if own else destination
-    try:
+    with _text_io(destination, "w") as (fh, _):
         fh.write("bin_start_s,mu,sigma,count,z\n")
         starts = report.bin_start_s
         for i in range(report.n_bins):
@@ -240,6 +232,3 @@ def write_validation_csv(report: ValidationReport, destination: str | Path | Tex
                 f"{starts[i]:.12g},{report.mu[i]:.12g},{report.sigma[i]:.12g},"
                 f"{int(report.count[i])},{report.z[i]:.12g}\n"
             )
-    finally:
-        if own:
-            fh.close()

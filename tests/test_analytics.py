@@ -8,11 +8,15 @@ or square roots appear) and frozen here; the implementation must agree to
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satqlink import (
     ConfigError,
@@ -35,6 +39,7 @@ from satqlink import (
     single_link_rate,
     write_rate_csv,
 )
+from satqlink.analytics import _split_totals
 
 from conftest import make_profile, unimodal_pair
 
@@ -386,6 +391,99 @@ def test_rate_series_invisible_zero():
     assert np.all(series[[1, 3]] > 0)
 
 
+def test_link_state_rejects_non_finite():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            LinkState(eta=0.5, t_rt_s=bad)
+        with pytest.raises(ConfigError):
+            LinkState(eta=0.5, t_rt_s=0.004, v_r_mps=bad)
+        with pytest.raises(ConfigError):
+            LinkState(eta=bad, t_rt_s=0.004)
+
+
+def _reference_series(pa, pb, m_s, pr):
+    """The closed-form series evaluated one sample at a time through the scalar API."""
+    n = pa.n_samples
+    vis_a = pa.visible & (pa.eta > 0)
+    vis_b = pb.visible & (pb.eta > 0)
+    both = np.flatnonzero(vis_a & vis_b)
+    states = {int(i): (link_state_at(pa, int(i), pr), link_state_at(pb, int(i), pr)) for i in both}
+    totals = []
+    for m_a in range(m_s + 1):
+        total = 0.0
+        for sa, sb in states.values():
+            total += dual_rate(sa, sb, m_a, m_s - m_a, pr)
+        totals.append(total)
+    split = (totals.index(max(totals)), m_s - totals.index(max(totals)))
+    m_a_real = np.where(vis_a, float(m_s), np.where(vis_b, 0.0, m_s / 2.0))
+    m_a_int = np.where(vis_a, m_s, np.where(vis_b, 0, m_s - m_s // 2)).astype(np.int64)
+    rate_real, rate_int, static_rate = np.zeros(n), np.zeros(n), np.zeros(n)
+    for i, (sa, sb) in states.items():
+        m_a_real[i] = allocate_real(sa, sb, m_s)[0]
+        m_a_int[i] = allocate_int(sa, sb, m_s)[0]
+        rate_real[i] = dual_rate(sa, sb, m_a_real[i], m_s - m_a_real[i], pr)
+        rate_int[i] = dual_rate(sa, sb, m_a_int[i], m_s - m_a_int[i], pr)
+        static_rate[i] = dual_rate(sa, sb, split[0], split[1], pr)
+    alloc = {
+        "t_s": pa.t_s, "m_A_real": m_a_real, "m_B_real": m_s - m_a_real,
+        "m_A_int": m_a_int, "m_B_int": m_s - m_a_int, "rate_real": rate_real,
+        "rate_int": rate_int, "static_rate": static_rate,
+    }
+    rates = {}
+    for profile in (pa, pb):
+        for drift in (True, False):
+            out = np.zeros(n)
+            for i in np.flatnonzero(profile.visible & (profile.eta > 0)):
+                state = link_state_at(profile, int(i), pr)
+                out[i] = corrected_rate(state, pr) if drift else single_link_rate(state, pr.m_sat, pr)
+            rates[profile.station, drift] = out
+    return alloc, split, np.array(totals), rates
+
+
+def _assert_series_match_reference(pa, pb, m_s, pr):
+    alloc = allocation_series(pa, pb, m_s, pr)
+    want, split, totals, rates = _reference_series(pa, pb, m_s, pr)
+    for name, column in want.items():
+        got = getattr(alloc, name)
+        assert got.dtype == column.dtype and np.array_equal(got, column), name
+    assert alloc.static_split == split
+    # the search adds one vector per sample in sample order: equal to a sequential sum
+    assert np.array_equal(_split_totals(pa, pb, m_s, pr, pr), totals)
+    for (station, drift), column in rates.items():
+        profile = pa if station == pa.station else pb
+        assert np.array_equal(rate_series(profile, pr, use_drift_correction=drift), column)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m_s=st.integers(2, 60),
+    proc=st.sampled_from([0.0, 1e-4]),
+)
+def test_series_match_scalar_reference_on_random_passes(seed, m_s, proc):
+    pa, pb = unimodal_pair(np.random.default_rng(seed))
+    _assert_series_match_reference(pa, pb, m_s, params(m_sat=m_s, proc=proc))
+
+
+# sha256 of the calibrated single-link series' float64 bytes, recorded
+# before the series were evaluated on whole profile columns; the CLI writes
+# these rates at 12 digits only, so this is what pins their float order.
+CALIBRATED_RATE_SHA256 = {
+    ("nice", True): "b82aa44f9efe3ec4e98d86fa0bc07c38c7de18bf9e70ef64c474b03e33694943",
+    ("nice", False): "7acf36449b7078be9ba621cd1fcd899320cc6f1689ce6c63f4c18f94167e973e",
+    ("paris", True): "0d826c8b64379ca6e69655b140023fa4b3204082167f35adcf0f574f1472e837",
+    ("paris", False): "20a98cd959547fe8be2a0a4d09256323ebe89c351a3cc9b0a18cfa0b198e0b55",
+}
+
+
+def test_series_match_scalar_reference_on_calibrated_pass(calibrated_m100):
+    (pa, pb), link = calibrated_m100
+    _assert_series_match_reference(pa, pb, link.m_sat, link)
+    for (station, drift), want in CALIBRATED_RATE_SHA256.items():
+        series = rate_series(pa if station == pa.station else pb, link, use_drift_correction=drift)
+        assert hashlib.sha256(series.tobytes()).hexdigest() == want, (station, drift)
+
+
 def test_write_rate_csv_format():
     buf = io.StringIO()
     write_rate_csv(buf, [0.0, 1.0], [1.5, 2.5], [3, 4], [7, 6])
@@ -393,3 +491,11 @@ def test_write_rate_csv_format():
     buf = io.StringIO()
     write_rate_csv(buf, [0.0], [0.125])
     assert buf.getvalue() == "t_s,rate_pairs_per_s\n0,0.125\n"
+
+
+def test_write_rate_csv_accepts_str_bytes_and_pathlike(tmp_path):
+    want = "t_s,rate_pairs_per_s\n0,0.125\n"
+    for i, wrap in enumerate((str, os.fsencode, lambda p: p)):
+        path = tmp_path / f"rate{i}.csv"
+        write_rate_csv(wrap(path), [0.0], [0.125])
+        assert path.read_bytes() == want.encode()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 
 import pytest
@@ -249,3 +250,51 @@ def test_validate_pools_only_manifest_seeds(dual_spec, tmp_path, capsys):
     capsys.readouterr()
     assert main(["validate", *args, "--m-sat", "50"]) == 3
     assert "sim_seed1.csv" in capsys.readouterr().err
+
+
+# sha256 of every file the closed-form commands write for DUAL, recorded
+# before the series were evaluated on whole profile columns.
+CLOSED_FORM_SHA256 = {
+    "allocate_m10/allocation.csv": "1749bc588d083f421b218b4025b34c0a4d060084d838ef47b5a98252c5c747dc",
+    "allocate_m10/allocation.json": "0a60ad90cf77374ab60b98186f81fd020998ef9d7db1b8a6358c2104c6472a49",
+    "allocate_m200/allocation.csv": "68a463f6c3730a7a1273c95eb5c631783d6f54318948bd41f585dd800eaacef1",
+    "allocate_m200/allocation.json": "3134fc9b3597b0381bfefeb975ab039cf8305277f3e1e07fd9b27c29b2070f1a",
+    "rate_declared_m10/rate_dual.csv": "320315f4e8180c6e062966bfa52a8addff4a486a87883edb335afd9742dce903",
+    "rate_declared_m200/rate_dual.csv": "9e3b7fe444fc2b7ed8d40f6e6a4b2415e47d86714c9af3b8abfd664d991479a5",
+    "rate_m10/rate_dual.csv": "1749bc588d083f421b218b4025b34c0a4d060084d838ef47b5a98252c5c747dc",
+    "rate_m200/rate_dual.csv": "68a463f6c3730a7a1273c95eb5c631783d6f54318948bd41f585dd800eaacef1",
+    "rate_static_m10/rate_dual.csv": "433bb54a51593894b4bfda8aba43cd4cae25fa350ca4e96098f63e00c4c96a0d",
+    "rate_static_m200/rate_dual.csv": "1a7fde59a8e2a04f54d7a71837352d22ccd876097394662e0cff60a7cc6be42f",
+    "report_m10/report_dual.csv": "d887ddb23c09074740b5c498e7dda120b145b2e6f64752d32b8df541b35adae6",
+    "report_m10/report_rates_nice.csv": "b778b27a40646f47beabcd35e54a13661081f8c2a9de989c7715dbfd48fc58e0",
+    "report_m10/report_rates_paris.csv": "e09496f2f77a976c5cbe79fb70edaf9eda09d8bd03d80fd6c03e654743a23572",
+    "report_m10/report_summary.json": "62337b3d7f9057dbfd2f41ee70b80480908d342e2e1f433d20d4faf64d393bb2",
+    "report_m200/report_dual.csv": "a10f657b380fb52f3dfd69c2924160faebcfc04972b0bff96cfe849fdbbaa7da",
+    "report_m200/report_rates_nice.csv": "7f60d3362cedd1d1b0bd0fee0e0a1441246fe4078f401e2e1312d6b86b987af5",
+    "report_m200/report_rates_paris.csv": "563f258c6a43417a1543825e0a7c91c3ec5e6f48c0c9bf417593cb5769cc4647",
+    "report_m200/report_summary.json": "ffa94f981681c4e760e2865668dd344c7fcf7b73ee23f6289d700168e5e30381",
+}
+
+
+def test_closed_form_artifacts_are_pinned(dual_spec, tmp_path):
+    got = {}
+    for m_sat, declared_split in ((10, [5, 5]), (200, [60, 140])):
+        # a declared split is dropped by --m-sat, so this spec sets the memory itself
+        doc = copy.deepcopy(DUAL)
+        doc["satellite"]["memory_slots"] = m_sat
+        doc["run"].update(policy="static", static_split=declared_split)
+        declared = write_spec(tmp_path, doc, f"declared{m_sat}.json")
+        m = ["--m-sat", str(m_sat)]
+        cases = {
+            "rate": ("rate", dual_spec, m),
+            "rate_static": ("rate", dual_spec, [*m, "--policy", "static"]),
+            "rate_declared": ("rate", declared, []),
+            "allocate": ("allocate", dual_spec, m),
+            "report": ("report", dual_spec, m),
+        }
+        for name, (command, spec, extra) in cases.items():
+            out = tmp_path / f"{name}_m{m_sat}"
+            assert main([command, "--spec", spec, "--out", str(out), *extra]) == 0
+            for path in sorted(out.iterdir()):
+                got[f"{out.name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == CLOSED_FORM_SHA256

@@ -201,6 +201,20 @@ def test_profile_grid_validation():
             elevation_deg=p.elevation_deg, radial_velocity_mps=p.radial_velocity_mps,
             eta=p.eta, visible=p.visible,
         )
+    # a NaN or infinity in any float column is refused, naming the column and the sample
+    columns = {
+        "t_s": p.t_s, "distance_m": p.distance_m, "elevation_deg": p.elevation_deg,
+        "radial_velocity_mps": p.radial_velocity_mps, "eta": p.eta,
+    }
+    for name in columns:
+        for bad in (np.nan, np.inf, -np.inf):
+            column = columns[name].copy()
+            column[1] = bad
+            with pytest.raises(ConfigError, match=f"column {name} is not finite at sample 1"):
+                type(p)(
+                    station=p.station, epoch=p.epoch, step_s=p.step_s,
+                    **{**columns, name: column}, visible=p.visible,
+                )
 
 
 def test_csv_round_trip_100_random_profiles():
