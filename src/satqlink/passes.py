@@ -159,6 +159,9 @@ class PassSample:
     visible: bool
 
     def __post_init__(self) -> None:
+        for name in ("t_s", "distance_m", "elevation_deg", "radial_velocity_mps", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} is not finite: {getattr(self, name)}")
         if self.distance_m <= 0.0:
             raise ConfigError(f"distance_m must be > 0: {self.distance_m}")
         if not 0.0 <= self.eta <= 1.0:

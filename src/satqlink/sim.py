@@ -34,6 +34,15 @@ draw ahead: the vectorized path a block of rounds at a time, the event loop
 a chunk of photons at a time.  Within one profile sample every photon of a
 leg sees the same channel, so the event loop counts a round's successes as
 the difference of two entries of the prefix sum of a window's success mask.
+
+Both paths record a run in one round table per leg: start time, confirm
+time and successes per round, and per block (a maximal run of consecutive
+rounds with one profile sample and one train length) the sample, the train
+length and the drift-eligible count; outcome strings only when capturing.
+The vectorized path schedules the table first and fills the successes a
+block at a time; the event loop appends to it round by round.  Binning,
+``SimResult.rounds``, the round log, :func:`replay` and the validator's
+exact moments all read that table.
 """
 
 from __future__ import annotations
@@ -41,13 +50,15 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .analytics import LinkParams, _round_trip, allocation_series
+from .analytics import LinkParams, _drift_bound, _round_trip, allocation_series
 from .errors import ConfigError, DataFormatError, ReplayError
 from .passes import PassProfile, _text_io
 
@@ -192,6 +203,7 @@ class SimResult:
     ``pairs_per_leg[i][k]`` counts leg i pairs confirmed in bin k;
     ``pairs_end_to_end`` counts swapped pairs by swap time (all zero for a
     single-link run).  Bins start at t = 0 and have uniform width.
+    ``rounds`` is built on demand from the run's round table.
     """
 
     bin_width_s: float
@@ -201,7 +213,8 @@ class SimResult:
     policy: str
     config_echo: dict
     engine_version: str = ENGINE_VERSION
-    rounds: list[Round] | None = None
+    _tables: tuple[_RoundTable, ...] | None = field(default=None, repr=False, compare=False)
+    _by_confirm: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.pairs_end_to_end.size
@@ -216,6 +229,13 @@ class SimResult:
             int(leg.sum()) for leg in self.pairs_per_leg
         ):
             raise ConfigError("swapped pairs exceed a leg total")
+
+    @property
+    def rounds(self) -> list[Round] | None:
+        """Every round, or None when the run did not capture rounds."""
+        if self._tables is None:
+            return None
+        return [Round(*row) for row in _round_rows(self._tables, self._by_confirm)]
 
     @property
     def n_bins(self) -> int:
@@ -247,53 +267,70 @@ class SimResult:
 
 
 # --------------------------------------------------------------------------
-# round scheduling
+# the round table and the unbounded-buffer schedule
 #
 # With an unbounded application buffer the round sequence of a leg is a pure
 # function of the profile and the per-sample slot allocation: each round
 # starts the instant the previous one confirms, holding the channel state of
-# the sample its start falls in.  The analytic validator reuses this builder,
-# which is what makes its per-bin moments exact for the simulator.
+# the sample its start falls in.  The analytic validator reads the table of
+# that schedule, which is what makes its per-bin moments exact for the engine.
 
 
-@dataclass(frozen=True)
-class _Block:
-    """A run of back-to-back rounds sharing one profile sample."""
+@dataclass
+class _RoundTable:
+    """One leg's rounds as columns, in the order the leg ran them.
 
-    starts: np.ndarray
-    dt: float
-    n: int
-    eligible: int
-    eta: float
-    p_bsm: float
-    v_r: float
+    Per round: ``start``, ``confirm`` and ``successes``.  Per block, a
+    maximal run of consecutive rounds sharing (sample, n): the round count
+    ``k``, the profile ``sample``, the train length ``n``, the drift-eligible
+    count ``eligible`` and the sample's radial velocity ``v_r``.  When the
+    run captures, ``outcomes`` holds one string per round.  A table rebuilt
+    from rounds by :func:`replay` has one block per round, with ``sample``
+    and ``eligible`` -1.
+    """
 
-    @property
-    def k(self) -> int:
-        return int(self.starts.size)
-
-    def confirm_times(self) -> np.ndarray:
-        return self.starts + self.dt
-
-
-@dataclass(frozen=True)
-class _LegSchedule:
-    blocks: tuple[_Block, ...]
+    start: np.ndarray
+    confirm: np.ndarray
+    successes: np.ndarray | None
+    k: np.ndarray
+    sample: np.ndarray
+    n: np.ndarray
+    eligible: np.ndarray
+    v_r: np.ndarray
+    outcomes: list[str | None] | None = None
 
 
-def _eligible_count(n: int, v_r: float, params: LinkParams, drift: bool) -> int:
-    """Photons whose drift stays inside the window: k * |dt_shift| <= w.
+def _round_rows(tables: Sequence[_RoundTable], by_confirm: bool) -> Iterable[tuple]:
+    """:class:`Round` fields of every round as Python scalars, one tuple per round.
+
+    Rows run leg by leg, or in (confirm, leg, index) order with ``by_confirm``.
+    """
+    parts = [
+        (np.full(t.start.size, leg), np.arange(t.start.size), t.start, np.repeat(t.n, t.k),
+         np.repeat(t.v_r, t.k), t.confirm, t.successes)
+        for leg, t in enumerate(tables)
+    ]
+    cols = [np.concatenate(c) for c in zip(*parts)]
+    outcomes = [o for t in tables for o in t.outcomes]
+    if by_confirm:
+        order = np.lexsort((cols[1], cols[0], cols[5]))
+        cols = [c[order] for c in cols]
+        outcomes = [outcomes[i] for i in order.tolist()]
+    return zip(*(c.tolist() for c in cols), outcomes)
+
+
+def _eligible_cap(profile: PassProfile, params: LinkParams, drift: bool) -> np.ndarray:
+    """Drift-eligible photons of an m_sat train at each sample.
 
     Photon indices are 0-based and the first photon is re-synchronized each
-    round, so the count is floor(w c / (|v_r| T_em)) + 1, capped at n.
+    round, so photon k stays in the window while k * |v_r| * T_em <= w c:
+    floor(bound) + 1 photons, capped at m_sat (also where the bound is inf).
+    A train of n photons has min(cap, n) eligible.
     """
-    shift = abs(v_r) * params.emission_period_s
-    # a |v_r| so small that the shift underflows to 0 or the bound overflows
-    # to inf drifts no photon out
-    if not drift or shift == 0.0:
-        return n
-    bound = params.acceptance_window_s * params.light_speed_mps / shift
-    return n if bound >= n else int(math.floor(bound)) + 1
+    if not drift:
+        return np.full(profile.n_samples, params.m_sat, dtype=np.int64)
+    bound = _drift_bound(profile.radial_velocity_mps, params)
+    return np.minimum(np.floor(bound) + 1.0, float(params.m_sat)).astype(np.int64)
 
 
 def _next_true(mask: np.ndarray) -> np.ndarray:
@@ -320,8 +357,8 @@ def _leg_schedule(
     params: LinkParams,
     capacity: np.ndarray,
     drift: bool,
-) -> _LegSchedule:
-    """Round schedule of one leg under full slot recycling.
+) -> _RoundTable:
+    """Round table of one leg under full slot recycling, without successes.
 
     ``capacity`` gives the leg's satellite slot share per profile sample;
     the round size is its minimum with the ground memory.  Rounds start
@@ -337,9 +374,9 @@ def _leg_schedule(
     t_em = params.emission_period_s
 
     nxt = _next_true(eligible_sample)
-    blocks: list[_Block] = []
-    if not np.any(eligible_sample):
-        return _LegSchedule(blocks=())
+    starts = array("d")
+    blocks: list[tuple[int, int, int]] = []  # (sample, n, rounds)
+    dts: list[float] = []
     t = _sample_start(int(nxt[0]), t_grid0, step)
     while t < cover_end - 1e-12:
         i = int((t - t_grid0) // step)
@@ -354,26 +391,20 @@ def _leg_schedule(
         n = min(int(capacity[i]), int(params.m_ground))
         dt = (n - 1) * t_em + float(t_rt[i])
         # accumulate start times round by round, classifying each with the
-        # same floor arithmetic, so the event-driven path lands on bitwise
-        # identical rounds
-        starts: list[float] = [t]
+        # event loop's floor arithmetic and round duration
+        first = len(starts)
+        starts.append(t)
         t += dt
         while t < cover_end - 1e-12 and int((t - t_grid0) // step) == i:
             starts.append(t)
             t += dt
-        v_r = float(profile.radial_velocity_mps[i])
-        blocks.append(
-            _Block(
-                starts=np.asarray(starts),
-                dt=dt,
-                n=n,
-                eligible=_eligible_count(n, v_r, params, drift),
-                eta=float(profile.eta[i]),
-                p_bsm=params.p_bsm,
-                v_r=v_r,
-            )
-        )
-    return _LegSchedule(blocks=tuple(blocks))
+        blocks.append((i, n, len(starts) - first))
+        dts.append(dt)
+    sample, n_col, k = np.asarray(blocks, dtype=np.int64).reshape(-1, 3).T
+    start = np.asarray(starts)
+    eligible = np.minimum(_eligible_cap(profile, params, drift)[sample], n_col)
+    confirm = start + np.repeat(np.asarray(dts, dtype=float), k)
+    return _RoundTable(start, confirm, None, k, sample, n_col, eligible, profile.radial_velocity_mps[sample])
 
 
 def _leg_rng(seed: int, leg: int) -> np.random.Generator:
@@ -381,52 +412,27 @@ def _leg_rng(seed: int, leg: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=int(seed), spawn_key=(leg,))))
 
 
-def _outcome_string(ok: np.ndarray, eligible: int) -> str:
+def _outcome_chars(ok: np.ndarray, eligible: int) -> str:
+    """``S``/``L`` per photon of ``ok``'s rows, ``D`` past ``eligible``; rows concatenated."""
     chars = np.where(ok, b"S", b"L").astype("S1")
-    if eligible < chars.size:
-        chars[eligible:] = b"D"
+    chars[..., eligible:] = b"D"
     return chars.tobytes().decode("ascii")
 
 
-def _simulate_leg(
-    schedule: _LegSchedule,
-    rng: np.random.Generator,
-    leg: int,
-    capture: bool,
-) -> tuple[np.ndarray, np.ndarray, list[Round] | None]:
-    """Run a precomputed schedule; returns (confirm_times, successes, rounds)."""
-    conf_parts: list[np.ndarray] = []
-    succ_parts: list[np.ndarray] = []
-    rounds: list[Round] | None = [] if capture else None
-    idx = 0
-    for b in schedule.blocks:
-        u = rng.random((b.k, b.n, 2))
-        ok = (u[:, :, 0] < b.eta) & (u[:, :, 1] < b.p_bsm)
-        if b.eligible < b.n:
-            ok[:, b.eligible :] = False
-        succ = ok.sum(axis=1).astype(np.int64)
-        starts = b.starts
-        conf = starts + b.dt
-        conf_parts.append(conf)
-        succ_parts.append(succ)
-        if rounds is not None:
-            for j in range(b.k):
-                rounds.append(
-                    Round(
-                        leg=leg,
-                        index=idx + j,
-                        start_time_s=float(starts[j]),
-                        train_length=b.n,
-                        v_r_at_start_mps=b.v_r,
-                        confirm_time_s=float(conf[j]),
-                        n_success=int(succ[j]),
-                        outcomes=_outcome_string(ok[j], b.eligible),
-                    )
-                )
-        idx += b.k
-    if conf_parts:
-        return np.concatenate(conf_parts), np.concatenate(succ_parts), rounds
-    return np.empty(0), np.empty(0, dtype=np.int64), rounds
+def _draw(table: _RoundTable, eta: np.ndarray, p_bsm: float, rng: np.random.Generator, capture: bool) -> None:
+    """Fill a scheduled table's successes, and outcomes when capturing, a block at a time."""
+    table.successes = np.empty(table.start.size, dtype=np.int64)
+    table.outcomes = [] if capture else None
+    lo = 0
+    for k, i, n, e in zip(*(c.tolist() for c in (table.k, table.sample, table.n, table.eligible))):
+        u = rng.random((k, n, 2))
+        ok = (u[:, :, 0] < eta[i]) & (u[:, :, 1] < p_bsm)
+        ok[:, e:] = False
+        table.successes[lo : lo + k] = ok.sum(axis=1)
+        if table.outcomes is not None:
+            chars = _outcome_chars(ok, e)
+            table.outcomes.extend(chars[j * n : (j + 1) * n] for j in range(k))
+        lo += k
 
 
 def _bin_counts(times: np.ndarray, weights: np.ndarray, width: float, n_bins: int) -> np.ndarray:
@@ -463,13 +469,7 @@ def run_single(config: SimConfig) -> SimResult:
     """Simulate one satellite-ground link over its pass profile."""
     if config.policy != "single":
         raise ConfigError(f"run_single needs policy 'single', got {config.policy!r}")
-    schedule = _leg_schedule(
-        config.profiles[0], config.link_params[0], _capacity_series(config)[0], config.drift
-    )
-    conf, succ, rounds = _simulate_leg(
-        schedule, _leg_rng(config.rng_seed, 0), 0, config.capture_rounds
-    )
-    return _result(config, [conf], [succ], rounds)
+    return _run_scheduled(config)
 
 
 def run_dual(config: SimConfig) -> SimResult:
@@ -478,7 +478,7 @@ def run_dual(config: SimConfig) -> SimResult:
         raise ConfigError(f"run_dual needs a dual policy, got {config.policy!r}")
     if config.retain_until_swap:
         return _run_dual_event(config)
-    return _run_dual_fast(config)
+    return _run_scheduled(config)
 
 
 def run(config: SimConfig) -> SimResult:
@@ -486,18 +486,17 @@ def run(config: SimConfig) -> SimResult:
     return run_single(config) if config.policy == "single" else run_dual(config)
 
 
-def _result(
-    config: SimConfig,
-    conf: Sequence[np.ndarray],
-    succ: Sequence[np.ndarray],
-    rounds: list[Round] | None,
-) -> SimResult:
-    """Bin each leg's confirmations (times ``conf``, pairs ``succ``) and the swaps.
+def _result(config: SimConfig, tables: Sequence[_RoundTable], by_confirm: bool = False) -> SimResult:
+    """Bin each leg's confirmations and the swaps; keep the tables if they hold outcomes.
 
     The i-th end-to-end pair appears at the later of the two legs' i-th
     confirmed pairs, so no swap falls past the last confirmation's bin.
+    ``by_confirm`` orders the result's rounds by (confirm, leg, index)
+    instead of leg by leg.
     """
     width = config.bin_width_s
+    conf = [t.confirm for t in tables]
+    succ = [t.successes for t in tables]
     tops = [float(c.max()) for c in conf if c.size]
     n_bins = int(math.floor(max(0.0, *tops) / width)) + 1 if tops else 0
     swaps = np.empty(0)
@@ -512,24 +511,22 @@ def _result(
         seed=config.rng_seed,
         policy=config.policy,
         config_echo=config.echo_dict(),
-        rounds=rounds,
+        _tables=tuple(tables) if tables[0].outcomes is not None else None,
+        _by_confirm=by_confirm,
     )
 
 
-def _run_dual_fast(config: SimConfig) -> SimResult:
-    """Unbounded-buffer dual run: legs are independent given the allocation."""
+def _run_scheduled(config: SimConfig) -> SimResult:
+    """Unbounded-buffer run of one or two legs: legs are independent given the allocation."""
     caps = _capacity_series(config)
-    conf: list[np.ndarray] = []
-    succ: list[np.ndarray] = []
-    rounds: list[Round] | None = [] if config.capture_rounds else None
-    for leg in range(2):
-        sched = _leg_schedule(config.profiles[leg], config.link_params[leg], caps[leg], config.drift)
-        c, s, r = _simulate_leg(sched, _leg_rng(config.rng_seed, leg), leg, config.capture_rounds)
-        conf.append(c)
-        succ.append(s)
-        if rounds is not None and r is not None:
-            rounds.extend(r)
-    return _result(config, conf, succ, rounds)
+    tables = []
+    for leg in range(config.n_legs):
+        profile = config.profiles[leg]
+        table = _leg_schedule(profile, config.link_params[leg], caps[leg], config.drift)
+        _draw(table, profile.eta, config.link_params[leg].p_bsm, _leg_rng(config.rng_seed, leg),
+              config.capture_rounds)
+        tables.append(table)
+    return _result(config, tables)
 
 
 # photons per PCG64 draw and per success prefix sum, per leg; the buffers
@@ -582,7 +579,8 @@ def _run_dual_event(config: SimConfig) -> SimResult:
     """Event-driven dual run used when confirmed pairs retain their slots.
 
     The legs interact through the swap (a confirmation on one leg can free
-    slots on both), so rounds cannot be prescheduled.  Events are processed
+    slots on both), so rounds cannot be prescheduled: the loop appends each
+    round to its leg's table as it starts.  Events are processed
     in (time, confirmation-before-start, leg) order; a leg blocked on slots
     wakes at the partner's next confirmation or the next sample boundary.
     A leg has at most one round in flight, so at a start its free slots are
@@ -604,27 +602,18 @@ def _run_dual_event(config: SimConfig) -> SimResult:
     t_grid0 = float(profiles[0].t_s[0])
     n_samples = profiles[0].n_samples
     cover_end = t_grid0 + n_samples * step
+    t_end = cover_end - 1e-12
     retain = config.retain_until_swap
 
     # per-leg constants and per-sample lookups as plain lists (hot loop)
-    eta: list[list[float]] = []
-    t_rt: list[list[float]] = []
-    v_r: list[list[float]] = []
-    next_vis: list[list[int]] = []
-    alloc: list[list[int]] = []
-    cap_e: list[list[int]] = []  # drift-eligible photons of an m_sat train
-    t_em: list[float] = []
-    for leg in range(2):
-        p = profiles[leg]
-        params = config.link_params[leg]
-        visible = np.asarray(p.visible, dtype=bool)
-        eta.append(p.eta.tolist())
-        t_rt.append(_round_trip(p.distance_m, params).tolist())
-        v_r.append(p.radial_velocity_mps.tolist())
-        next_vis.append(_next_true(visible).tolist())
-        alloc.append(caps[leg].tolist())
-        cap_e.append([_eligible_count(config.m_s, v, params, config.drift) for v in v_r[leg]])
-        t_em.append(params.emission_period_s)
+    links = config.link_params
+    eta = [p.eta.tolist() for p in profiles]
+    t_rt = [_round_trip(p.distance_m, lk).tolist() for p, lk in zip(profiles, links)]
+    next_vis = [_next_true(np.asarray(p.visible, dtype=bool)).tolist() for p in profiles]
+    alloc = [c.tolist() for c in caps]
+    cap_e = [_eligible_cap(p, lk, config.drift) for p, lk in zip(profiles, links)]
+    cap_e_l = [c.tolist() for c in cap_e]
+    t_em = [lk.emission_period_s for lk in links]
 
     streams = [_PhotonStream(_leg_rng(config.rng_seed, leg), config.m_s) for leg in range(2)]
 
@@ -633,10 +622,14 @@ def _run_dual_event(config: SimConfig) -> SimResult:
     confirming = [False, False]
     done = [False, False]
     buffered = [0, 0]  # confirmed pairs awaiting a swap
-    round_idx = [0, 0]
-    conf_times: list[list[float]] = [[], []]
-    conf_succ: list[list[int]] = [[], []]
-    rounds: list[Round] | None = [] if config.capture_rounds else None
+    # per leg, the round table as the loop builds it: start, confirm and
+    # successes per round, (first round, sample, n) per block, and the
+    # sample and n of the current block
+    starts, confirms = ([array("d"), array("d")] for _ in range(2))
+    successes = [array("q"), array("q")]
+    blocks: list[list[tuple[int, int, int]]] = [[], []]
+    block_i, block_n = [-1, -1], [-1, -1]
+    outcomes: list[list[str]] | None = [[], []] if config.capture_rounds else None
 
     for leg in range(2):
         j = next_vis[leg][0]
@@ -654,22 +647,22 @@ def _run_dual_event(config: SimConfig) -> SimResult:
             leg = 0
         else:
             leg = 1
-        other = 1 - leg
         t = ev[leg]
         if confirming[leg]:
             confirming[leg] = False
-            buffered[leg] += conf_succ[leg][-1]
+            buffered[leg] += successes[leg][-1]
             k = buffered[0] if buffered[0] < buffered[1] else buffered[1]
             if k > 0:
                 buffered[0] -= k
                 buffered[1] -= k
                 # freed slots may unblock a waiting leg immediately
+                other = 1 - leg
                 if not confirming[other] and ev[other] > t:
                     ev[other] = t
             continue  # ev[leg] == t: the next round may begin at once
 
         # start attempt
-        if t >= cover_end - 1e-12:
+        if t >= t_end:
             done[leg] = True
             continue
         i = int((t - t_grid0) // step)
@@ -688,48 +681,43 @@ def _run_dual_event(config: SimConfig) -> SimResult:
             # wake at the partner's confirmation (a swap may free slots) or
             # at the next sample boundary (the allocation may grow)
             wake = _sample_start(i + 1, t_grid0, step)
+            other = 1 - leg
             if confirming[other] and ev[other] < wake:
                 wake = max(ev[other], t)
             ev[leg] = wake
             continue
-        eligible = cap_e[leg][i]
+        eligible = cap_e_l[leg][i]
         if eligible > n:
             eligible = n
         stream = streams[leg]
         if stream.sample != i or stream.off + n > stream.size:
-            stream.window(i, n, eta[leg][i], config.link_params[leg].p_bsm)
+            stream.window(i, n, eta[leg][i], links[leg].p_bsm)
         off = stream.off
         n_success = stream.prefix[off + eligible] - stream.prefix[off]
         stream.off = off + n
-        conf_t = t + (n - 1) * t_em[leg] + t_rt[leg][i]
+        conf_t = t + ((n - 1) * t_em[leg] + t_rt[leg][i])  # _leg_schedule's t + dt
         # a leg's rounds confirm in the order they start
-        conf_times[leg].append(conf_t)
-        conf_succ[leg].append(n_success)
+        starts[leg].append(t)
+        confirms[leg].append(conf_t)
+        successes[leg].append(n_success)
+        if i != block_i[leg] or n != block_n[leg]:
+            block_i[leg], block_n[leg] = i, n
+            blocks[leg].append((len(starts[leg]) - 1, i, n))
+        if outcomes is not None:
+            outcomes[leg].append(_outcome_chars(stream.ok[off : off + n], eligible))
         confirming[leg] = True
         ev[leg] = conf_t
-        if rounds is not None:
-            rounds.append(
-                Round(
-                    leg=leg,
-                    index=round_idx[leg],
-                    start_time_s=t,
-                    train_length=n,
-                    v_r_at_start_mps=v_r[leg][i],
-                    confirm_time_s=conf_t,
-                    n_success=n_success,
-                    outcomes=_outcome_string(stream.ok[off : off + n], eligible),
-                )
-            )
-        round_idx[leg] += 1
 
-    if rounds is not None:
-        rounds.sort(key=lambda r: (r.confirm_time_s, r.leg, r.index))
-    return _result(
-        config,
-        [np.asarray(c) for c in conf_times],
-        [np.asarray(s, dtype=np.int64) for s in conf_succ],
-        rounds,
-    )
+    tables = []
+    for leg, p in enumerate(profiles):
+        first, sample, n_col = np.asarray(blocks[leg], dtype=np.int64).reshape(-1, 3).T
+        start = np.asarray(starts[leg])
+        tables.append(_RoundTable(
+            start, np.asarray(confirms[leg]), np.asarray(successes[leg]),
+            np.diff(first, append=start.size), sample, n_col, np.minimum(cap_e[leg][sample], n_col),
+            p.radial_velocity_mps[sample], None if outcomes is None else outcomes[leg],
+        ))
+    return _result(config, tables, by_confirm=True)
 
 
 # --------------------------------------------------------------------------
@@ -750,9 +738,10 @@ class RoundLog:
 def replay(config: SimConfig, log: RoundLog | Sequence[Round]) -> SimResult:
     """Rebuild per-bin counts from a round log without re-simulating.
 
-    Rounds are taken in confirmation order and swaps are rebuilt with the
-    engine's first-in-first-out rule, which reproduces both buffer modes
-    exactly.  A log from a different engine version is refused.
+    Each leg's rounds are taken in (confirm, index) order and swaps are
+    rebuilt with the engine's first-in-first-out rule, which reproduces both
+    buffer modes exactly.  The result's rounds are numbered by that order.
+    A log from a different engine version is refused.
     """
     if isinstance(log, RoundLog):
         if log.engine_version != ENGINE_VERSION:
@@ -764,21 +753,27 @@ def replay(config: SimConfig, log: RoundLog | Sequence[Round]) -> SimResult:
         rounds = log
     if rounds is None:
         raise ReplayError("no rounds to replay; run with capture_rounds=True")
-    ordered = sorted(rounds, key=lambda r: (r.confirm_time_s, r.leg, r.index))
-    n_legs = config.n_legs
-    conf: list[list[float]] = [[] for _ in range(n_legs)]
-    succ: list[list[int]] = [[] for _ in range(n_legs)]
-    for r in ordered:
-        if not 0 <= r.leg < n_legs:
-            raise ReplayError(f"round references leg {r.leg} of a {n_legs}-leg config")
-        conf[r.leg].append(r.confirm_time_s)
-        succ[r.leg].append(r.n_success)
-    return _result(
-        config,
-        [np.asarray(c) for c in conf],
-        [np.asarray(s, dtype=np.int64) for s in succ],
-        list(ordered),
-    )
+
+    def column(name: str, dtype) -> np.ndarray:
+        return np.fromiter(map(attrgetter(name), rounds), dtype=dtype, count=len(rounds))
+
+    leg = column("leg", np.int64)
+    stray = np.flatnonzero((leg < 0) | (leg >= config.n_legs))
+    if stray.size:
+        raise ReplayError(f"round references leg {leg[stray[0]]} of a {config.n_legs}-leg config")
+    index, n, succ = (column(name, np.int64) for name in ("index", "train_length", "n_success"))
+    start, v_r, conf = (column(name, float) for name in ("start_time_s", "v_r_at_start_mps", "confirm_time_s"))
+    outcomes = [r.outcomes for r in rounds]
+    tables = []
+    for i in range(config.n_legs):
+        mine = np.flatnonzero(leg == i)
+        order = mine[np.lexsort((index[mine], conf[mine]))]
+        unknown = np.full(order.size, -1)
+        tables.append(_RoundTable(
+            start[order], conf[order], succ[order], np.ones(order.size, dtype=np.int64), unknown,
+            n[order], unknown, v_r[order], [outcomes[j] for j in order.tolist()],
+        ))
+    return _result(config, tables, by_confirm=True)
 
 
 _SIM_CSV_HEADER = "bin_start_s,pairs_legA,pairs_legB,pairs_end_to_end"
@@ -832,72 +827,88 @@ def read_sim_csv(source: str | Path | TextIO) -> dict[str, np.ndarray]:
     }
 
 
+# one record of the round log, keys in sorted order; %s takes the outcomes member or ""
+_LOG_RECORD = (
+    '{"confirm_time_s": %r, "index": %r, "leg": %r, "n_success": %r, %s'
+    '"start_time_s": %r, "train_length": %r, "v_r_at_start_mps": %r}\n'
+)
+
+
 def write_round_log(result: SimResult, destination: str | Path | TextIO) -> None:
-    """Write the round log as newline-delimited JSON, one header then one record per round."""
-    if result.rounds is None:
+    """Write the round log as newline-delimited JSON, one header then one record per round.
+
+    Records follow the order of ``result.rounds`` and list their keys sorted.
+    """
+    if result._tables is None:
         raise ConfigError("result has no round log; run with capture_rounds=True")
     with _text_io(destination, "w") as (fh, _):
-        header = {
-            "engine_version": result.engine_version,
-            "seed": int(result.seed),
-            "policy": result.policy,
-            "bin_width_s": result.bin_width_s,
-        }
+        header = dict(engine_version=result.engine_version, seed=int(result.seed),
+                      policy=result.policy, bin_width_s=result.bin_width_s)
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for r in result.rounds:
-            rec = {
-                "leg": r.leg,
-                "index": r.index,
-                "start_time_s": r.start_time_s,
-                "train_length": r.train_length,
-                "v_r_at_start_mps": r.v_r_at_start_mps,
-                "confirm_time_s": r.confirm_time_s,
-                "n_success": r.n_success,
-            }
-            if r.outcomes is not None:
-                rec["outcomes"] = r.outcomes
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        fh.writelines(
+            _LOG_RECORD
+            % (conf, index, leg, succ, "" if out is None else f'"outcomes": "{out}", ', start, n, v_r)
+            for leg, index, start, n, v_r, conf, succ, out in _round_rows(result._tables, result._by_confirm)
+        )
+
+
+# the keys of a round log record and the types of their Round fields
+_LOG_FIELDS = dict(leg=int, index=int, start_time_s=float, train_length=int,
+                   v_r_at_start_mps=float, confirm_time_s=float, n_success=int)
+
+
+def _log_object(line: str, where: str, row: int, keys: Iterable[str]) -> dict:
+    """One NDJSON line of a round log as a JSON object holding ``keys``; errors cite the row."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{where}: row {row}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DataFormatError(f"{where}: row {row}: expected a JSON object, got {line.strip()[:40]}")
+    for key in keys:
+        if key not in obj:
+            raise DataFormatError(f"{where}: row {row}: missing {key!r}")
+    return obj
+
+
+def _log_round(rec: dict, where: str, row: int) -> Round:
+    """The round of one log record: integers >= 0, finite times and velocity, string outcomes."""
+    fields = {}
+    for key, kind in _LOG_FIELDS.items():
+        try:
+            value = kind(rec[key])
+        except (TypeError, ValueError, OverflowError):
+            value = None
+        if value is None or (value < 0 if kind is int else not math.isfinite(value)):
+            want = "an integer >= 0" if kind is int else "a finite number"
+            raise DataFormatError(f"{where}: row {row}: {key} must be {want}, got {rec[key]!r}")
+        fields[key] = value
+    outcomes = rec.get("outcomes")
+    if not isinstance(outcomes, (str, type(None))):
+        raise DataFormatError(f"{where}: row {row}: outcomes must be a string, got {outcomes!r}")
+    return Round(**fields, outcomes=outcomes)
 
 
 def read_round_log(source: str | Path | TextIO) -> RoundLog:
-    """Read a log written by :func:`write_round_log`."""
+    """Read a log written by :func:`write_round_log`; a bad row raises DataFormatError citing it."""
     with _text_io(source, "r") as (fh, where):
         first = fh.readline()
         if not first.strip():
             raise DataFormatError(f"{where}: empty round log")
+        header = _log_object(first, where, 1, ("engine_version", "seed", "policy", "bin_width_s"))
         try:
-            header = json.loads(first)
-        except json.JSONDecodeError as exc:
+            seed, bin_width_s = int(header["seed"]), float(header["bin_width_s"])
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"{where}: row 1: {exc}") from exc
-        for key in ("engine_version", "seed", "policy", "bin_width_s"):
-            if key not in header:
-                raise DataFormatError(f"{where}: header missing {key!r}")
-        rounds: list[Round] = []
-        row = 1
-        for line in fh:
-            row += 1
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                rounds.append(
-                    Round(
-                        leg=int(rec["leg"]),
-                        index=int(rec["index"]),
-                        start_time_s=float(rec["start_time_s"]),
-                        train_length=int(rec["train_length"]),
-                        v_r_at_start_mps=float(rec["v_r_at_start_mps"]),
-                        confirm_time_s=float(rec["confirm_time_s"]),
-                        n_success=int(rec["n_success"]),
-                        outcomes=rec.get("outcomes"),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise DataFormatError(f"{where}: row {row}: {exc}") from exc
+        rounds = [
+            _log_round(_log_object(line, where, row, _LOG_FIELDS), where, row)
+            for row, line in enumerate(fh, start=2)
+            if line.strip()
+        ]
     return RoundLog(
         engine_version=str(header["engine_version"]),
-        seed=int(header["seed"]),
+        seed=seed,
         policy=str(header["policy"]),
-        bin_width_s=float(header["bin_width_s"]),
+        bin_width_s=bin_width_s,
         rounds=tuple(rounds),
     )

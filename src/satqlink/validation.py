@@ -4,9 +4,10 @@ Per-bin pair counts of one leg are sums of independent Bernoulli photons,
 so given the deterministic round schedule the count in a bin is a sum of
 binomials: mu = sum over rounds confirming in the bin of N_eff * q and
 sigma^2 = sum of N_eff * q * (1 - q), with q = eta * p_bsm and N_eff the
-latch-eligible train length after the drift cap.  The moments here reuse
-the simulator's own scheduler, so they are exact for the engine rather
-than an approximation of it.
+latch-eligible train length after the drift cap.  The moments are read
+from the round table the simulator's own scheduler builds (confirm times
+per round; profile sample, train length and eligible count per block), so
+they are exact for the engine rather than an approximation of it.
 
 A comparison z-scores each bin, and the verdict is a band-coverage
 heuristic: at least 90 percent of evaluated bins inside two sigma and the
@@ -75,36 +76,17 @@ def predict_bin_moments(config: SimConfig, n_runs: int = 1) -> tuple[BinMoments,
     if n_runs < 1:
         raise ConfigError(f"n_runs must be >= 1: {n_runs}")
     caps = _capacity_series(config)
+    width = config.bin_width_s
     out = []
     for leg in range(config.n_legs):
-        schedule = _leg_schedule(
-            config.profiles[leg], config.link_params[leg], caps[leg], config.drift
-        )
-        conf_parts = []
-        mu_parts = []
-        var_parts = []
-        for b in schedule.blocks:
-            conf_parts.append(b.confirm_times())
-            q = b.eta * b.p_bsm
-            mu_parts.append(np.full(b.k, b.eligible * q))
-            var_parts.append(np.full(b.k, b.eligible * q * (1.0 - q)))
-        if conf_parts:
-            conf = np.concatenate(conf_parts)
-            mu_r = np.concatenate(mu_parts)
-            var_r = np.concatenate(var_parts)
-            n_bins = int(math.floor(float(conf.max()) / config.bin_width_s)) + 1
-            mu = _bin_counts(conf, mu_r, config.bin_width_s, n_bins)
-            var = _bin_counts(conf, var_r, config.bin_width_s, n_bins)
-        else:
-            mu = np.zeros(0)
-            var = np.zeros(0)
-        out.append(
-            BinMoments(
-                bin_width_s=config.bin_width_s,
-                mu=mu * n_runs,
-                sigma=np.sqrt(var * n_runs),
-            )
-        )
+        table = _leg_schedule(config.profiles[leg], config.link_params[leg], caps[leg], config.drift)
+        q = config.profiles[leg].eta[table.sample] * config.link_params[leg].p_bsm
+        mean = table.eligible * q
+        conf = table.confirm
+        n_bins = int(math.floor(float(conf.max()) / width)) + 1 if conf.size else 0
+        mu = _bin_counts(conf, np.repeat(mean, table.k), width, n_bins)
+        var = _bin_counts(conf, np.repeat(mean * (1.0 - q), table.k), width, n_bins)
+        out.append(BinMoments(bin_width_s=width, mu=mu * n_runs, sigma=np.sqrt(var * n_runs)))
     return tuple(out)
 
 

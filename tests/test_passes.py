@@ -57,6 +57,16 @@ def test_ground_station_validation():
         GroundStation("bad", 45.0, 7.0, min_elevation_deg=0.0)
 
 
+def test_pass_sample_rejects_non_finite():
+    good = dict(t_s=0.0, distance_m=5e5, elevation_deg=30.0, radial_velocity_mps=100.0,
+                eta=0.5, visible=True)
+    PassSample(**good)
+    for name in ("t_s", "distance_m", "elevation_deg", "radial_velocity_mps", "eta"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=f"{name} is not finite"):
+                PassSample(**{**good, name: bad})
+
+
 def test_satellite_orbit_oracles():
     sat = SatelliteConfig(orbit_altitude_m=500e3)
     assert sat.semi_major_axis_m == 6871000.0

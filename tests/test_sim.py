@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from satqlink import (
     ConfigError,
+    DataFormatError,
     LinkParams,
     NoOverlapError,
     ReplayError,
@@ -159,6 +161,12 @@ def _assert_same_counts(a, b, case):
     assert np.array_equal(a.pairs_end_to_end, b.pairs_end_to_end), case
 
 
+def _assert_same_rounds(a, b, case):
+    # the scheduled path lists rounds leg by leg, the event loop by confirm time
+    by_leg = lambda r: (r.leg, r.index)  # noqa: E731
+    assert sorted(a.rounds, key=by_leg) == sorted(b.rounds, key=by_leg), case
+
+
 @st.composite
 def _unbounded_dual_configs(draw):
     """Two legs on one grid: random eta, visibility gaps, distances, drift, m_sat, m_ground."""
@@ -192,10 +200,11 @@ def _unbounded_dual_configs(draw):
 def test_dual_fast_and_event_paths_agree():
     for seed in range(6):
         for policy, split in (("dynamic_int", None), ("static", (4, 6))):
-            config = dual_config(policy=policy, seed=seed, split=split)
-            fast = sim_mod._run_dual_fast(config)
+            config = dual_config(policy=policy, seed=seed, split=split, capture=True)
+            fast = sim_mod._run_scheduled(config)
             event = sim_mod._run_dual_event(config)
             _assert_same_counts(fast, event, (seed, policy))
+            _assert_same_rounds(fast, event, (seed, policy))
 
     refilled = []
 
@@ -204,11 +213,14 @@ def test_dual_fast_and_event_paths_agree():
     def agree(config):
         # the event loop draws photons in chunks and windows; the fast path
         # draws whole blocks of rounds: equal counts mean equal streams
-        _assert_same_counts(sim_mod._run_dual_fast(config), sim_mod._run_dual_event(config), config)
+        config = dataclasses.replace(config, capture_rounds=True)
+        fast, event = sim_mod._run_scheduled(config), sim_mod._run_dual_event(config)
+        _assert_same_counts(fast, event, config)
+        _assert_same_rounds(fast, event, config)
         caps = sim_mod._capacity_series(config)
         photons = max(
-            sum(b.k * b.n for b in sim_mod._leg_schedule(p, lk, cap, config.drift).blocks)
-            for p, lk, cap in zip(config.profiles, config.link_params, caps)
+            int(np.dot(t.k, t.n)) for t in (sim_mod._leg_schedule(p, lk, cap, config.drift)
+            for p, lk, cap in zip(config.profiles, config.link_params, caps))
         )
         refilled.append(photons > sim_mod._CHUNK_ROWS + config.m_s)
 
@@ -388,7 +400,12 @@ def test_swap_rule_matches_greedy_consumer(leg_a, leg_b):
     # the swaps at its time, so equal bins mean equal (sorted) swap times
     conf = [leg_a[0], leg_b[0]]
     succ = [np.asarray(leg[1], dtype=np.int64) for leg in (leg_a, leg_b)]
-    result = sim_mod._result(dual_config(), conf, succ, None)
+    def table(c, s):
+        unknown = np.full(c.size, -1)
+        return sim_mod._RoundTable(start=c, confirm=c, successes=s, k=np.ones(c.size, dtype=np.int64),
+                                   sample=unknown, n=unknown, eligible=unknown, v_r=np.zeros(c.size))
+
+    result = sim_mod._result(dual_config(), [table(c, s) for c, s in zip(conf, succ)])
     want = _greedy_swap_times(conf, succ)
     expected = np.zeros(result.n_bins, dtype=np.int64)
     np.add.at(expected, np.asarray(want, dtype=np.int64), 1)
@@ -423,6 +440,60 @@ def test_round_log_roundtrip_and_version_guard():
         replay(config, stale)
     with pytest.raises(ReplayError):
         replay(config, None)
+
+
+# sha256 of write_round_log bytes in unbounded mode, recorded before the
+# engine kept its rounds in one columnar table
+ROUND_LOG_DIGESTS = {
+    "single": "3352f4259e2cb23f641d42f7a5a1d246046f40a09f241e43ced4fc115b486c56",
+    "dynamic_int": "7d4af9bec19f33d96f674457d2f9d4da90cb197bae137ca3264b88790bf6cff5",
+    "static": "5dbb8c1fcd29624d6b246215e0b5c4409076fbc49514aafef148a8cbd7f6c48d",
+}
+
+
+def test_round_logs_are_pinned():
+    configs = {
+        "single": single_config(eta=0.7, p=0.5, m_sat=100, v_r=6998.0, capture=True),
+        "dynamic_int": dual_config(capture=True),
+        "static": dual_config(policy="static", split=(4, 6), capture=True),
+    }
+    for name, config in configs.items():
+        buf = io.StringIO()
+        write_round_log(run(config), buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == ROUND_LOG_DIGESTS[name], name
+
+
+def test_read_round_log_errors_cite_rows():
+    buf = io.StringIO()
+    write_round_log(run(single_config(n_s=2, eta=0.5, p=0.5, capture=True)), buf)
+    header, good, second, *_ = buf.getvalue().splitlines()
+
+    def read(*lines):
+        return read_round_log(io.StringIO("\n".join(lines) + "\n"))
+
+    assert len(read(header, good, second).rounds) == 2
+    for bad_header in ("null", "[1, 2]", '{"engine_version": "e", "seed": null, '
+                       '"policy": "single", "bin_width_s": 1.0}'):
+        with pytest.raises(DataFormatError, match="row 1"):
+            read(bad_header, good)
+    with pytest.raises(DataFormatError, match="row 1: missing 'seed'"):
+        read('{"engine_version": "e", "policy": "single", "bin_width_s": 1.0}')
+    for bad_row in ("null", "[1, 2]", "{not json"):
+        with pytest.raises(DataFormatError, match="row 3"):
+            read(header, good, bad_row)
+    field_cases = [
+        ('"leg": 0', '"leg": null', "leg must be an integer >= 0"),
+        ('"n_success": ', '"n_success": 1e400, "was": ', "n_success must be an integer >= 0"),
+        ('"n_success": ', '"n_success": -1, "was": ', "n_success must be an integer >= 0"),
+        ('"confirm_time_s": ', '"confirm_time_s": NaN, "was": ', "confirm_time_s must be a finite"),
+        ('"start_time_s": ', '"start_time_s": Infinity, "was": ', "start_time_s must be a finite"),
+        ('"index": 1', '"idx": 1', "missing 'index'"),
+        ('"outcomes": "', '"outcomes": 7, "was": "', "outcomes must be a string"),
+    ]
+    for old, new, message in field_cases:
+        assert old in second
+        with pytest.raises(DataFormatError, match=f"row 3: {message}"):
+            read(header, good, second.replace(old, new, 1))
 
 
 def test_sim_csv_roundtrip():
