@@ -43,7 +43,7 @@ per-bin moments of :mod:`satqlink.validation` follow the engine instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Iterable
 
 import numpy as np
@@ -55,7 +55,7 @@ from .constants import (
     DEFAULT_P_BSM,
 )
 from .errors import ConfigError, GridMismatchError, NoOverlapError, NoVisibilityError
-from .passes import PassProfile, _text_io
+from .passes import PassProfile, _check_finite, _text_io
 
 __all__ = [
     "LinkParams",
@@ -96,6 +96,7 @@ class LinkParams:
     light_speed_mps: float = C_LIGHT
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if int(self.m_sat) != self.m_sat or self.m_sat < 1:
             raise ConfigError(f"m_sat must be a positive integer: {self.m_sat}")
         if self.m_ground is None:
@@ -117,16 +118,8 @@ class LinkParams:
 
     def with_m_sat(self, m_sat: int) -> "LinkParams":
         """Copy with a different satellite slot count (m_ground tracks it when defaulted)."""
-        m_g = None if self.m_ground == self.m_sat else self.m_ground
-        return LinkParams(
-            m_sat=m_sat,
-            m_ground=m_g if m_g is None or m_g >= m_sat else m_sat,
-            emission_period_s=self.emission_period_s,
-            acceptance_window_s=self.acceptance_window_s,
-            p_bsm=self.p_bsm,
-            processing_delay_s=self.processing_delay_s,
-            light_speed_mps=self.light_speed_mps,
-        )
+        m_ground = None if self.m_ground == self.m_sat else max(self.m_ground, m_sat)
+        return replace(self, m_sat=m_sat, m_ground=m_ground)
 
 
 @dataclass(frozen=True)
@@ -138,12 +131,11 @@ class LinkState:
     v_r_mps: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigError(f"eta out of [0, 1]: {self.eta}")
-        if not (math.isfinite(self.t_rt_s) and self.t_rt_s > 0.0):
-            raise ConfigError(f"t_rt_s must be finite and > 0: {self.t_rt_s}")
-        if not math.isfinite(self.v_r_mps):
-            raise ConfigError(f"v_r_mps must be finite: {self.v_r_mps}")
+        if self.t_rt_s <= 0.0:
+            raise ConfigError(f"t_rt_s must be > 0: {self.t_rt_s}")
 
 
 # --------------------------------------------------------------------------

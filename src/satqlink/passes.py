@@ -24,7 +24,7 @@ import math
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator, TextIO
@@ -52,6 +52,14 @@ __all__ = [
 # configuration types
 
 
+def _check_finite(config) -> None:
+    """Reject NaN and +-inf in every float field of a dataclass."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} is not finite: {value}")
+
+
 @dataclass(frozen=True)
 class GroundStation:
     """A receiving telescope site on the spherical Earth.
@@ -68,6 +76,7 @@ class GroundStation:
     min_elevation_deg: float = 20.0
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not self.name or re.search(r"\s", self.name):
             raise ConfigError(f"station name must be a non-blank token, got {self.name!r}")
         if not -90.0 <= self.latitude_deg <= 90.0:
@@ -100,6 +109,7 @@ class SatelliteConfig:
     memory_slots: int = 100
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.orbit_altitude_m <= 0.0:
             raise ConfigError(f"orbit_altitude_m must be > 0: {self.orbit_altitude_m}")
         if self.tx_telescope_diameter_m <= 0.0:
@@ -130,6 +140,7 @@ class OpticalParams:
     system_efficiency: float = 1.0
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.wavelength_m <= 0.0:
             raise ConfigError("wavelength_m must be > 0")
         if not 0.0 < self.zenith_atmospheric_transmission <= 1.0:
@@ -159,9 +170,7 @@ class PassSample:
     visible: bool
 
     def __post_init__(self) -> None:
-        for name in ("t_s", "distance_m", "elevation_deg", "radial_velocity_mps", "eta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} is not finite: {getattr(self, name)}")
+        _check_finite(self)
         if self.distance_m <= 0.0:
             raise ConfigError(f"distance_m must be > 0: {self.distance_m}")
         if not 0.0 <= self.eta <= 1.0:
@@ -205,6 +214,7 @@ class PassProfile:
     GRID_TOL_S = 1e-6
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         _check_epoch(self.epoch)
         arrays = {
             "t_s": np.asarray(self.t_s, dtype=float),
@@ -378,8 +388,8 @@ def propagate_pass(
     elsewhere.  A pass that never rises above the elevation mask yields an
     all-invisible profile, not an error.
     """
-    if duration_s <= 0.0 or step_s <= 0.0:
-        raise ConfigError("duration_s and step_s must be > 0")
+    if not (0.0 < duration_s < math.inf and 0.0 < step_s < math.inf):
+        raise ConfigError(f"duration_s and step_s must be finite and > 0: {duration_s}, {step_s}")
     if duration_s / step_s < 2.0:
         raise ConfigError("duration_s must cover at least 2 steps")
     _check_epoch(epoch)

@@ -60,7 +60,7 @@ import numpy as np
 
 from .analytics import LinkParams, _drift_bound, _round_trip, allocation_series
 from .errors import ConfigError, DataFormatError, ReplayError
-from .passes import PassProfile, _text_io
+from .passes import PassProfile, _check_finite, _text_io
 
 __all__ = [
     "ENGINE_VERSION",
@@ -81,6 +81,13 @@ __all__ = [
 ENGINE_VERSION = "satqlink-engine-1"
 
 _POLICIES = ("single", "static", "dynamic_int")
+
+
+def _check_split(split: tuple[int, int], m_s: int) -> None:
+    """A fixed split of the satellite memory: both shares positive, summing to ``m_s``."""
+    a, b = split
+    if a < 1 or b < 1 or a + b != m_s:
+        raise ConfigError(f"static_split {tuple(split)} must be positive and sum to m_sat={m_s}")
 
 
 @dataclass(frozen=True)
@@ -105,6 +112,7 @@ class SimConfig:
     retain_until_swap: bool = False
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         object.__setattr__(self, "profiles", tuple(self.profiles))
         object.__setattr__(self, "link_params", tuple(self.link_params))
         if self.policy not in _POLICIES:
@@ -131,11 +139,7 @@ class SimConfig:
         if self.policy == "static":
             if self.static_split is None:
                 raise ConfigError("static policy needs static_split")
-            a, b = self.static_split
-            if a < 1 or b < 1 or a + b != self.m_s:
-                raise ConfigError(
-                    f"static_split {self.static_split} must be positive and sum to m_sat={self.m_s}"
-                )
+            _check_split(self.static_split, self.m_s)
         elif self.static_split is not None:
             raise ConfigError("static_split is only meaningful for the static policy")
         if self.retain_until_swap and self.policy == "single":

@@ -275,6 +275,15 @@ def test_link_params_validation():
     assert LinkParams(m_sat=10).m_ground == 10
     assert LinkParams(m_sat=10).with_m_sat(40).m_ground == 40
     assert LinkParams(m_sat=10, m_ground=60).with_m_sat(40).m_ground == 60
+    assert LinkParams(m_sat=10, m_ground=20, p_bsm=0.4).with_m_sat(40) == LinkParams(
+        m_sat=40, m_ground=40, p_bsm=0.4
+    )
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in ("m_sat", "m_ground", "emission_period_s", "acceptance_window_s", "p_bsm",
+                     "processing_delay_s", "light_speed_mps"):
+            kwargs = {"m_sat": 10, name: bad}
+            with pytest.raises(ConfigError, match=f"{name} is not finite"):
+                LinkParams(**kwargs)
 
 
 def test_best_static_split_identical_profiles():

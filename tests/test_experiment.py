@@ -1,0 +1,203 @@
+"""The experiment-file loader: the config dataclasses are its schema."""
+
+from __future__ import annotations
+
+import copy
+import json
+import re
+from dataclasses import MISSING, fields
+from pathlib import Path
+
+import pytest
+
+from satqlink import (
+    ConfigError,
+    Experiment,
+    GroundStation,
+    LinkParams,
+    OpticalParams,
+    SatelliteConfig,
+    load_experiment,
+)
+from satqlink.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+MINIMAL = {
+    "stations": [
+        {"name": "nice", "latitude_deg": 43.7034, "longitude_deg": 7.2663},
+        {"name": "paris", "latitude_deg": 48.8566, "longitude_deg": 2.3522},
+    ],
+    "satellite": {"orbit_altitude_m": 500e3},
+    "pass": {"epoch": "2026-03-21T10:00:00Z", "duration_s": 300},
+}
+
+# Values for the fields whose default is None (no default value to vary).
+NON_DEFAULT_FOR_NONE = {
+    "m_ground": 150,
+    "policy": "static",
+    "static_split": [60, 41],
+    "output_dir": "elsewhere",
+}
+
+
+def write(tmp_path, doc, name="spec.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def non_default(f):
+    """A valid value other than the field's default."""
+    if f.name in NON_DEFAULT_FOR_NONE:
+        return NON_DEFAULT_FOR_NONE[f.name]
+    default = f.default
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, int):
+        return default + 1
+    if isinstance(default, float):
+        return default * 0.9 if default else 0.5
+    raise AssertionError(f"no non-default value for field {f.name}")
+
+
+def optional_fields(cls, group=None):
+    """Fields of a key group with a plain default (sections default through a factory)."""
+    return [f for f in fields(cls) if f.default is not MISSING and f.metadata.get("group") == group]
+
+
+def test_minimal_spec_uses_dataclass_defaults(tmp_path):
+    exp = load_experiment(write(tmp_path, MINIMAL, "minimal.json"))
+    assert exp.stations == (
+        GroundStation("nice", 43.7034, 7.2663),
+        GroundStation("paris", 48.8566, 2.3522),
+    )
+    assert exp.satellite == SatelliteConfig(500e3)
+    assert exp.optics == OpticalParams()
+    assert exp.link == LinkParams(m_sat=SatelliteConfig(500e3).memory_slots)
+    assert exp.name == "minimal"
+    assert exp.policy == "dynamic_int"
+    for f in optional_fields(Experiment, "run") + optional_fields(Experiment, "pass"):
+        if f.name != "policy":
+            assert getattr(exp, f.name) == f.default, f.name
+    assert exp.output_dir is None
+
+
+def test_every_optional_key_reaches_its_field(tmp_path):
+    doc = copy.deepcopy(MINIMAL)
+    sections = {"satellite": SatelliteConfig, "optics": OpticalParams, "link": LinkParams}
+    expected = {}
+    for i, station in enumerate(doc["stations"]):
+        for f in optional_fields(GroundStation):
+            station[f.name] = expected[f"stations[{i}].{f.name}"] = non_default(f)
+    for key, cls in sections.items():
+        section = doc.setdefault(key, {})
+        for f in optional_fields(cls):
+            if f.name != "m_sat":
+                section[f.name] = expected[f"{key}.{f.name}"] = non_default(f)
+    for group in ("pass", "run", None):
+        target = doc if group is None else doc.setdefault(group, {})
+        for f in optional_fields(Experiment, group):
+            target[f.name] = expected[f.name] = non_default(f)
+    doc["name"] = expected["name"] = "everything"
+
+    exp = load_experiment(write(tmp_path, doc))
+    assert len(expected) > 30
+    for key, value in expected.items():
+        got = exp
+        for part in re.split(r"\.|\[", key):
+            got = got[int(part[:-1])] if part.endswith("]") else getattr(got, part)
+        want = tuple(value) if isinstance(value, list) else value
+        assert got == want, key
+    assert exp.link.m_sat == exp.satellite.memory_slots
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["stations"][0].update(latitude_deg=True),
+         "spec.stations[0].latitude_deg must be a number, got bool"),
+        (lambda d: d["satellite"].update(memory_slots=100.0),
+         "spec.satellite.memory_slots must be an integer, got float"),
+        (lambda d: d.update(run={"drift": "yes"}), "spec.run.drift must be true or false, got str"),
+        (lambda d: d.update(run={"static_split": [1]}), "spec.run.static_split must be an array of 2"),
+        (lambda d: d.update(run={"static_split": [50, 50.0]}),
+         "spec.run.static_split[1] must be an integer, got float"),
+        (lambda d: d.update(run={"seeds": None}), "spec.run.seeds must be an integer, got NoneType"),
+        (lambda d: d.update(satellite=[500e3]), "spec.satellite must be an object"),
+        (lambda d: d.update(stations=[]), "spec.stations must be a non-empty array"),
+        (lambda d: d["stations"][0].pop("latitude_deg"), "missing key spec.stations[0].latitude_deg"),
+        (lambda d: d["pass"].pop("epoch"), "missing key spec.pass.epoch"),
+        (lambda d: d.update(link={"foo": 1}), "unknown key spec.link.foo"),
+        (lambda d: d.update(link={"m_sat": 10}), "unknown key spec.link.m_sat"),
+        (lambda d: d.update(extra=1), "unknown key spec.extra"),
+        (lambda d: d["stations"][1].update(latitude_deg=91.0),
+         "spec.stations[1]: latitude_deg out of [-90, 90]"),
+    ],
+)
+def test_type_and_shape_errors_name_their_path(tmp_path, edit, message):
+    doc = copy.deepcopy(MINIMAL)
+    edit(doc)
+    with pytest.raises(ConfigError) as info:
+        load_experiment(write(tmp_path, doc))
+    assert message in str(info.value)
+
+
+def test_null_means_the_default_where_the_default_is_none(tmp_path):
+    doc = copy.deepcopy(MINIMAL)
+    doc["link"] = {"m_ground": None}
+    doc["run"] = {"static_split": None, "policy": None}
+    doc["output_dir"] = None
+    assert load_experiment(write(tmp_path, doc)) == load_experiment(write(tmp_path, MINIMAL))
+
+
+def test_policy_aliases_resolve_once():
+    exp = load_experiment(Path(__file__).resolve().parents[1] / "demos/specs/two_station.json")
+    assert exp.policy == "dynamic_int"
+    assert exp.with_overrides(policy="dynamic").policy == "dynamic_int"
+    assert exp.with_overrides(policy="static").policy == "static"
+    with pytest.raises(ConfigError, match="unknown policy"):
+        exp.with_overrides(policy="bogus")
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["pass"].update(duration_s=INF), "spec: duration_s is not finite: inf"),
+        (lambda d: d["pass"].update(step_s=NAN), "spec: step_s is not finite: nan"),
+        (lambda d: d.update(run={"bin_width_s": NAN}), "spec: bin_width_s is not finite: nan"),
+        (lambda d: d.update(link={"emission_period_s": NAN}),
+         "spec.link: emission_period_s is not finite: nan"),
+        (lambda d: d.update(link={"processing_delay_s": INF}),
+         "spec.link: processing_delay_s is not finite: inf"),
+        (lambda d: d["satellite"].update(orbit_altitude_m=INF),
+         "spec.satellite: orbit_altitude_m is not finite: inf"),
+        (lambda d: d["stations"][0].update(altitude_m=NAN),
+         "spec.stations[0]: altitude_m is not finite: nan"),
+        (lambda d: d.update(optics={"wavelength_m": NAN}),
+         "spec.optics: wavelength_m is not finite: nan"),
+        (lambda d: d.update(run={"policy": "static", "static_split": [30, 60]}),
+         "spec: static_split (30, 60) must be positive and sum to m_sat=100"),
+        (lambda d: d["stations"][1].update(name="nice"), "spec: stations[1].name repeats 'nice'"),
+    ],
+)
+@pytest.mark.parametrize("command", ["rate", "simulate"])
+def test_cli_rejects_bad_values_at_load(tmp_path, capsys, edit, message, command):
+    doc = copy.deepcopy(MINIMAL)
+    edit(doc)
+    spec = write(tmp_path, doc)
+    assert main([command, "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_readme_spec_example_loads(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    start = text.index("minimal two-station experiment file")
+    block = re.search(r"```json\n(.*?)```", text[start:], re.S)
+    assert block is not None
+    exp = load_experiment(write(tmp_path, json.loads(block.group(1)), "readme.json"))
+    assert [st.name for st in exp.stations] == ["nice", "paris"]

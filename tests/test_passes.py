@@ -55,6 +55,18 @@ def test_ground_station_validation():
         GroundStation("bad", 45.0, 181.0)
     with pytest.raises(ConfigError):
         GroundStation("bad", 45.0, 7.0, min_elevation_deg=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in ("latitude_deg", "longitude_deg", "altitude_m", "rx_telescope_diameter_m",
+                     "min_elevation_deg"):
+            with pytest.raises(ConfigError, match=f"{name} is not finite"):
+                GroundStation(**{"name": "bad", "latitude_deg": 45.0, "longitude_deg": 7.0, name: bad})
+        for name in ("orbit_altitude_m", "orbit_inclination_deg", "raan_deg", "phase_at_epoch_deg",
+                     "tx_telescope_diameter_m", "memory_slots"):
+            with pytest.raises(ConfigError, match=f"{name} is not finite"):
+                SatelliteConfig(**{"orbit_altitude_m": 500e3, name: bad})
+        for name in ("wavelength_m", "zenith_atmospheric_transmission", "system_efficiency"):
+            with pytest.raises(ConfigError, match=f"{name} is not finite"):
+                OpticalParams(**{name: bad})
 
 
 def test_pass_sample_rejects_non_finite():
@@ -306,3 +318,8 @@ def test_propagate_rejects_bad_grid():
         propagate_pass(sat, station, "2026-01-01T00:00:00Z", -5.0, 1.0)
     with pytest.raises(ConfigError):
         propagate_pass(sat, station, "not-a-time", 100.0, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="must be finite"):
+            propagate_pass(sat, station, "2026-01-01T00:00:00Z", bad, 1.0)
+        with pytest.raises(ConfigError, match="must be finite"):
+            propagate_pass(sat, station, "2026-01-01T00:00:00Z", 100.0, bad)

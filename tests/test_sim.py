@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -128,6 +129,12 @@ def test_sim_config_validation():
     with pytest.raises(ConfigError):
         SimConfig(profiles=(profile,), link_params=(good,), policy="single", rng_seed=0,
                   retain_until_swap=True)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="bin_width_s is not finite"):
+            SimConfig(profiles=(profile,), link_params=(good,), policy="single", rng_seed=0,
+                      bin_width_s=bad)
+        with pytest.raises(ConfigError, match="rng_seed is not finite"):
+            SimConfig(profiles=(profile,), link_params=(good,), policy="single", rng_seed=bad)
     pair = (profile, constant_profile(5, 0.5, T_RT, station="d"))
     with pytest.raises(ConfigError):
         SimConfig(profiles=pair, link_params=(good, good), policy="static", rng_seed=0,
