@@ -43,6 +43,9 @@ The vectorized path schedules the table first and fills the successes a
 block at a time; the event loop appends to it round by round.  Binning,
 ``SimResult.rounds``, the round log, :func:`replay` and the validator's
 exact moments all read that table.
+
+The round log is read back into columns, which :func:`replay` uses; a
+:class:`Round` is built only when ``SimResult.rounds`` or ``RoundLog.rounds`` is read.
 """
 
 from __future__ import annotations
@@ -50,11 +53,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -180,7 +185,7 @@ class SimConfig:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Round:
     """One confirmed protocol round.
 
@@ -304,7 +309,24 @@ class _RoundTable:
     outcomes: list[str | None] | None = None
 
 
-def _round_rows(tables: Sequence[_RoundTable], by_confirm: bool) -> Iterable[tuple]:
+_ROWS = 8192  # rows per conversion to Python scalars and per chunk of a log read
+
+
+def _round_columns(rounds: Sequence[Round]) -> tuple:
+    """The :class:`Round` fields as columns, in field order: seven int64/float64 arrays, an outcomes list."""
+    nums = (np.fromiter(map(attrgetter(key), rounds), dtype=kind, count=len(rounds))
+            for key, kind in _LOG_FIELDS.items())
+    return (*nums, [r.outcomes for r in rounds])
+
+
+def _scalar_rows(columns: Sequence) -> Iterator[tuple]:
+    """Rows of :func:`_round_columns` columns as tuples of Python scalars, converted ``_ROWS`` at a time."""
+    *nums, outcomes = columns
+    for lo in range(0, len(outcomes), _ROWS):
+        yield from zip(*(c[lo : lo + _ROWS].tolist() for c in nums), outcomes[lo : lo + _ROWS])
+
+
+def _round_rows(tables: Sequence[_RoundTable], by_confirm: bool) -> Iterator[tuple]:
     """:class:`Round` fields of every round as Python scalars, one tuple per round.
 
     Rows run leg by leg, or in (confirm, leg, index) order with ``by_confirm``.
@@ -320,7 +342,7 @@ def _round_rows(tables: Sequence[_RoundTable], by_confirm: bool) -> Iterable[tup
         order = np.lexsort((cols[1], cols[0], cols[5]))
         cols = [c[order] for c in cols]
         outcomes = [outcomes[i] for i in order.tolist()]
-    return zip(*(c.tolist() for c in cols), outcomes)
+    return _scalar_rows((*cols, outcomes))
 
 
 def _eligible_cap(profile: PassProfile, params: LinkParams, drift: bool) -> np.ndarray:
@@ -543,12 +565,13 @@ class _PhotonStream:
     """One leg's photons: uniforms drawn a chunk ahead, read a window at a time.
 
     In the current window, held at one ``eta``, ``ok[k]`` is the success of
-    photon k and ``prefix[k]`` the successes among photons 0..k-1.
+    photon k and ``prefix[k]`` the successes among photons 0..k-1; when
+    capturing, ``text[k]`` is ``S`` or ``L`` as ``ok[k]``, else ``text`` is None.
     """
 
-    __slots__ = ("rng", "u", "pos", "ok", "latch", "counts", "prefix", "sample", "off", "size")
+    __slots__ = ("rng", "u", "pos", "ok", "latch", "counts", "prefix", "text", "sample", "off", "size")
 
-    def __init__(self, rng: np.random.Generator, max_n: int) -> None:
+    def __init__(self, rng: np.random.Generator, max_n: int, capture: bool) -> None:
         self.rng = rng
         self.u = np.empty((_CHUNK_ROWS + max_n, 2))  # row = (loss, latch) uniforms
         self.pos = self.u.shape[0]  # row of the window's first photon; nothing drawn yet
@@ -557,6 +580,7 @@ class _PhotonStream:
         self.latch = np.empty(width, dtype=bool)
         self.counts = np.zeros(width + 1, dtype=np.int64)
         self.prefix = [0] * (width + 1)
+        self.text = "" if capture else None
         self.sample = -1  # profile sample of the window
         self.off = 0  # photons of the window already emitted
         self.size = 0
@@ -576,6 +600,8 @@ class _PhotonStream:
         ok &= np.less(u[:, 1], p_bsm, out=self.latch[:m])
         np.cumsum(ok, out=self.counts[1 : m + 1])
         self.prefix[1 : m + 1] = self.counts[1 : m + 1].tolist()
+        if self.text is not None:
+            self.text = _outcome_chars(ok, m)
         self.sample, self.off, self.size = sample, 0, m
 
 
@@ -619,7 +645,8 @@ def _run_dual_event(config: SimConfig) -> SimResult:
     cap_e_l = [c.tolist() for c in cap_e]
     t_em = [lk.emission_period_s for lk in links]
 
-    streams = [_PhotonStream(_leg_rng(config.rng_seed, leg), config.m_s) for leg in range(2)]
+    streams = [_PhotonStream(_leg_rng(config.rng_seed, leg), config.m_s, config.capture_rounds)
+               for leg in range(2)]
 
     # leg state: next event time, whether it is a confirmation, finished
     ev = [cover_end, cover_end]
@@ -708,7 +735,7 @@ def _run_dual_event(config: SimConfig) -> SimResult:
             block_i[leg], block_n[leg] = i, n
             blocks[leg].append((len(starts[leg]) - 1, i, n))
         if outcomes is not None:
-            outcomes[leg].append(_outcome_chars(stream.ok[off : off + n], eligible))
+            outcomes[leg].append(stream.text[off : off + eligible] + "D" * (n - eligible))
         confirming[leg] = True
         ev[leg] = conf_t
 
@@ -728,15 +755,26 @@ def _run_dual_event(config: SimConfig) -> SimResult:
 # replay and serialization
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoundLog:
-    """A round log read back from disk: header echo plus the rounds."""
+    """A round log read back from disk: header echo plus the rounds, kept as columns in file order."""
 
     engine_version: str
     seed: int
     policy: str
     bin_width_s: float
-    rounds: tuple[Round, ...]
+    _columns: tuple = field(repr=False)
+
+    @property
+    def rounds(self) -> tuple[Round, ...]:
+        """Every round, built from the columns on each access."""
+        return tuple(Round(*row) for row in _scalar_rows(self._columns))
+
+    def __eq__(self, other: object) -> bool:
+        header = attrgetter("engine_version", "seed", "policy", "bin_width_s")
+        return (isinstance(other, RoundLog) and header(self) == header(other)
+                and self._columns[-1] == other._columns[-1]
+                and all(map(np.array_equal, self._columns[:-1], other._columns[:-1])))
 
 
 def replay(config: SimConfig, log: RoundLog | Sequence[Round]) -> SimResult:
@@ -747,27 +785,18 @@ def replay(config: SimConfig, log: RoundLog | Sequence[Round]) -> SimResult:
     buffer modes exactly.  The result's rounds are numbered by that order.
     A log from a different engine version is refused.
     """
+    if log is None:
+        raise ReplayError("no rounds to replay; run with capture_rounds=True")
     if isinstance(log, RoundLog):
         if log.engine_version != ENGINE_VERSION:
-            raise ReplayError(
-                f"log from engine {log.engine_version!r}, this is {ENGINE_VERSION!r}"
-            )
-        rounds: Sequence[Round] = log.rounds
+            raise ReplayError(f"log from engine {log.engine_version!r}, this is {ENGINE_VERSION!r}")
+        columns = log._columns
     else:
-        rounds = log
-    if rounds is None:
-        raise ReplayError("no rounds to replay; run with capture_rounds=True")
-
-    def column(name: str, dtype) -> np.ndarray:
-        return np.fromiter(map(attrgetter(name), rounds), dtype=dtype, count=len(rounds))
-
-    leg = column("leg", np.int64)
+        columns = _round_columns(log)
+    leg, index, start, n, v_r, conf, succ, outcomes = columns
     stray = np.flatnonzero((leg < 0) | (leg >= config.n_legs))
     if stray.size:
         raise ReplayError(f"round references leg {leg[stray[0]]} of a {config.n_legs}-leg config")
-    index, n, succ = (column(name, np.int64) for name in ("index", "train_length", "n_success"))
-    start, v_r, conf = (column(name, float) for name in ("start_time_s", "v_r_at_start_mps", "confirm_time_s"))
-    outcomes = [r.outcomes for r in rounds]
     tables = []
     for i in range(config.n_legs):
         mine = np.flatnonzero(leg == i)
@@ -861,6 +890,17 @@ _LOG_FIELDS = dict(leg=int, index=int, start_time_s=float, train_length=int,
                    v_r_at_start_mps=float, confirm_time_s=float, n_success=int)
 
 
+# one record line in the writer's layout, a named group per value: an integer
+# of at most 18 digits (it fits an int64) or a JSON number; the outcomes key
+# has its own group, so absent and empty differ, and the outcome text excludes
+# what a JSON string escapes
+_LOG_NUMBER = {int: r"0|[1-9][0-9]{0,17}", float: r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"}
+_LOG_LINE = re.compile("^" + re.sub(
+    r'"(\w+)":\\ %r', lambda m: f'"{m[1]}": (?P<{m[1]}>{_LOG_NUMBER[_LOG_FIELDS[m[1]]]})',
+    re.escape(_LOG_RECORD[:-1]),
+).replace("%s", r'(?:(?P<has_outcomes>"outcomes": )"(?P<outcomes>[^"\\\x00-\x1f]*)", )?') + "$", re.MULTILINE)
+
+
 def _log_object(line: str, where: str, row: int, keys: Iterable[str]) -> dict:
     """One NDJSON line of a round log as a JSON object holding ``keys``; errors cite the row."""
     try:
@@ -876,14 +916,14 @@ def _log_object(line: str, where: str, row: int, keys: Iterable[str]) -> dict:
 
 
 def _log_round(rec: dict, where: str, row: int) -> Round:
-    """The round of one log record: integers >= 0, finite times and velocity, string outcomes."""
+    """The round of one log record: integers in [0, 2**63), finite numbers, string outcomes."""
     fields = {}
     for key, kind in _LOG_FIELDS.items():
-        try:
-            value = kind(rec[key])
-        except (TypeError, ValueError, OverflowError):
+        try:  # a float field takes any JSON number, an integer field only an integer
+            value = kind(rec[key]) if type(rec[key]) in (int, kind) else None
+        except OverflowError:
             value = None
-        if value is None or (value < 0 if kind is int else not math.isfinite(value)):
+        if value is None or not (0 <= value < 2**63 if kind is int else math.isfinite(value)):
             want = "an integer >= 0" if kind is int else "a finite number"
             raise DataFormatError(f"{where}: row {row}: {key} must be {want}, got {rec[key]!r}")
         fields[key] = value
@@ -893,8 +933,27 @@ def _log_round(rec: dict, where: str, row: int) -> Round:
     return Round(**fields, outcomes=outcomes)
 
 
+def _log_rows(lines: Sequence[str], where: str, row: int) -> list[Round]:
+    """The rounds of record lines read one by one as JSON, the first at ``row``; blank lines skip."""
+    return [_log_round(_log_object(line, where, r, _LOG_FIELDS), where, r)
+            for r, line in enumerate(lines, start=row) if line.strip()]
+
+
+def _log_chunk(lines: Sequence[str], where: str, row: int) -> tuple:
+    """Columns of record lines, the first at ``row``: by one regex pass, else by :func:`_log_rows`."""
+    found = _LOG_LINE.findall("".join(lines))
+    if len(found) == len(lines):  # every line in the writer's layout
+        text = list(zip(*found))
+        group = lambda key: text[_LOG_LINE.groupindex[key] - 1]  # noqa: E731
+        nums = [np.array(group(key), dtype=kind) for key, kind in _LOG_FIELDS.items()]
+        # a non-finite float goes to the per-row reader, which names its row
+        if all(np.isfinite(c).all() for c in nums if c.dtype.kind == "f"):
+            return (*nums, [o if k else None for k, o in zip(group("has_outcomes"), group("outcomes"))])
+    return _round_columns(_log_rows(lines, where, row))
+
+
 def read_round_log(source: str | Path | TextIO) -> RoundLog:
-    """Read a log written by :func:`write_round_log`; a bad row raises DataFormatError citing it."""
+    """Read a round log, ``_ROWS`` lines at a time; a bad row raises DataFormatError citing it."""
     with _text_io(source, "r") as (fh, where):
         first = fh.readline()
         if not first.strip():
@@ -904,15 +963,11 @@ def read_round_log(source: str | Path | TextIO) -> RoundLog:
             seed, bin_width_s = int(header["seed"]), float(header["bin_width_s"])
         except (TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"{where}: row 1: {exc}") from exc
-        rounds = [
-            _log_round(_log_object(line, where, row, _LOG_FIELDS), where, row)
-            for row, line in enumerate(fh, start=2)
-            if line.strip()
-        ]
-    return RoundLog(
-        engine_version=str(header["engine_version"]),
-        seed=seed,
-        policy=str(header["policy"]),
-        bin_width_s=bin_width_s,
-        rounds=tuple(rounds),
-    )
+        chunks = [_round_columns(())]
+        row = 2
+        while lines := list(islice(fh, _ROWS)):
+            chunks.append(_log_chunk(lines, where, row))
+            row += len(lines)
+    *nums, outcomes = zip(*chunks)
+    return RoundLog(str(header["engine_version"]), seed, str(header["policy"]), bin_width_s,
+                    (*map(np.concatenate, nums), [o for part in outcomes for o in part]))

@@ -5,7 +5,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from satqlink import (
     LinkParams,
     NoOverlapError,
     ReplayError,
-    RoundLog,
+    Round,
     SimConfig,
     read_round_log,
     read_sim_csv,
@@ -441,8 +443,7 @@ def test_round_log_roundtrip_and_version_guard():
     assert tuple(result.rounds) == log.rounds
     replayed = replay(config, log)
     assert np.array_equal(result.pairs_end_to_end, replayed.pairs_end_to_end)
-    stale = RoundLog(engine_version="other-engine-9", seed=log.seed, policy=log.policy,
-                     bin_width_s=log.bin_width_s, rounds=log.rounds)
+    stale = dataclasses.replace(log, engine_version="other-engine-9")
     with pytest.raises(ReplayError):
         replay(config, stale)
     with pytest.raises(ReplayError):
@@ -501,6 +502,153 @@ def test_read_round_log_errors_cite_rows():
         assert old in second
         with pytest.raises(DataFormatError, match=f"row 3: {message}"):
             read(header, good, second.replace(old, new, 1))
+    # in place, so that the line keeps the writer's layout
+    integer, finite = "an integer >= 0", "a finite number"
+    for key, value, want in (("n_success", "99999999999999999999", integer),
+                             ("n_success", "9223372036854775808", integer), ("leg", "true", integer),
+                             ("index", "1.0", integer), ("start_time_s", "1e400", finite),
+                             ("confirm_time_s", "-1e400", finite)):
+        with pytest.raises(DataFormatError, match=f"row 3: {key} must be {want}"):
+            read(header, good, re.sub(f'"{key}": [^,]*', f'"{key}": {value}', second))
+    # the first row of the second chunk
+    with pytest.raises(DataFormatError, match=f"row {sim_mod._ROWS + 2}: leg must be"):
+        read(header, *[good] * sim_mod._ROWS, good.replace('"leg": 0', '"leg": -1'))
+
+
+_INT_FIELDS = ("leg", "index", "train_length", "n_success")
+
+
+def _reference_rounds(text: str) -> tuple:
+    """Rounds of a round log read one line at a time with json.loads: the reader's contract."""
+    fh = io.StringIO(text)
+    fh.readline()  # the header, valid in every case here
+    rounds = []
+    for row, line in enumerate(fh, start=2):
+        if not line.strip():
+            continue
+        def bad(message):
+            return DataFormatError(f"<stream>: row {row}: {message}")
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise bad(exc) from exc
+        if not isinstance(rec, dict):
+            raise bad(f"expected a JSON object, got {line.strip()[:40]}")
+        names = [f.name for f in dataclasses.fields(Round)][:-1]
+        for name in names:
+            if name not in rec:
+                raise bad(f"missing {name!r}")
+        fields = {}
+        for name in names:
+            value = rec[name]
+            if name in _INT_FIELDS:
+                if type(value) is not int or not 0 <= value < 2**63:
+                    raise bad(f"{name} must be an integer >= 0, got {value!r}")
+            else:
+                try:
+                    finite = type(value) in (int, float) and math.isfinite(value)
+                except OverflowError:  # an integer past the float range
+                    finite = False
+                if not finite:
+                    raise bad(f"{name} must be a finite number, got {value!r}")
+                value = float(value)
+            fields[name] = value
+        outcomes = rec.get("outcomes")
+        if not isinstance(outcomes, (str, type(None))):
+            raise bad(f"outcomes must be a string, got {outcomes!r}")
+        rounds.append(Round(**fields, outcomes=outcomes))
+    return tuple(rounds)
+
+
+def _log_text(legs) -> str:
+    """What write_round_log writes for per-leg rounds given as (start, confirm, successes, n, v_r, outcomes)."""
+    tables = []
+    for start, confirm, succ, n, v_r, outcomes in legs:
+        unknown = np.full(len(start), -1)
+        tables.append(sim_mod._RoundTable(
+            np.asarray(start, dtype=float), np.asarray(confirm, dtype=float), np.asarray(succ, dtype=np.int64),
+            np.ones(len(start), dtype=np.int64), unknown, np.asarray(n, dtype=np.int64), unknown,
+            np.asarray(v_r, dtype=float), list(outcomes),
+        ))
+    empty = np.zeros(0, dtype=np.int64)
+    result = sim_mod.SimResult(bin_width_s=1.0, pairs_per_leg=(empty, empty), pairs_end_to_end=empty, seed=3,
+                               policy="static", config_echo={}, _tables=tuple(tables))
+    buf = io.StringIO()
+    write_round_log(result, buf)
+    return buf.getvalue()
+
+
+_log_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e-05, 1e16, 210.0])
+_log_ints = st.integers(0, 10**6) | st.sampled_from([10**17, 10**18 - 1])
+_FLOAT_TEXTS = ["-0.0", "1e-05", "1e+16", "210", "1E2", "NaN", "Infinity", "1e400", "-1e400", "1" + "0" * 400,
+                '"1.5"', "true"]
+_INT_TEXTS = ["1000000000000000000", "9223372036854775807", "9223372036854775808", "99999999999999999999",
+              "5.0", "true", "-1", "007", "null"]
+
+
+@st.composite
+def _round_log_texts(draw):
+    """A writer-made round log, its record lines perturbed, maybe behind a chunk's worth of good lines."""
+    legs = []
+    for _ in range(2):
+        k = draw(st.integers(0, 5))
+        floats, ints = (st.lists(s, min_size=k, max_size=k) for s in (_log_floats, _log_ints))
+        outcomes = st.lists(st.none() | st.text("SLD", max_size=6), min_size=k, max_size=k)
+        legs.append((draw(floats), draw(floats), draw(ints), draw(ints), draw(floats), draw(outcomes)))
+    header, *lines = _log_text(legs).splitlines()
+    out = []
+    for line in lines:
+        how = draw(st.sampled_from(["keep"] * 4 + ["reorder", "spaces", "blank", "float", "int", "outcomes"]))
+        if how == "reorder":
+            rec = json.loads(line)
+            line = json.dumps(dict(draw(st.permutations(list(rec.items())))))
+        elif how == "spaces":
+            line = " " + line.replace(": ", " :  ").replace(", ", " ,") + " "
+        elif how == "blank":
+            out.append(draw(st.sampled_from(["", "  "])))
+        elif how in ("float", "int"):
+            keys = [f.name for f in dataclasses.fields(Round)][:-1]
+            key = draw(st.sampled_from([k for k in keys if (k in _INT_FIELDS) == (how == "int")]))
+            value = draw(st.sampled_from(_FLOAT_TEXTS if how == "float" else _INT_TEXTS))
+            line = re.sub(f'"{key}": [^,}}]*', f'"{key}": {value}', line)
+        elif how == "outcomes":  # absent, empty or present
+            line = re.sub(r'"outcomes": "[SLD]*", ', draw(st.sampled_from(["", '"outcomes": "", '])), line)
+        out.append(line)
+    pad = draw(st.sampled_from([0, 0, 0, 0, 0, 0, sim_mod._ROWS - 1, sim_mod._ROWS]))
+    good = _log_text([([1.0], [1.5], [1], [2], [0.0], ["SL"])]).splitlines()[1]
+    return "\n".join([header] + [good] * pad + out) + "\n"
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(text=_round_log_texts())
+def test_read_round_log_matches_json_reference(text):
+    try:
+        want = _reference_rounds(text)
+    except DataFormatError as exc:
+        with pytest.raises(DataFormatError) as got:
+            read_round_log(io.StringIO(text))
+        assert str(got.value) == str(exc)
+    else:
+        log = read_round_log(io.StringIO(text))
+        assert log.rounds == want
+        assert log == read_round_log(io.StringIO(text))
+
+
+def test_round_log_fast_path_reads_writer_layout(monkeypatch):
+    # every chunk of a writer-made log parses by regex: the per-row path never runs
+    def per_row(lines, where, row):
+        raise AssertionError(f"{where}: row {row}: chunk left the writer's layout")
+
+    monkeypatch.setattr(sim_mod, "_log_rows", per_row)
+    for config in (dual_config(capture=True, n=80), dual_config(capture=True, retain=True, n=80)):
+        result = run(config)
+        buf = io.StringIO()
+        write_round_log(result, buf)
+        buf.seek(0)
+        log = read_round_log(buf)
+        assert len(log.rounds) > sim_mod._ROWS
+        assert log.rounds == tuple(result.rounds)
+        _assert_same_counts(result, replay(config, log), config)
 
 
 def test_sim_csv_roundtrip():
