@@ -340,25 +340,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
         moments = predict_bin_moments(config)
         bins_path = out_dir / "report_bins.csv"
         n = max(moments[0].n_bins, max(len(c) for c in means.values()))
-
-        def _cell(arr: np.ndarray, i: int) -> float:
-            return float(arr[i]) if i < len(arr) else 0.0
+        cells = []  # per leg: mu, sigma and the simulated mean, zero-padded to n bins
+        for leg, key in zip(range(len(exp.stations)), ("pairs_legA", "pairs_legB")):
+            cells += [_pad_sum([c], n).tolist() for c in (moments[leg].mu, moments[leg].sigma, means[key])]
 
         def _write_bins(fh: TextIO) -> None:
             cols = ["bin_start_s"]
-            for leg, st in enumerate(exp.stations):
+            for st in exp.stations:
                 cols += [f"mu_{st.name}", f"sigma_{st.name}", f"sim_mean_{st.name}"]
             fh.write(",".join(cols) + "\n")
-            for i in range(n):
-                row = [f"{i * exp.bin_width_s:.12g}"]
-                for leg, _ in enumerate(exp.stations):
-                    key = "pairs_legA" if leg == 0 else "pairs_legB"
-                    row += [
-                        f"{_cell(moments[leg].mu, i):.12g}",
-                        f"{_cell(moments[leg].sigma, i):.12g}",
-                        f"{_cell(means[key], i):.12g}",
-                    ]
-                fh.write(",".join(row) + "\n")
+            for i, row in enumerate(zip(*cells)):
+                fh.write(",".join(f"{v:.12g}" for v in (i * exp.bin_width_s, *row)) + "\n")
 
         _atomic_text(bins_path, _write_bins)
         summary["simulation"] = {"runs_pooled": len(sim_files)}

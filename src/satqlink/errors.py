@@ -15,7 +15,15 @@ class SatLinkError(Exception):
 
 
 class ConfigError(SatLinkError):
-    """A configuration value is missing, out of range, or inconsistent."""
+    """A configuration value is missing, out of range, or inconsistent.
+
+    ``field`` names the offending field of the object being checked, when
+    the raiser knows it.
+    """
+
+    def __init__(self, message: str, field: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field
 
 
 class DataFormatError(SatLinkError):

@@ -10,8 +10,9 @@ has no default, its type is the field's type, and ``null`` is accepted
 (meaning the default) exactly where the default is ``None``.  Unknown keys
 are rejected with their full path, so a typo fails loudly instead of
 silently falling back to a default; a value a dataclass rejects is
-reported with the path of the object it came from.  All physics defaults
-can be overridden here and are echoed into every output for provenance.
+reported with the path of the object that holds its key (``spec.pass``
+for ``duration_s``).  All physics defaults can be overridden here and are
+echoed into every output for provenance.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class Experiment:
         policy = self.policy if self.policy is not None else ("single" if n == 1 else "dynamic_int")
         policy = _POLICY_ALIASES.get(policy, policy)
         if policy not in ("single", "static", "dynamic_int"):
-            raise ConfigError(f"unknown policy {policy!r}")
+            raise ConfigError(f"unknown policy {policy!r}", "policy")
         object.__setattr__(self, "policy", policy)
         want = 1 if policy == "single" else 2
         if n != want:
@@ -90,9 +91,9 @@ class Experiment:
         if self.static_split is not None:
             _check_split(self.static_split, self.satellite.memory_slots)
         if self.seeds < 1:
-            raise ConfigError(f"seeds must be >= 1: {self.seeds}")
+            raise ConfigError(f"seeds must be >= 1: {self.seeds}", "seeds")
         if self.seed0 < 0:
-            raise ConfigError(f"seed0 must be >= 0: {self.seed0}")
+            raise ConfigError(f"seed0 must be >= 0: {self.seed0}", "seed0")
 
     @property
     def seed_list(self) -> list[int]:
@@ -200,8 +201,9 @@ def _section(cls: type, obj: Any, path: str, **fixed: Any) -> Any:
                 raise ConfigError(f"missing key {where}.{key}")
     try:
         return cls(**kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    except ConfigError as exc:  # cite the object that holds the field's key
+        group = next((g for g, keys in schema.items() if exc.field in keys), None)
+        raise ConfigError(f"{path}.{group}: {exc}" if group else f"{path}: {exc}") from None
 
 
 def _value(hint: Any, value: Any, path: str) -> Any:

@@ -57,7 +57,7 @@ def _check_finite(config) -> None:
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{f.name} is not finite: {value}")
+            raise ConfigError(f"{f.name} is not finite: {value}", field=f.name)
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,12 @@ second, drifted or not, so counts are reproducible across platforms and
 across the vectorized and event-driven code paths.  Under that contract a
 block draw of k photons equals k single-photon draws, which lets both paths
 draw ahead: the vectorized path a block of rounds at a time, the event loop
-a chunk of photons at a time.  Within one profile sample every photon of a
-leg sees the same channel, so the event loop counts a round's successes as
-the difference of two entries of the prefix sum of a window's success mask.
+a chunk of photons at a time.  Each uniform takes one 64-bit output of the
+stream, so advancing it by 2j outputs equals drawing j photons and
+discarding them; the vectorized path skips long drifted tails that way.
+Within one profile sample every photon of a leg sees the same channel, so
+the event loop counts a round's successes as the difference of two entries
+of the prefix sum of a window's success mask.
 
 Both paths record a run in one round table per leg: start time, confirm
 time and successes per round, and per block (a maximal run of consecutive
@@ -73,8 +76,6 @@ __all__ = [
     "Round",
     "SimResult",
     "RoundLog",
-    "run_single",
-    "run_dual",
     "run",
     "replay",
     "write_sim_csv",
@@ -92,7 +93,8 @@ def _check_split(split: tuple[int, int], m_s: int) -> None:
     """A fixed split of the satellite memory: both shares positive, summing to ``m_s``."""
     a, b = split
     if a < 1 or b < 1 or a + b != m_s:
-        raise ConfigError(f"static_split {tuple(split)} must be positive and sum to m_sat={m_s}")
+        raise ConfigError(f"static_split {tuple(split)} must be positive and sum to m_sat={m_s}",
+                          "static_split")
 
 
 @dataclass(frozen=True)
@@ -378,12 +380,33 @@ def _sample_start(j: int, t_grid0: float, step: float) -> float:
     return t
 
 
-def _leg_schedule(
-    profile: PassProfile,
-    params: LinkParams,
-    capacity: np.ndarray,
-    drift: bool,
-) -> _RoundTable:
+def _block_starts(
+    t: float, dt: float, i: int, t_grid0: float, step: float, t_end: float
+) -> tuple[np.ndarray, float]:
+    """Start times of the block whose first round starts at ``t`` in sample i, and the start after it.
+
+    Rounds start at t, t + dt, (t + dt) + dt, ... while a start floors into
+    sample i and precedes ``t_end``; ``np.cumsum`` adds in that order, so
+    each start is the float the event loop reaches.  Starts come a sample's
+    worth at a time, cut at the first that leaves the block: the next
+    block's start.
+    """
+    size = int((t_grid0 + (i + 1) * step - t) / dt) + 2
+    parts: list[np.ndarray] = []
+    while True:
+        c = np.full(size, dt)
+        c[0] = t
+        np.cumsum(c, out=c)
+        leaves = (c >= t_end) | (np.floor_divide(c - t_grid0, step) != i)
+        leaves[0] &= bool(parts)  # the caller placed the first start in the block
+        cut = int(leaves.argmax()) if leaves.any() else size
+        parts.append(c[:cut])
+        if cut < size:
+            return np.concatenate(parts), float(c[cut])
+        t = float(c[-1]) + dt
+
+
+def _leg_schedule(profile: PassProfile, params: LinkParams, capacity: np.ndarray, drift: bool) -> _RoundTable:
     """Round table of one leg under full slot recycling, without successes.
 
     ``capacity`` gives the leg's satellite slot share per profile sample;
@@ -394,17 +417,17 @@ def _leg_schedule(
     t_grid0 = float(profile.t_s[0])
     step = profile.step_s
     n_samples = profile.n_samples
-    cover_end = t_grid0 + n_samples * step
+    t_end = t_grid0 + n_samples * step - 1e-12
     t_rt = _round_trip(profile.distance_m, params)
     eligible_sample = profile.visible & (capacity >= 1)
     t_em = params.emission_period_s
 
     nxt = _next_true(eligible_sample)
-    starts = array("d")
+    starts: list[np.ndarray] = []
     blocks: list[tuple[int, int, int]] = []  # (sample, n, rounds)
     dts: list[float] = []
     t = _sample_start(int(nxt[0]), t_grid0, step)
-    while t < cover_end - 1e-12:
+    while t < t_end:
         i = int((t - t_grid0) // step)
         if i >= n_samples:
             break
@@ -416,18 +439,12 @@ def _leg_schedule(
             continue
         n = min(int(capacity[i]), int(params.m_ground))
         dt = (n - 1) * t_em + float(t_rt[i])
-        # accumulate start times round by round, classifying each with the
-        # event loop's floor arithmetic and round duration
-        first = len(starts)
-        starts.append(t)
-        t += dt
-        while t < cover_end - 1e-12 and int((t - t_grid0) // step) == i:
-            starts.append(t)
-            t += dt
-        blocks.append((i, n, len(starts) - first))
+        block, t = _block_starts(t, dt, i, t_grid0, step, t_end)
+        starts.append(block)
+        blocks.append((i, n, block.size))
         dts.append(dt)
     sample, n_col, k = np.asarray(blocks, dtype=np.int64).reshape(-1, 3).T
-    start = np.asarray(starts)
+    start = np.concatenate(starts) if starts else np.empty(0)
     eligible = np.minimum(_eligible_cap(profile, params, drift)[sample], n_col)
     confirm = start + np.repeat(np.asarray(dts, dtype=float), k)
     return _RoundTable(start, confirm, None, k, sample, n_col, eligible, profile.radial_velocity_mps[sample])
@@ -438,25 +455,42 @@ def _leg_rng(seed: int, leg: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=int(seed), spawn_key=(leg,))))
 
 
-def _outcome_chars(ok: np.ndarray, eligible: int) -> str:
-    """``S``/``L`` per photon of ``ok``'s rows, ``D`` past ``eligible``; rows concatenated."""
-    chars = np.where(ok, b"S", b"L").astype("S1")
-    chars[..., eligible:] = b"D"
+def _outcome_chars(ok: np.ndarray, n: int) -> str:
+    """``S``/``L`` per photon of ``ok``'s rows, each padded with ``D`` to ``n`` photons; rows concatenated."""
+    chars = np.full((*ok.shape[:-1], n), b"D", dtype="S1")
+    chars[..., : ok.shape[-1]] = np.where(ok, b"S", b"L")
     return chars.tobytes().decode("ascii")
 
 
+# uniforms of a round's drifted tail from which _draw advances the stream
+# past them instead of drawing them: drawing a round on its own and one PCG64
+# advance cost about 2.2 us a round, as much as a block draw spends on ~600
+# uniforms (numpy 2.4, x86-64); the measured crossover lies between 512 and 768
+_ADVANCE_MIN = 512
+
+
 def _draw(table: _RoundTable, eta: np.ndarray, p_bsm: float, rng: np.random.Generator, capture: bool) -> None:
-    """Fill a scheduled table's successes, and outcomes when capturing, a block at a time."""
+    """Fill a scheduled table's successes, and outcomes when capturing, a block at a time.
+
+    A drifted photon cannot succeed, so only the first ``eligible`` photons
+    of a round are compared; where a round's drifted tail is long and no
+    outcome strings are built, its uniforms are skipped with an advance.
+    """
     table.successes = np.empty(table.start.size, dtype=np.int64)
     table.outcomes = [] if capture else None
     lo = 0
     for k, i, n, e in zip(*(c.tolist() for c in (table.k, table.sample, table.n, table.eligible))):
-        u = rng.random((k, n, 2))
-        ok = (u[:, :, 0] < eta[i]) & (u[:, :, 1] < p_bsm)
-        ok[:, e:] = False
+        if capture or 2 * (n - e) < _ADVANCE_MIN:
+            u = rng.random((k, n, 2))
+        else:
+            u = np.empty((k, e, 2))
+            for row in u:
+                rng.random(out=row)
+                rng.bit_generator.advance(2 * (n - e))
+        ok = (u[:, :e, 0] < eta[i]) & (u[:, :e, 1] < p_bsm)
         table.successes[lo : lo + k] = ok.sum(axis=1)
         if table.outcomes is not None:
-            chars = _outcome_chars(ok, e)
+            chars = _outcome_chars(ok, n)
             table.outcomes.extend(chars[j * n : (j + 1) * n] for j in range(k))
         lo += k
 
@@ -477,13 +511,7 @@ def _capacity_series(config: SimConfig) -> list[np.ndarray]:
     if config.policy == "static":
         a, b = config.static_split  # type: ignore[misc]
         return [np.full(n, a, dtype=np.int64), np.full(n, b, dtype=np.int64)]
-    alloc = allocation_series(
-        config.profiles[0],
-        config.profiles[1],
-        config.m_s,
-        config.link_params[0],
-        config.link_params[1],
-    )
+    alloc = allocation_series(*config.profiles, config.m_s, *config.link_params)
     return [alloc.m_A_int.astype(np.int64), alloc.m_B_int.astype(np.int64)]
 
 
@@ -491,25 +519,9 @@ def _capacity_series(config: SimConfig) -> list[np.ndarray]:
 # run entry points
 
 
-def run_single(config: SimConfig) -> SimResult:
-    """Simulate one satellite-ground link over its pass profile."""
-    if config.policy != "single":
-        raise ConfigError(f"run_single needs policy 'single', got {config.policy!r}")
-    return _run_scheduled(config)
-
-
-def run_dual(config: SimConfig) -> SimResult:
-    """Simulate both legs and onboard swapping under the allocation policy."""
-    if config.policy not in ("static", "dynamic_int"):
-        raise ConfigError(f"run_dual needs a dual policy, got {config.policy!r}")
-    if config.retain_until_swap:
-        return _run_dual_event(config)
-    return _run_scheduled(config)
-
-
 def run(config: SimConfig) -> SimResult:
-    """Dispatch on the policy."""
-    return run_single(config) if config.policy == "single" else run_dual(config)
+    """Simulate the config's legs and, for two legs, the onboard swaps under its policy."""
+    return _run_dual_event(config) if config.retain_until_swap else _run_scheduled(config)
 
 
 def _result(config: SimConfig, tables: Sequence[_RoundTable], by_confirm: bool = False) -> SimResult:
@@ -792,7 +804,16 @@ def replay(config: SimConfig, log: RoundLog | Sequence[Round]) -> SimResult:
             raise ReplayError(f"log from engine {log.engine_version!r}, this is {ENGINE_VERSION!r}")
         columns = log._columns
     else:
-        columns = _round_columns(log)
+        try:
+            columns = _round_columns(log)
+        except OverflowError:  # name the first value that does not fit its int64 or float64 column
+            for pos, r in enumerate(log):
+                for key, kind in _LOG_FIELDS.items():
+                    try:
+                        np.array(getattr(r, key), dtype=kind)
+                    except OverflowError:
+                        raise ReplayError(f"rounds[{pos}].{key} does not fit a 64-bit column: "
+                                          f"{getattr(r, key)}") from None
     leg, index, start, n, v_r, conf, succ, outcomes = columns
     stray = np.flatnonzero((leg < 0) | (leg >= config.n_legs))
     if stray.size:
@@ -816,17 +837,9 @@ def write_sim_csv(result: SimResult, destination: str | Path | TextIO) -> None:
     """Write per-bin counts; single-link runs carry zeros in the unused columns."""
     with _text_io(destination, "w") as (fh, _):
         fh.write(_SIM_CSV_HEADER + "\n")
-        leg_a = result.pairs_per_leg[0]
-        leg_b = (
-            result.pairs_per_leg[1]
-            if len(result.pairs_per_leg) > 1
-            else np.zeros(result.n_bins, dtype=np.int64)
-        )
-        starts = result.bin_start_s
-        for i in range(result.n_bins):
-            fh.write(
-                f"{starts[i]:.12g},{int(leg_a[i])},{int(leg_b[i])},{int(result.pairs_end_to_end[i])}\n"
-            )
+        legs = (*result.pairs_per_leg, np.zeros(result.n_bins, dtype=np.int64))[:2]
+        columns = (c.tolist() for c in (result.bin_start_s, *legs, result.pairs_end_to_end))
+        fh.writelines(f"{start:.12g},{a},{b},{e}\n" for start, a, b, e in zip(*columns))
 
 
 def read_sim_csv(source: str | Path | TextIO) -> dict[str, np.ndarray]:

@@ -159,28 +159,16 @@ def compare_counts(counts: np.ndarray, moments: BinMoments) -> ValidationReport:
     z[det] = np.where(c[det] == mu[det], 0.0, np.inf)
 
     n_eval = int(np.count_nonzero(evaluated))
-    if n_eval:
-        frac = float(np.count_nonzero(np.abs(z[evaluated]) <= 2.0) / n_eval)
-    else:
-        frac = 1.0
+    frac = float(np.count_nonzero(np.abs(z[evaluated]) <= 2.0) / n_eval) if n_eval else 1.0
     sig_tot = float(np.sqrt(np.sum(sigma**2)))
     diff_tot = float(c.sum() - mu.sum())
     if sig_tot > 0.0:
         z_total = diff_tot / sig_tot
     else:
         z_total = 0.0 if diff_tot == 0.0 else math.inf
-    verdict = frac >= 0.9 and abs(z_total) <= 3.0
-    return ValidationReport(
-        bin_width_s=moments.bin_width_s,
-        mu=mu,
-        sigma=sigma,
-        count=c,
-        z=z,
-        z_total=z_total,
-        bins_evaluated=n_eval,
-        fraction_within_2sigma=frac,
-        verdict=verdict,
-    )
+    return ValidationReport(bin_width_s=moments.bin_width_s, mu=mu, sigma=sigma, count=c, z=z,
+                            z_total=z_total, bins_evaluated=n_eval, fraction_within_2sigma=frac,
+                            verdict=frac >= 0.9 and abs(z_total) <= 3.0)
 
 
 def compare(sim: SimResult, moments: BinMoments, leg: int = 0) -> ValidationReport:

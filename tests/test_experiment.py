@@ -166,9 +166,9 @@ NAN, INF = float("nan"), float("inf")
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda d: d["pass"].update(duration_s=INF), "spec: duration_s is not finite: inf"),
-        (lambda d: d["pass"].update(step_s=NAN), "spec: step_s is not finite: nan"),
-        (lambda d: d.update(run={"bin_width_s": NAN}), "spec: bin_width_s is not finite: nan"),
+        (lambda d: d["pass"].update(duration_s=INF), "spec.pass: duration_s is not finite: inf"),
+        (lambda d: d["pass"].update(step_s=NAN), "spec.pass: step_s is not finite: nan"),
+        (lambda d: d.update(run={"bin_width_s": NAN}), "spec.run: bin_width_s is not finite: nan"),
         (lambda d: d.update(link={"emission_period_s": NAN}),
          "spec.link: emission_period_s is not finite: nan"),
         (lambda d: d.update(link={"processing_delay_s": INF}),
@@ -180,7 +180,7 @@ NAN, INF = float("nan"), float("inf")
         (lambda d: d.update(optics={"wavelength_m": NAN}),
          "spec.optics: wavelength_m is not finite: nan"),
         (lambda d: d.update(run={"policy": "static", "static_split": [30, 60]}),
-         "spec: static_split (30, 60) must be positive and sum to m_sat=100"),
+         "spec.run: static_split (30, 60) must be positive and sum to m_sat=100"),
         (lambda d: d["stations"][1].update(name="nice"), "spec: stations[1].name repeats 'nice'"),
     ],
 )

@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satqlink import (
@@ -258,6 +258,125 @@ def test_fractional_step_grid_terminates():
             assert 5 in samples and not samples & {3, 4}, (policy, retain)
 
 
+def _reference_schedule(profile, params, capacity, drift):
+    """The walk of ``sim._leg_schedule`` one round at a time: start, confirm and per-block columns."""
+    t_grid0, step, n_samples = float(profile.t_s[0]), profile.step_s, profile.n_samples
+    cover_end = t_grid0 + n_samples * step
+    t_rt = 2.0 * profile.distance_m / params.light_speed_mps + params.processing_delay_s
+    eligible_sample = profile.visible & (capacity >= 1)
+    nxt = sim_mod._next_true(eligible_sample)
+    starts, confirms, blocks = [], [], []
+    t = sim_mod._sample_start(int(nxt[0]), t_grid0, step)
+    while t < cover_end - 1e-12:
+        i = int((t - t_grid0) // step)
+        if i >= n_samples:
+            break
+        if not eligible_sample[i]:
+            j = int(nxt[i])
+            if j >= n_samples:
+                break
+            t = sim_mod._sample_start(j, t_grid0, step)
+            continue
+        n = min(int(capacity[i]), int(params.m_ground))
+        dt = (n - 1) * params.emission_period_s + float(t_rt[i])
+        first = len(starts)
+        starts.append(t)
+        t += dt
+        while t < cover_end - 1e-12 and int((t - t_grid0) // step) == i:
+            starts.append(t)
+            t += dt
+        confirms += [s + dt for s in starts[first:]]
+        blocks.append((len(starts) - first, i, n))
+    k, sample, n_col = np.asarray(blocks, dtype=np.int64).reshape(-1, 3).T
+    eligible = np.minimum(sim_mod._eligible_cap(profile, params, drift)[sample], n_col)
+    return dict(start=np.asarray(starts, dtype=float), confirm=np.asarray(confirms, dtype=float),
+                k=k, sample=sample, n=n_col, eligible=eligible)
+
+
+@st.composite
+def _schedule_cases(draw):
+    """One leg: a random pass on a fractional or whole step grid, per-sample slot shares, a link."""
+    n = draw(st.integers(2, 30))
+    step = draw(st.sampled_from((0.1, 0.3, 0.7, 1.0, 1 / 3, 0.05)) | st.floats(0.01, 1.0))
+    visible = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    m_sat = draw(st.integers(1, 60))
+    lk = LinkParams(m_sat=m_sat, m_ground=m_sat + draw(st.integers(0, 5)),
+                    emission_period_s=draw(st.sampled_from((1e-6, 7e-5, 2.0**-20))),
+                    acceptance_window_s=draw(st.floats(1e-11, 1.5e-9)), p_bsm=0.5,
+                    processing_delay_s=0.0)
+    if draw(st.booleans()):
+        # round trips that divide the step, or exact binary fractions: starts
+        # land on sample edges and on values such as 0.5, which floor
+        # division puts in sample 4 of a 0.1 s grid and true division in 5
+        t_rt = step / draw(st.integers(1, 40)) if draw(st.booleans()) else 2.0 ** -draw(st.integers(1, 6))
+        distance = np.full(n, t_rt * lk.light_speed_mps / 2)
+    else:
+        distance = draw(st.lists(st.floats(3e5, 2e6), min_size=n, max_size=n))
+    profile = make_profile(np.full(n, 0.5), visible, distance_m=distance,
+                           v_r_mps=draw(st.lists(st.floats(-8e3, 8e3), min_size=n, max_size=n)),
+                           step_s=step)
+    t0 = draw(st.sampled_from((0.0, 0.1, 12.3, 1e4)))
+    profile = dataclasses.replace(profile, t_s=profile.t_s + t0)
+    # shares above m_ground are cut to it; a zero share is a gap like an invisible sample
+    capacity = np.asarray(draw(st.lists(st.integers(0, 2 * lk.m_ground), min_size=n, max_size=n)))
+    if draw(st.booleans()):  # one-photon trains: a round lasts exactly the round trip
+        capacity = np.minimum(capacity, 1)
+    return profile, lk, capacity, draw(st.booleans())
+
+
+def _exact_round_trip_case(step, t_rt):
+    """One-photon trains whose round trip is an exact binary fraction: starts hit 0.5, 1.0, ... exactly."""
+    lk = LinkParams(m_sat=1, emission_period_s=1e-6, acceptance_window_s=1e-9, p_bsm=0.5)
+    profile = make_profile(np.full(20, 0.5), np.ones(20, dtype=bool),
+                           distance_m=np.full(20, t_rt * lk.light_speed_mps / 2), step_s=step)
+    return profile, lk, np.ones(20, dtype=np.int64), True
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_schedule_cases())
+@example(case=_exact_round_trip_case(0.1, 0.0625))
+@example(case=_exact_round_trip_case(0.1, 0.03125))
+@example(case=_exact_round_trip_case(0.3, 0.0625))
+def test_schedule_walk_matches_round_by_round_reference(case):
+    profile, lk, capacity, drift = case
+    table = sim_mod._leg_schedule(profile, lk, capacity, drift)
+    want = _reference_schedule(profile, lk, capacity, drift)
+    for key, column in want.items():
+        got = getattr(table, key)
+        assert got.dtype == column.dtype and got.tobytes() == column.tobytes(), key
+
+
+def _reference_draw(table, eta, p_bsm, rng):
+    """Contract 1 drawn in full: two uniforms for every photon of every round, drifted or not."""
+    successes, outcomes = [], []
+    for k, i, n, e in zip(table.k, table.sample, table.n, table.eligible):
+        u = rng.random((k, n, 2))
+        ok = (u[:, :, 0] < eta[i]) & (u[:, :, 1] < p_bsm)
+        ok[:, e:] = False
+        successes += ok.sum(axis=1).tolist()
+        outcomes += ["".join("D" if j >= e else "SL"[not hit] for j, hit in enumerate(row)) for row in ok]
+    return successes, outcomes
+
+
+def test_draw_skips_drifted_tails_bitwise():
+    # blocks of (rounds, sample, train length, eligible): no drift, a drifted
+    # tail just below the advance cut-off, one at it and one far above it
+    cut = sim_mod._ADVANCE_MIN // 2  # photons
+    n = cut + 40
+    blocks = [(3, 0, 50, 50), (4, 1, n, n - cut + 1), (5, 2, n, n - cut), (2, 0, n, 1), (3, 1, 7, 7)]
+    k, sample, n_col, eligible = (np.asarray(c, dtype=np.int64) for c in zip(*blocks))
+    eta = np.array([0.9, 0.5, 0.2])
+    for capture in (False, True):
+        table = sim_mod._RoundTable(np.zeros(k.sum()), np.zeros(k.sum()), None, k, sample, n_col,
+                                    eligible, np.zeros(k.size))
+        rng, ref_rng = sim_mod._leg_rng(7, 0), sim_mod._leg_rng(7, 0)
+        sim_mod._draw(table, eta, 0.8, rng, capture)
+        successes, outcomes = _reference_draw(table, eta, 0.8, ref_rng)
+        assert table.successes.tolist() == successes
+        assert table.outcomes == (outcomes if capture else None)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_retained_mode_reduces_leg_throughput():
     free = run(dual_config(seed=9))
     held = run(dual_config(seed=9, retain=True))
@@ -448,6 +567,17 @@ def test_round_log_roundtrip_and_version_guard():
         replay(config, stale)
     with pytest.raises(ReplayError):
         replay(config, None)
+
+
+def test_replay_rejects_rounds_that_overflow_a_column():
+    config = dual_config(capture=True)
+    rounds = run(config).rounds
+    bad = Round(0, 2**70, 1.0, 2, 0.0, 1.5, 1, "SL")
+    with pytest.raises(ReplayError, match=r"rounds\[3\]\.index does not fit a 64-bit column"):
+        replay(config, [*rounds[:3], bad, *rounds[3:]])
+    huge = dataclasses.replace(rounds[0], start_time_s=10**400)
+    with pytest.raises(ReplayError, match=r"rounds\[0\]\.start_time_s"):
+        replay(config, [huge, *rounds[1:]])
 
 
 # sha256 of write_round_log bytes in unbounded mode, recorded before the
