@@ -35,7 +35,7 @@ from .analytics import (
 from .errors import ConfigError, DataFormatError, SatLinkError
 from .experiment import Experiment, load_experiment
 from .passes import propagate_pass, write_profile
-from .sim import ENGINE_VERSION, run, write_round_log, write_sim_csv, read_sim_csv
+from .sim import ENGINE_VERSION, _seed_configs, run, write_round_log, write_sim_csv, read_sim_csv
 from .validation import _pad_sum, compare_counts, predict_bin_moments, write_validation_csv
 
 __all__ = ["main", "entry"]
@@ -136,10 +136,8 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     else:
         alloc = allocation_series(profiles[0], profiles[1], exp.link.m_sat, exp.link)
         path = out_dir / "rate_dual.csv"
-        _atomic_text(
-            path,
-            lambda fh: write_rate_csv(fh, alloc.t_s, alloc.rate_int, alloc.m_A_int, alloc.m_B_int),
-        )
+        _atomic_text(path, lambda fh: write_rate_csv(
+            fh, alloc.t_s, alloc.rate_int, alloc.m_A_int, alloc.m_B_int))
         written.append(path)
     for path in written:
         print(path)
@@ -156,30 +154,26 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     json_path = out_dir / "allocation.json"
     _write_json(json_path, alloc.to_json_dict())
     csv_path = out_dir / "allocation.csv"
-    _atomic_text(
-        csv_path,
-        lambda fh: write_rate_csv(fh, alloc.t_s, alloc.rate_int, alloc.m_A_int, alloc.m_B_int),
-    )
+    _atomic_text(csv_path, lambda fh: write_rate_csv(
+        fh, alloc.t_s, alloc.rate_int, alloc.m_A_int, alloc.m_B_int))
     print(json_path)
     print(csv_path)
     print(f"static_split={alloc.static_split[0]},{alloc.static_split[1]}")
     return EXIT_OK
 
 
-def _run_one_seed(exp: Experiment, profiles, seed: int):
-    return run(exp.sim_config(seed, profiles))
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}", "workers")
     exp = _experiment(args)
     out_dir = _out_dir(args, exp)
-    profiles = exp.profiles()
     seeds = exp.seed_list
+    configs = _seed_configs(exp.sim_config(exp.seed0), seeds)
     if args.workers > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_run_one_seed, [exp] * len(seeds), [profiles] * len(seeds), seeds))
+        with ProcessPoolExecutor(max_workers=min(args.workers, len(seeds))) as pool:
+            results = list(pool.map(run, configs))
     else:
-        results = [_run_one_seed(exp, profiles, seed) for seed in seeds]
+        results = [run(config) for config in configs]
     totals = {}
     for seed, result in zip(seeds, results):
         path = out_dir / f"sim_seed{seed}.csv"
@@ -292,9 +286,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         summary["stations"][profile.station] = {
             "visible_samples": int(vis.sum()),
             "max_abs_radial_velocity_mps": v_max,
-            "max_train_length_at_max_v_r": max_train_length(v_max, exp.link)
-            if v_max > 0
-            else None,
+            "max_train_length_at_max_v_r": max_train_length(v_max, exp.link) if v_max > 0 else None,
         }
         print(path)
 
@@ -327,9 +319,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             "static_split": list(alloc.static_split),
             "expected_pairs_dynamic_int": dyn_total,
             "expected_pairs_static": static_total,
-            "static_shortfall_fraction": (dyn_total - static_total) / dyn_total
-            if dyn_total > 0
-            else 0.0,
+            "static_shortfall_fraction": (dyn_total - static_total) / dyn_total if dyn_total > 0 else 0.0,
         }
         print(dual_path)
 

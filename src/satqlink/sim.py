@@ -35,8 +35,11 @@ a chunk of photons at a time.  Each uniform takes one 64-bit output of the
 stream, so advancing it by 2j outputs equals drawing j photons and
 discarding them; the vectorized path skips long drifted tails that way.
 Within one profile sample every photon of a leg sees the same channel, so
-the event loop counts a round's successes as the difference of two entries
-of the prefix sum of a window's success mask.
+the event loop finds a window's successful photons once, as a sorted list
+of offsets, and counts a round's successes by walking it.  The event loop
+also lets a leg run ahead of the strict event order through rounds its
+partner cannot affect; each leg's rounds, and so the counts, are those of
+the strict order.
 
 Both paths record a run in one round table per leg: start time, confirm
 time and successes per round, and per block (a maximal run of consecutive
@@ -58,7 +61,7 @@ import math
 import numbers
 import re
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from operator import attrgetter
 from pathlib import Path
@@ -117,6 +120,8 @@ class SimConfig:
     drift: bool = True
     capture_rounds: bool = False
     retain_until_swap: bool = False
+    # per-leg slot shares set by _seed_configs; replace() drops them
+    _caps: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_finite(self)
@@ -505,6 +510,8 @@ def _bin_counts(times: np.ndarray, weights: np.ndarray, width: float, n_bins: in
 
 def _capacity_series(config: SimConfig) -> list[np.ndarray]:
     """Per-sample satellite slot share for each leg under the policy."""
+    if config._caps is not None:
+        return list(config._caps)
     n = config.profiles[0].n_samples
     if config.policy == "single":
         return [np.full(n, config.m_s, dtype=np.int64)]
@@ -513,6 +520,15 @@ def _capacity_series(config: SimConfig) -> list[np.ndarray]:
         return [np.full(n, a, dtype=np.int64), np.full(n, b, dtype=np.int64)]
     alloc = allocation_series(*config.profiles, config.m_s, *config.link_params)
     return [alloc.m_A_int.astype(np.int64), alloc.m_B_int.astype(np.int64)]
+
+
+def _seed_configs(config: SimConfig, seeds: Iterable[int]) -> list[SimConfig]:
+    """``config`` at each seed, all sharing one computation of the slot shares: no seed changes them."""
+    caps = tuple(_capacity_series(config))
+    configs = [replace(config, rng_seed=seed) for seed in seeds]
+    for c in configs:
+        object.__setattr__(c, "_caps", caps)
+    return configs
 
 
 # --------------------------------------------------------------------------
@@ -567,8 +583,7 @@ def _run_scheduled(config: SimConfig) -> SimResult:
     return _result(config, tables)
 
 
-# photons per PCG64 draw and per success prefix sum, per leg; the buffers
-# are allocated once per run, so the event loop allocates no array
+# photons per PCG64 draw and per success window, per leg
 _CHUNK_ROWS = 2**12
 _WINDOW_ROWS = 2048
 
@@ -576,45 +591,38 @@ _WINDOW_ROWS = 2048
 class _PhotonStream:
     """One leg's photons: uniforms drawn a chunk ahead, read a window at a time.
 
-    In the current window, held at one ``eta``, ``ok[k]`` is the success of
-    photon k and ``prefix[k]`` the successes among photons 0..k-1; when
-    capturing, ``text[k]`` is ``S`` or ``L`` as ``ok[k]``, else ``text`` is None.
+    A window holds at least ``_WINDOW_ROWS`` photons at one ``eta``; when
+    capturing, ``text[k]`` is ``S`` or ``L`` for its photon k, else ``text`` is None.
     """
 
-    __slots__ = ("rng", "u", "pos", "ok", "latch", "counts", "prefix", "text", "sample", "off", "size")
+    __slots__ = ("rng", "u", "pos", "text", "passed")
 
     def __init__(self, rng: np.random.Generator, max_n: int, capture: bool) -> None:
         self.rng = rng
         self.u = np.empty((_CHUNK_ROWS + max_n, 2))  # row = (loss, latch) uniforms
         self.pos = self.u.shape[0]  # row of the window's first photon; nothing drawn yet
-        width = max(_WINDOW_ROWS, max_n)
-        self.ok = np.empty(width, dtype=bool)
-        self.latch = np.empty(width, dtype=bool)
-        self.counts = np.zeros(width + 1, dtype=np.int64)
-        self.prefix = [0] * (width + 1)
         self.text = "" if capture else None
-        self.sample = -1  # profile sample of the window
-        self.off = 0  # photons of the window already emitted
-        self.size = 0
+        # per-window mask buffers, reused: temporaries raised a run's peak RSS by about 1 MiB
+        self.passed = np.empty((2, max(_WINDOW_ROWS, max_n)), dtype=bool)
 
-    def window(self, sample: int, n: int, eta: float, p_bsm: float) -> None:
-        """Open a window of at least ``n`` photons after those already emitted."""
-        self.pos += self.off
+    def window(self, used: int, n: int, eta: float, p_bsm: float) -> list[int]:
+        """Pass the ``used`` photons of the last window; open one of at least ``n``.
+
+        Returns its successful photons' offsets in ascending order, then its size.
+        """
+        self.pos += used
         left = self.u.shape[0] - self.pos
         if left < n:
             self.u[:left] = self.u[self.pos :]
             self.rng.random(out=self.u[left:])
             self.pos = 0
-        m = min(max(_WINDOW_ROWS, n), self.u.shape[0] - self.pos)
-        u = self.u[self.pos : self.pos + m]
-        ok = self.ok[:m]
-        np.less(u[:, 0], eta, out=ok)
-        ok &= np.less(u[:, 1], p_bsm, out=self.latch[:m])
-        np.cumsum(ok, out=self.counts[1 : m + 1])
-        self.prefix[1 : m + 1] = self.counts[1 : m + 1].tolist()
+        u = self.u[self.pos : self.pos + min(max(_WINDOW_ROWS, n), self.u.shape[0] - self.pos)]
+        passed = np.less(u.T, ((eta,), (p_bsm,)), out=self.passed[:, : len(u)])  # channel, latch
+        ok = passed[0]
+        ok &= passed[1]
         if self.text is not None:
-            self.text = _outcome_chars(ok, m)
-        self.sample, self.off, self.size = sample, 0, m
+            self.text = _outcome_chars(ok, ok.size)
+        return [*np.flatnonzero(ok).tolist(), ok.size]
 
 
 def _run_dual_event(config: SimConfig) -> SimResult:
@@ -622,134 +630,136 @@ def _run_dual_event(config: SimConfig) -> SimResult:
 
     The legs interact through the swap (a confirmation on one leg can free
     slots on both), so rounds cannot be prescheduled: the loop appends each
-    round to its leg's table as it starts.  Events are processed
-    in (time, confirmation-before-start, leg) order; a leg blocked on slots
-    wakes at the partner's next confirmation or the next sample boundary.
-    A leg has at most one round in flight, so at a start its free slots are
-    its allocation minus its buffered pairs (retained) or the allocation
-    itself (unbounded); an allocation never exceeds m_sat <= m_ground, so
-    that is the train length.  Swaps are consumed here for slot accounting only;
+    round to its leg's table as it starts.  Events are taken in (time,
+    confirmation-before-start, leg) order; a leg blocked on slots wakes at
+    the partner's next confirmation or the next sample boundary.  A leg has
+    at most one round in flight, so at a start its free slots are its
+    allocation minus its buffered pairs (retained) or the allocation itself
+    (unbounded); an allocation never exceeds m_sat <= m_ground, so that is
+    the train length.  Swaps are consumed here for slot accounting only;
     their times follow from the confirmations.
+
+    A picked leg runs ahead of that order while its partner cannot change
+    what it does.  After every confirmation one leg holds no pair, and no
+    swap involves a leg holding none, so such a leg's round with no success
+    confirms with no effect: it starts its next round at once (a partner
+    waking at that confirmation would only block again).  Otherwise it
+    takes its confirmation at once when the partner is done or acts later,
+    and then its next start unless the partner confirms at that instant.
+    Each leg so runs the rounds of the strict order; ``_result`` sorts them.
 
     Photons are drawn a chunk at a time; one draw of k rows consumes the
     leg's stream exactly as k single-photon draws do.  While a leg stays in
-    one profile sample its photons share one ``eta``, so a success mask and
-    its prefix sum are built once per window of photons, and a round of n
-    photons (the first ``eligible`` of them able to latch) starting at
-    window offset o has ``prefix[o + eligible] - prefix[o]`` successes.
+    one profile sample its photons share one ``eta``, so a window's
+    successful photons are listed once by offset; a round of n photons at
+    offset o counts those below ``o + eligible`` and passes its drifted tail.
     """
-    caps = _capacity_series(config)
     profiles = config.profiles
     step = profiles[0].step_s
     t_grid0 = float(profiles[0].t_s[0])
     n_samples = profiles[0].n_samples
-    cover_end = t_grid0 + n_samples * step
-    t_end = cover_end - 1e-12
+    t_end = t_grid0 + n_samples * step - 1e-12
     retain = config.retain_until_swap
+    capture = config.capture_rounds
 
     # per-leg constants and per-sample lookups as plain lists (hot loop)
     links = config.link_params
     eta = [p.eta.tolist() for p in profiles]
     t_rt = [_round_trip(p.distance_m, lk).tolist() for p, lk in zip(profiles, links)]
     next_vis = [_next_true(np.asarray(p.visible, dtype=bool)).tolist() for p in profiles]
-    alloc = [c.tolist() for c in caps]
-    cap_e = [_eligible_cap(p, lk, config.drift) for p, lk in zip(profiles, links)]
-    cap_e_l = [c.tolist() for c in cap_e]
-    t_em = [lk.emission_period_s for lk in links]
+    alloc = [c.tolist() for c in _capacity_series(config)]
+    cap_e = [_eligible_cap(p, lk, config.drift).tolist() for p, lk in zip(profiles, links)]
 
-    streams = [_PhotonStream(_leg_rng(config.rng_seed, leg), config.m_s, config.capture_rounds)
-               for leg in range(2)]
+    streams = [_PhotonStream(_leg_rng(config.rng_seed, leg), config.m_s, capture) for leg in range(2)]
 
-    # leg state: next event time, whether it is a confirmation, finished
-    ev = [cover_end, cover_end]
-    confirming = [False, False]
-    done = [False, False]
-    buffered = [0, 0]  # confirmed pairs awaiting a swap
+    # leg state: next event time, whether it is a confirmation, finished,
+    # confirmed pairs awaiting a swap
+    ev, confirming, done, buffered = [t_grid0] * 2, [False] * 2, [False] * 2, [0, 0]
     # per leg, the round table as the loop builds it: start, confirm and
-    # successes per round, (first round, sample, n) per block, and the
-    # sample and n of the current block
-    starts, confirms = ([array("d"), array("d")] for _ in range(2))
-    successes = [array("q"), array("q")]
-    blocks: list[list[tuple[int, int, int]]] = [[], []]
-    block_i, block_n = [-1, -1], [-1, -1]
-    outcomes: list[list[str]] | None = [[], []] if config.capture_rounds else None
-
-    for leg in range(2):
-        j = next_vis[leg][0]
-        if j < n_samples:
-            ev[leg] = _sample_start(j, t_grid0, step)
-        else:
-            done[leg] = True
+    # successes (and outcomes) per round, (first round, sample, n) per block
+    starts, confirms, successes = ([array(kind), array(kind)] for kind in "ddq")
+    blocks, outcomes = [[], []], [[], []]
+    # per leg, kept while the other runs: its window's hits, the pointer past
+    # those before offset off, sample, photons emitted and size; its block's sample and n
+    held = [([0], 0, -1, 0, 0, -1, -1)] * 2
 
     while True:
-        if done[0]:
-            if done[1]:
-                break
-            leg = 1
-        elif done[1] or ev[0] < ev[1] or (ev[0] == ev[1] and (confirming[0] or not confirming[1])):
-            leg = 0
-        else:
-            leg = 1
-        t = ev[leg]
-        if confirming[leg]:
-            confirming[leg] = False
-            buffered[leg] += successes[leg][-1]
-            k = buffered[0] if buffered[0] < buffered[1] else buffered[1]
-            if k > 0:
-                buffered[0] -= k
-                buffered[1] -= k
-                # freed slots may unblock a waiting leg immediately
-                other = 1 - leg
-                if not confirming[other] and ev[other] > t:
-                    ev[other] = t
-            continue  # ev[leg] == t: the next round may begin at once
-
-        # start attempt
-        if t >= t_end:
-            done[leg] = True
-            continue
-        i = int((t - t_grid0) // step)
-        if i >= n_samples:
-            done[leg] = True
-            continue
-        j = next_vis[leg][i]
-        if j != i:  # not visible
-            if j >= n_samples:
-                done[leg] = True
-            else:
-                ev[leg] = _sample_start(j, t_grid0, step)
-            continue
-        n = alloc[leg][i] - buffered[leg] if retain else alloc[leg][i]
-        if n < 1:
-            # wake at the partner's confirmation (a swap may free slots) or
-            # at the next sample boundary (the allocation may grow)
-            wake = _sample_start(i + 1, t_grid0, step)
-            other = 1 - leg
-            if confirming[other] and ev[other] < wake:
-                wake = max(ev[other], t)
-            ev[leg] = wake
-            continue
-        eligible = cap_e_l[leg][i]
-        if eligible > n:
-            eligible = n
+        if done[0] and done[1]:
+            break
+        ahead0 = ev[0] < ev[1] or (ev[0] == ev[1] and (confirming[0] or not confirming[1]))
+        leg = 0 if not done[0] and (done[1] or ahead0) else 1
+        other = 1 - leg
+        # the leg's lookups and its stream's window, held in locals while it runs
+        eta_l, rt_l, vis_l, alloc_l, cap_l = eta[leg], t_rt[leg], next_vis[leg], alloc[leg], cap_e[leg]
+        t_em, p_bsm = links[leg].emission_period_s, links[leg].p_bsm
+        start_l, conf_l, succ_l, out_l = starts[leg], confirms[leg], successes[leg], outcomes[leg]
         stream = streams[leg]
-        if stream.sample != i or stream.off + n > stream.size:
-            stream.window(i, n, eta[leg][i], links[leg].p_bsm)
-        off = stream.off
-        n_success = stream.prefix[off + eligible] - stream.prefix[off]
-        stream.off = off + n
-        conf_t = t + ((n - 1) * t_em[leg] + t_rt[leg][i])  # _leg_schedule's t + dt
-        # a leg's rounds confirm in the order they start
-        starts[leg].append(t)
-        confirms[leg].append(conf_t)
-        successes[leg].append(n_success)
-        if i != block_i[leg] or n != block_n[leg]:
-            block_i[leg], block_n[leg] = i, n
-            blocks[leg].append((len(starts[leg]) - 1, i, n))
-        if outcomes is not None:
-            outcomes[leg].append(stream.text[off : off + eligible] + "D" * (n - eligible))
-        confirming[leg] = True
-        ev[leg] = conf_t
+        hits, h, w_sample, off, size, block_i, block_n = held[leg]
+        t = ev[leg]
+        while True:
+            if confirming[leg]:
+                confirming[leg] = False
+                buffered[leg] += succ_l[-1]
+                k = buffered[0] if buffered[0] < buffered[1] else buffered[1]
+                if k > 0:
+                    buffered[0] -= k
+                    buffered[1] -= k
+                    # freed slots may unblock a waiting partner immediately
+                    if not confirming[other] and ev[other] > t:
+                        ev[other] = t
+                if confirming[other] and ev[other] <= t:
+                    break  # the partner's confirmation at t goes before this leg's start
+
+            # start attempt
+            i = int((t - t_grid0) // step)
+            if i != w_sample or t >= t_end:  # past the end or off the window's (visible) sample
+                j = vis_l[i] if i < n_samples and t < t_end else n_samples
+                if j >= n_samples:
+                    done[leg] = True
+                    break
+                if j != i:  # not visible: wait for the next visible sample
+                    ev[leg] = _sample_start(j, t_grid0, step)
+                    break
+            n = alloc_l[i] - buffered[leg] if retain else alloc_l[i]
+            if n < 1:
+                # wake at the partner's confirmation (a swap may free slots) or
+                # at the next sample boundary (the allocation may grow)
+                wake = _sample_start(i + 1, t_grid0, step)
+                if confirming[other] and ev[other] < wake:
+                    wake = max(ev[other], t)
+                ev[leg] = wake
+                break
+            eligible = cap_l[i] if cap_l[i] < n else n
+            if w_sample != i or off + n > size:
+                hits = stream.window(off, n, eta_l[i], p_bsm)
+                h, w_sample, off, size = 0, i, 0, hits[-1]
+            while hits[h] < off:  # pass the hits of the last round's drifted tail
+                h += 1
+            h0 = h
+            end = off + eligible
+            while hits[h] < end:  # the round's successes
+                h += 1
+            n_success = h - h0
+            if capture:
+                out_l.append(stream.text[off : off + eligible] + "D" * (n - eligible))
+            off += n
+            conf_t = t + ((n - 1) * t_em + rt_l[i])  # _leg_schedule's t + dt
+            # a leg's rounds confirm in the order they start
+            start_l.append(t)
+            conf_l.append(conf_t)
+            succ_l.append(n_success)
+            if i != block_i or n != block_n:
+                block_i, block_n = i, n
+                blocks[leg].append((len(start_l) - 1, i, n))
+            t = conf_t
+            if n_success == 0 and buffered[leg] == 0:
+                continue  # the confirmation adds no pair and cannot swap: start again at once
+            confirming[leg] = True
+            ev[leg] = conf_t
+            # run ahead while the confirmation is next in event order anyway
+            if not (done[other] or conf_t < ev[other]):
+                break
+        held[leg] = hits, h, w_sample, off, size, block_i, block_n
 
     tables = []
     for leg, p in enumerate(profiles):
@@ -757,8 +767,8 @@ def _run_dual_event(config: SimConfig) -> SimResult:
         start = np.asarray(starts[leg])
         tables.append(_RoundTable(
             start, np.asarray(confirms[leg]), np.asarray(successes[leg]),
-            np.diff(first, append=start.size), sample, n_col, np.minimum(cap_e[leg][sample], n_col),
-            p.radial_velocity_mps[sample], None if outcomes is None else outcomes[leg],
+            np.diff(first, append=start.size), sample, n_col, np.minimum(np.take(cap_e[leg], sample), n_col),
+            p.radial_velocity_mps[sample], outcomes[leg] if capture else None,
         ))
     return _result(config, tables, by_confirm=True)
 

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from satqlink import read_profile, read_sim_csv
+from satqlink import cli, read_profile, read_sim_csv
 from satqlink.cli import main
 
 NICE = {"name": "nice", "latitude_deg": 43.7034, "longitude_deg": 7.2663}
@@ -171,6 +171,37 @@ def test_simulate_deterministic_across_workers(dual_spec, tmp_path):
     assert manifest["seeds"] == [0, 1]
     counts = read_sim_csv(seq / "sim_seed0.csv")
     assert counts["pairs_end_to_end"].sum() > 0
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_rejects_workers_below_one(dual_spec, tmp_path, capsys, workers):
+    assert main(["simulate", "--spec", dual_spec, "--out", str(tmp_path), "--workers", workers]) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "simulate.json").exists()
+
+
+def test_simulate_pool_never_exceeds_seed_count(dual_spec, tmp_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size and maps in this process: starts no worker."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert main(["simulate", "--spec", dual_spec, "--out", str(tmp_path), "--workers", "64"]) == 0
+    assert sizes == [2]
+    assert json.loads((tmp_path / "simulate.json").read_text())["seeds"] == [0, 1]
 
 
 def test_validate_flow(single_spec, tmp_path, capsys):

@@ -377,6 +377,19 @@ def test_draw_skips_drifted_tails_bitwise():
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+# sha256 of the bins of uncaptured single-leg runs (seeds 0-2) whose rounds
+# drift out after 65 of 1000 photons, a tail _draw skips by advancing the stream
+LONG_TAIL_DIGEST = "3164166706f1ecd11c60d1691532eab1c5d62b5756bb7ea7858745544662ab24"
+
+
+def test_uncaptured_long_drift_tail_counts_are_pinned():
+    configs = [single_config(eta=0.7, p=0.5, m_sat=1000, v_r=6998.0, seed=seed) for seed in range(3)]
+    table = sim_mod._leg_schedule(configs[0].profiles[0], configs[0].link_params[0],
+                                  sim_mod._capacity_series(configs[0])[0], True)
+    assert 2 * int((table.n - table.eligible).min()) >= sim_mod._ADVANCE_MIN
+    assert _counts_digest([run(c) for c in configs]) == LONG_TAIL_DIGEST
+
+
 def test_retained_mode_reduces_leg_throughput():
     free = run(dual_config(seed=9))
     held = run(dual_config(seed=9, retain=True))
@@ -412,6 +425,188 @@ def test_retained_rounds_respect_slot_accounting():
                 audited_with_pairs_held += buffered[r.leg] > 0
     # the audit is not vacuous: retained pairs shrank many trains
     assert audited_with_pairs_held > 100
+
+
+class _PrefixStream:
+    """The event loop's photon stream before hit lists: a success prefix sum per window."""
+
+    def __init__(self, rng, max_n, capture):
+        self.rng = rng
+        self.u = np.empty((sim_mod._CHUNK_ROWS + max_n, 2))
+        self.pos = self.u.shape[0]
+        self.prefix = [0]
+        self.text = "" if capture else None
+        self.sample, self.off, self.size = -1, 0, 0
+
+    def window(self, sample, n, eta, p_bsm):
+        self.pos += self.off
+        left = self.u.shape[0] - self.pos
+        if left < n:
+            self.u[:left] = self.u[self.pos :]
+            self.rng.random(out=self.u[left:])
+            self.pos = 0
+        m = min(max(2048, n), self.u.shape[0] - self.pos)
+        u = self.u[self.pos : self.pos + m]
+        ok = (u[:, 0] < eta) & (u[:, 1] < p_bsm)
+        self.prefix = [0, *np.cumsum(ok).tolist()]
+        if self.text is not None:
+            self.text = sim_mod._outcome_chars(ok, m)
+        self.sample, self.off, self.size = sample, 0, m
+
+
+def _reference_event_tables(config):
+    """Round tables of the dual event loop taken strictly in (time, confirmation first, leg) order.
+
+    The loop as it was before legs ran ahead and counted from hit lists;
+    each leg's rows are in start order, its blocks rebuilt from them.
+    """
+    caps = sim_mod._capacity_series(config)
+    profiles, links = config.profiles, config.link_params
+    step, t_grid0, n_samples = profiles[0].step_s, float(profiles[0].t_s[0]), profiles[0].n_samples
+    cover_end = t_grid0 + n_samples * step
+    t_end = cover_end - 1e-12
+    eta = [p.eta.tolist() for p in profiles]
+    t_rt = [sim_mod._round_trip(p.distance_m, lk).tolist() for p, lk in zip(profiles, links)]
+    next_vis = [sim_mod._next_true(np.asarray(p.visible, dtype=bool)).tolist() for p in profiles]
+    alloc = [c.tolist() for c in caps]
+    cap_e = [sim_mod._eligible_cap(p, lk, config.drift).tolist() for p, lk in zip(profiles, links)]
+    streams = [_PrefixStream(sim_mod._leg_rng(config.rng_seed, leg), config.m_s, config.capture_rounds)
+               for leg in range(2)]
+    ev, confirming, done, buffered = [cover_end, cover_end], [False, False], [False, False], [0, 0]
+    rows = [[], []]  # per round: start, confirm, successes, sample, n, eligible, outcomes
+    for leg in range(2):
+        j = next_vis[leg][0]
+        if j < n_samples:
+            ev[leg] = sim_mod._sample_start(j, t_grid0, step)
+        else:
+            done[leg] = True
+    while not (done[0] and done[1]):
+        if done[0]:
+            leg = 1
+        elif done[1] or ev[0] < ev[1] or (ev[0] == ev[1] and (confirming[0] or not confirming[1])):
+            leg = 0
+        else:
+            leg = 1
+        other, t = 1 - leg, ev[leg]
+        if confirming[leg]:
+            confirming[leg] = False
+            buffered[leg] += rows[leg][-1][2]
+            k = min(buffered)
+            if k > 0:
+                buffered = [b - k for b in buffered]
+                if not confirming[other] and ev[other] > t:
+                    ev[other] = t
+            continue
+        i = int((t - t_grid0) // step)
+        if t >= t_end or i >= n_samples:
+            done[leg] = True
+            continue
+        j = next_vis[leg][i]
+        if j != i:
+            if j >= n_samples:
+                done[leg] = True
+            else:
+                ev[leg] = sim_mod._sample_start(j, t_grid0, step)
+            continue
+        n = alloc[leg][i] - buffered[leg] if config.retain_until_swap else alloc[leg][i]
+        if n < 1:
+            wake = sim_mod._sample_start(i + 1, t_grid0, step)
+            if confirming[other] and ev[other] < wake:
+                wake = max(ev[other], t)
+            ev[leg] = wake
+            continue
+        eligible = min(cap_e[leg][i], n)
+        stream = streams[leg]
+        if stream.sample != i or stream.off + n > stream.size:
+            stream.window(i, n, eta[leg][i], links[leg].p_bsm)
+        off = stream.off
+        stream.off = off + n
+        conf_t = t + ((n - 1) * links[leg].emission_period_s + t_rt[leg][i])
+        text = None if stream.text is None else stream.text[off : off + eligible] + "D" * (n - eligible)
+        succ = stream.prefix[off + eligible] - stream.prefix[off]
+        rows[leg].append((t, conf_t, succ, i, n, eligible, text))
+        confirming[leg], ev[leg] = True, conf_t
+    tables = []
+    for p, leg_rows in zip(profiles, rows):
+        start, confirm, succ, sample, n, eligible, text = zip(*leg_rows) if leg_rows else ([],) * 7
+        first = [r for r in range(len(start)) if r == 0 or (sample[r], n[r]) != (sample[r - 1], n[r - 1])]
+        block_sample = np.asarray(sample, dtype=np.int64)[first]
+        tables.append(sim_mod._RoundTable(
+            np.asarray(start, dtype=float), np.asarray(confirm, dtype=float),
+            np.asarray(succ, dtype=np.int64), np.diff(first, append=len(start)).astype(np.int64), block_sample,
+            np.asarray(n, dtype=np.int64)[first], np.asarray(eligible, dtype=np.int64)[first],
+            p.radial_velocity_mps[block_sample], list(text) if config.capture_rounds else None,
+        ))
+    return tables
+
+
+def _quiet_confirmations(tables) -> int:
+    """Rounds confirming with no success while their leg holds no pair; the loop starts the next at once."""
+    events = sorted((c, leg, s) for leg, t in enumerate(tables)
+                    for c, s in zip(t.confirm.tolist(), t.successes.tolist()))
+    held, quiet = [0, 0], 0
+    for _, leg, s in events:
+        quiet += s == 0 and held[leg] == 0
+        held[leg] += s
+        k = min(held)
+        held = [h - k for h in held]
+    return quiet
+
+
+@st.composite
+def _event_loop_cases(draw):
+    """Two legs on a 0.1 s grid with visibility gaps, any m_sat and m_ground, either policy and mode."""
+    n = draw(st.integers(8, 50))
+    m_sat = draw(st.integers(2, 40))
+    lk = LinkParams(m_sat=m_sat, m_ground=m_sat + draw(st.integers(0, 20)), emission_period_s=1e-6,
+                    acceptance_window_s=draw(st.floats(1e-11, 1.5e-9)), p_bsm=draw(st.floats(0.05, 1.0)))
+    profiles = []
+    for station in ("a", "b"):
+        visible = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        visible[0] = True  # one co-visible sample, so the dynamic split exists
+        profiles.append(make_profile(
+            draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)), visible,
+            distance_m=draw(st.lists(st.floats(3e5, 2e6), min_size=n, max_size=n)),
+            v_r_mps=draw(st.lists(st.floats(-8e3, 8e3), min_size=n, max_size=n)),
+            station=station, step_s=0.1,
+        ))
+    a = draw(st.integers(1, m_sat - 1))
+    policy, split = draw(st.sampled_from((("dynamic_int", None), ("static", (a, m_sat - a)))))
+    return SimConfig(profiles=tuple(profiles), link_params=(lk, lk), policy=policy,
+                     rng_seed=draw(st.integers(0, 2**32)), static_split=split,
+                     retain_until_swap=draw(st.booleans()), capture_rounds=draw(st.booleans()))
+
+
+def _tied_legs_case(retain):
+    """Both legs on one constant channel with equal trains: every start and confirmation ties."""
+    pa, pb = (constant_profile(20, 0.3, T_RT, station=s, step_s=0.1) for s in ("a", "b"))
+    lk = link(m_sat=10, p=0.5)
+    return SimConfig(profiles=(pa, pb), link_params=(lk, lk), policy="static", rng_seed=4,
+                     static_split=(5, 5), retain_until_swap=retain, capture_rounds=True)
+
+
+def test_event_loop_matches_strict_order_reference():
+    quiet = []
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(config=_event_loop_cases())
+    @example(config=_tied_legs_case(True))
+    @example(config=_tied_legs_case(False))
+    def agree(config):
+        want = _reference_event_tables(config)
+        result = sim_mod._run_dual_event(config)
+        _assert_same_counts(sim_mod._result(config, want, by_confirm=True), result, config)
+        if config.capture_rounds:
+            for leg, (got, ref) in enumerate(zip(result._tables, want)):
+                for key in ("start", "confirm", "successes", "k", "sample", "n", "eligible", "v_r"):
+                    a, b = getattr(got, key), getattr(ref, key)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (leg, key, config)
+                assert got.outcomes == ref.outcomes, (leg, config)
+        quiet.append(_quiet_confirmations(want))
+
+    agree()
+    # the cases exercise the run-ahead: some leg started many rounds without a confirmation event
+    assert max(quiet) > 100
 
 
 # sha256 of the int64 per-leg and end-to-end bins of retained runs, as
