@@ -299,8 +299,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         "note": _TRAIN_BOUND_NOTE,
     }
 
-    if len(profiles) == 2:
-        alloc = allocation_series(profiles[0], profiles[1], exp.link.m_sat, exp.link)
+    alloc = allocation_series(profiles[0], profiles[1], exp.link.m_sat, exp.link) if len(profiles) == 2 else None
+    if alloc is not None:
         dual_path = out_dir / "report_dual.csv"
 
         def _write_dual(fh: TextIO) -> None:
@@ -327,6 +327,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     means = _sim_mean_by_bin(sim_files)
     if means is not None and not exp.retain_until_swap:
         config = exp.sim_config(exp.seed0, profiles)
+        if alloc is not None and config.policy == "dynamic_int":  # the shares written to report_dual.csv
+            object.__setattr__(config, "_caps", (alloc.m_A_int, alloc.m_B_int))
         moments = predict_bin_moments(config)
         bins_path = out_dir / "report_bins.csv"
         n = max(moments[0].n_bins, max(len(c) for c in means.values()))

@@ -63,6 +63,7 @@ import re
 from array import array
 from dataclasses import dataclass, field, replace
 from itertools import islice
+from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -251,7 +252,7 @@ class SimResult:
         """Every round, or None when the run did not capture rounds."""
         if self._tables is None:
             return None
-        return [Round(*row) for row in _round_rows(self._tables, self._by_confirm)]
+        return [Round(*row) for row in _scalar_rows(_table_columns(self._tables, self._by_confirm))]
 
     @property
     def n_bins(self) -> int:
@@ -316,7 +317,7 @@ class _RoundTable:
     outcomes: list[str | None] | None = None
 
 
-_ROWS = 8192  # rows per conversion to Python scalars and per chunk of a log read
+_ROWS = 8192  # rows per conversion to Python scalars and per chunk of a log write or read
 
 
 def _round_columns(rounds: Sequence[Round]) -> tuple:
@@ -333,8 +334,8 @@ def _scalar_rows(columns: Sequence) -> Iterator[tuple]:
         yield from zip(*(c[lo : lo + _ROWS].tolist() for c in nums), outcomes[lo : lo + _ROWS])
 
 
-def _round_rows(tables: Sequence[_RoundTable], by_confirm: bool) -> Iterator[tuple]:
-    """:class:`Round` fields of every round as Python scalars, one tuple per round.
+def _table_columns(tables: Sequence[_RoundTable], by_confirm: bool) -> tuple:
+    """:class:`Round` fields of every round as :func:`_round_columns` gives them.
 
     Rows run leg by leg, or in (confirm, leg, index) order with ``by_confirm``.
     """
@@ -349,7 +350,7 @@ def _round_rows(tables: Sequence[_RoundTable], by_confirm: bool) -> Iterator[tup
         order = np.lexsort((cols[1], cols[0], cols[5]))
         cols = [c[order] for c in cols]
         outcomes = [outcomes[i] for i in order.tolist()]
-    return _scalar_rows((*cols, outcomes))
+    return (*cols, outcomes)
 
 
 def _eligible_cap(profile: PassProfile, params: LinkParams, drift: bool) -> np.ndarray:
@@ -805,7 +806,7 @@ def replay(config: SimConfig, log: RoundLog | Sequence[Round]) -> SimResult:
     Each leg's rounds are taken in (confirm, index) order and swaps are
     rebuilt with the engine's first-in-first-out rule, which reproduces both
     buffer modes exactly.  The result's rounds are numbered by that order.
-    A log from a different engine version is refused.
+    A log from another engine version is refused, and so is a round that no log can hold.
     """
     if log is None:
         raise ReplayError("no rounds to replay; run with capture_rounds=True")
@@ -824,8 +825,15 @@ def replay(config: SimConfig, log: RoundLog | Sequence[Round]) -> SimResult:
                     except OverflowError:
                         raise ReplayError(f"rounds[{pos}].{key} does not fit a 64-bit column: "
                                           f"{getattr(r, key)}") from None
+        faults = [("is negative", c < 0) if c.dtype.kind == "i" else ("is not finite", ~np.isfinite(c))
+                  for c in columns[:-1]]
+        faults.append(("is not a string", np.array([not isinstance(o, (str, type(None))) for o in columns[-1]])))
+        for key, (fault, bad) in zip((*_LOG_FIELDS, "outcomes"), faults):  # a value no round log holds
+            if bad.any():
+                pos = int(bad.argmax())
+                raise ReplayError(f"rounds[{pos}].{key} {fault}: {getattr(log[pos], key)!r}")
     leg, index, start, n, v_r, conf, succ, outcomes = columns
-    stray = np.flatnonzero((leg < 0) | (leg >= config.n_legs))
+    stray = np.flatnonzero(leg >= config.n_legs)
     if stray.size:
         raise ReplayError(f"round references leg {leg[stray[0]]} of a {config.n_legs}-leg config")
     tables = []
@@ -883,17 +891,25 @@ def read_sim_csv(source: str | Path | TextIO) -> dict[str, np.ndarray]:
     }
 
 
-# one record of the round log, keys in sorted order; %s takes the outcomes member or ""
+# one record of the round log, keys in sorted order; %s takes a value's text, or the outcomes member or ""
 _LOG_RECORD = (
-    '{"confirm_time_s": %r, "index": %r, "leg": %r, "n_success": %r, %s'
-    '"start_time_s": %r, "train_length": %r, "v_r_at_start_mps": %r}\n'
+    '{"confirm_time_s": %s, "index": %s, "leg": %s, "n_success": %s, %s'
+    '"start_time_s": %s, "train_length": %s, "v_r_at_start_mps": %s}\n'
 )
+
+
+def _float_texts(*columns: np.ndarray) -> list[list[str]]:
+    """``repr`` of each float of equal-sized columns, once per distinct bit pattern: -0.0 and 0.0 stay apart."""
+    bits, inverse = np.unique(np.concatenate(columns).view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[inverse]
+    return [part.tolist() for part in np.split(texts, len(columns))]
 
 
 def write_round_log(result: SimResult, destination: str | Path | TextIO) -> None:
     """Write the round log as newline-delimited JSON, one header then one record per round.
 
-    Records follow the order of ``result.rounds`` and list their keys sorted.
+    Records follow the order of ``result.rounds`` and list their keys sorted, numbers as ``repr``
+    writes them and outcomes JSON-escaped; they are formatted ``_ROWS`` rounds at a time.
     """
     if result._tables is None:
         raise ConfigError("result has no round log; run with capture_rounds=True")
@@ -901,11 +917,13 @@ def write_round_log(result: SimResult, destination: str | Path | TextIO) -> None
         header = dict(engine_version=result.engine_version, seed=int(result.seed),
                       policy=result.policy, bin_width_s=result.bin_width_s)
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        fh.writelines(
-            _LOG_RECORD
-            % (conf, index, leg, succ, "" if out is None else f'"outcomes": "{out}", ', start, n, v_r)
-            for leg, index, start, n, v_r, conf, succ, out in _round_rows(result._tables, result._by_confirm)
-        )
+        *nums, outcomes = _table_columns(result._tables, result._by_confirm)
+        for lo in range(0, len(outcomes), _ROWS):
+            leg, index, start, n, v_r, conf, succ = (c[lo : lo + _ROWS] for c in nums)
+            start, conf, v_r = _float_texts(start, conf, v_r)  # a confirm time is mostly the next start
+            out = ["" if o is None else f'"outcomes": {encode_basestring(o)}, ' for o in outcomes[lo : lo + _ROWS]]
+            fh.write("".join(map(_LOG_RECORD.__mod__, zip(
+                conf, index.tolist(), leg.tolist(), succ.tolist(), out, start, n.tolist(), v_r))))
 
 
 # the keys of a round log record and the types of their Round fields
@@ -919,7 +937,7 @@ _LOG_FIELDS = dict(leg=int, index=int, start_time_s=float, train_length=int,
 # what a JSON string escapes
 _LOG_NUMBER = {int: r"0|[1-9][0-9]{0,17}", float: r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"}
 _LOG_LINE = re.compile("^" + re.sub(
-    r'"(\w+)":\\ %r', lambda m: f'"{m[1]}": (?P<{m[1]}>{_LOG_NUMBER[_LOG_FIELDS[m[1]]]})',
+    r'"(\w+)":\\ %s', lambda m: f'"{m[1]}": (?P<{m[1]}>{_LOG_NUMBER[_LOG_FIELDS[m[1]]]})',
     re.escape(_LOG_RECORD[:-1]),
 ).replace("%s", r'(?:(?P<has_outcomes>"outcomes": )"(?P<outcomes>[^"\\\x00-\x1f]*)", )?') + "$", re.MULTILINE)
 

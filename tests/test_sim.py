@@ -775,6 +775,27 @@ def test_replay_rejects_rounds_that_overflow_a_column():
         replay(config, [huge, *rounds[1:]])
 
 
+def test_replayed_rounds_write_a_readable_log():
+    config = dual_config(capture=True)
+    rounds = run(config).rounds
+    # outcomes that JSON escapes read back unchanged
+    odd = dataclasses.replace(rounds[1], outcomes='S"L\\\x01\u00e9\u2028')
+    result = replay(config, [rounds[0], odd, *rounds[2:]])
+    buf = io.StringIO()
+    write_round_log(result, buf)
+    buf.seek(0)
+    assert read_round_log(buf).rounds == tuple(result.rounds)
+    # a value no round log holds is refused by name
+    for key, value, fault in (("v_r_at_start_mps", math.inf, "is not finite: inf"),
+                              ("start_time_s", -math.inf, "is not finite: -inf"),
+                              ("confirm_time_s", math.nan, "is not finite: nan"),
+                              ("index", -1, "is negative: -1"), ("n_success", -2, "is negative: -2"),
+                              ("outcomes", 7, "is not a string: 7")):
+        bad = dataclasses.replace(rounds[2], **{key: value})
+        with pytest.raises(ReplayError, match=re.escape(f"rounds[2].{key} {fault}")):
+            replay(config, [*rounds[:2], bad, *rounds[3:]])
+
+
 # sha256 of write_round_log bytes in unbounded mode, recorded before the
 # engine kept its rounds in one columnar table
 ROUND_LOG_DIGESTS = {
@@ -784,16 +805,27 @@ ROUND_LOG_DIGESTS = {
 }
 
 
+# and of retained logs, (confirm, leg, index) order and longer than one chunk
+# of sim._ROWS rows, recorded before the writer formatted a chunk at a time
+RETAINED_ROUND_LOG_DIGESTS = {
+    "retained_dynamic_int": "fa8181b88dcb830e430da9c840b5f5286070113a2ae756e63292c8e2b9ea7c00",
+    "retained_static": "928215cc1fca2e9cf5e0bfdaeef2be77daba77ab8e8fd9da00b9fa18c31a3e75",
+}
+
+
 def test_round_logs_are_pinned():
     configs = {
         "single": single_config(eta=0.7, p=0.5, m_sat=100, v_r=6998.0, capture=True),
         "dynamic_int": dual_config(capture=True),
         "static": dual_config(policy="static", split=(4, 6), capture=True),
+        "retained_dynamic_int": dual_config(capture=True, retain=True, n=80),
+        "retained_static": dual_config(policy="static", split=(4, 6), capture=True, retain=True, n=80),
     }
+    digests = {**ROUND_LOG_DIGESTS, **RETAINED_ROUND_LOG_DIGESTS}
     for name, config in configs.items():
         buf = io.StringIO()
         write_round_log(run(config), buf)
-        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == ROUND_LOG_DIGESTS[name], name
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digests[name], name
 
 
 def test_read_round_log_errors_cite_rows():
@@ -957,6 +989,62 @@ def test_read_round_log_matches_json_reference(text):
         log = read_round_log(io.StringIO(text))
         assert log.rounds == want
         assert log == read_round_log(io.StringIO(text))
+
+
+def _reference_round_log(result) -> str:
+    """write_round_log's bytes built one row at a time with %r from the tables: the writer's contract."""
+    header = dict(engine_version=result.engine_version, seed=result.seed, policy=result.policy,
+                  bin_width_s=result.bin_width_s)
+    rows = []
+    for leg, t in enumerate(result._tables):
+        n, v_r = np.repeat(t.n, t.k).tolist(), np.repeat(t.v_r, t.k).tolist()
+        for i, (start, conf, succ) in enumerate(zip(t.start.tolist(), t.confirm.tolist(), t.successes.tolist())):
+            rows.append((leg, i, start, n[i], v_r[i], conf, succ, t.outcomes[i]))
+    if result._by_confirm:
+        rows.sort(key=lambda r: (r[5], r[0], r[1]))
+    lines = [json.dumps(header, sort_keys=True) + "\n"]
+    for leg, index, start, n, v_r, conf, succ, out in rows:
+        member = "" if out is None else f'"outcomes": {json.dumps(out, ensure_ascii=False)}, '
+        lines.append('{"confirm_time_s": %r, "index": %r, "leg": %r, "n_success": %r, %s"start_time_s": %r, '
+                     '"train_length": %r, "v_r_at_start_mps": %r}\n' % (conf, index, leg, succ, member, start, n, v_r))
+    return "".join(lines)
+
+
+@st.composite
+def _writer_results(draw):
+    """A captured result over hand-made tables: repeated values, -0.0 beside 0.0, sometimes past one chunk."""
+    floats = [-0.0, 0.0, *draw(st.lists(_log_floats | st.sampled_from([5e-324, 2.2e-308, -1e-310]), max_size=6))]
+    ints = [0, 10**18 - 1, *draw(st.lists(_log_ints, max_size=4))]
+    outcomes = [None, "", *draw(st.lists(st.text(max_size=6), max_size=4))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tables = []
+    for _ in range(2):
+        k = draw(st.sampled_from([0, 1, 2, 5, 9, sim_mod._ROWS - 1, sim_mod._ROWS + 3]))
+        edge = rng.random(k + 1) < 0.5
+        edge[0] = edge[-1] = True
+        sizes = np.diff(np.flatnonzero(edge))  # blocks of one (sample, n), summing to k
+        pick = lambda pool, size: np.asarray(pool)[rng.integers(len(pool), size=size)]  # noqa: E731
+        unknown = np.full(sizes.size, -1)
+        tables.append(sim_mod._RoundTable(
+            pick(floats, k), pick(floats, k), pick(ints, k).astype(np.int64), sizes, unknown,
+            pick(ints, sizes.size).astype(np.int64), unknown, pick(floats, sizes.size),
+            [outcomes[i] for i in rng.integers(len(outcomes), size=k).tolist()],
+        ))
+    empty = np.zeros(0, dtype=np.int64)
+    return sim_mod.SimResult(bin_width_s=0.5, pairs_per_leg=(empty, empty), pairs_end_to_end=empty, seed=7,
+                             policy="dynamic_int", config_echo={}, _tables=tuple(tables),
+                             _by_confirm=draw(st.booleans()))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(result=_writer_results())
+def test_write_round_log_matches_per_row_reference(result):
+    buf = io.StringIO()
+    write_round_log(result, buf)
+    got, want = buf.getvalue().split("\n"), _reference_round_log(result).split("\n")
+    assert len(got) == len(want)
+    for row, (line, expected) in enumerate(zip(got, want), start=1):  # a short diff at the first bad row
+        assert line == expected, f"row {row}"
 
 
 def test_round_log_fast_path_reads_writer_layout(monkeypatch):
