@@ -55,7 +55,7 @@ from .constants import (
     DEFAULT_P_BSM,
 )
 from .errors import ConfigError, GridMismatchError, NoOverlapError, NoVisibilityError
-from .passes import PassProfile, _check_finite, _text_io
+from .passes import PassProfile, _check_finite, _write_csv
 
 __all__ = [
     "LinkParams",
@@ -488,13 +488,10 @@ def write_rate_csv(
     m_a: Iterable[int] | None = None,
     m_b: Iterable[int] | None = None,
 ) -> None:
-    """Write a rate series as ``t_s,rate_pairs_per_s[,m_A,m_B]`` CSV."""
-    with _text_io(destination, "w") as (fh, _):
-        with_m = m_a is not None and m_b is not None
-        fh.write("t_s,rate_pairs_per_s,m_A,m_B\n" if with_m else "t_s,rate_pairs_per_s\n")
-        if with_m:
-            for t, r, a, b in zip(t_s, rate, m_a, m_b):
-                fh.write(f"{t:.12g},{r:.12g},{int(a)},{int(b)}\n")
-        else:
-            for t, r in zip(t_s, rate):
-                fh.write(f"{t:.12g},{r:.12g}\n")
+    """Write a rate series as ``t_s,rate_pairs_per_s[,m_A,m_B]`` CSV; give both splits or neither."""
+    if (m_a is None) != (m_b is None):
+        raise ConfigError("write_rate_csv needs both m_a and m_b, or neither")
+    columns = [np.asarray(t_s, dtype=float), np.asarray(rate, dtype=float)]
+    if m_a is not None:
+        columns += [np.asarray(m_a), np.asarray(m_b)]
+    _write_csv(destination, "t_s,rate_pairs_per_s" + ",m_A,m_B" * (m_a is not None), columns)

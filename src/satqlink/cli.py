@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, TextIO
 
@@ -34,7 +35,7 @@ from .analytics import (
 )
 from .errors import ConfigError, DataFormatError, SatLinkError
 from .experiment import Experiment, load_experiment
-from .passes import propagate_pass, write_profile
+from .passes import _write_csv, propagate_pass, write_profile
 from .sim import ENGINE_VERSION, _seed_configs, run, write_round_log, write_sim_csv, read_sim_csv
 from .validation import _pad_sum, compare_counts, predict_bin_moments, write_validation_csv
 
@@ -118,29 +119,20 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     exp = _experiment(args)
     out_dir = _out_dir(args, exp)
     profiles = exp.profiles()
-    written: list[Path] = []
     if exp.policy == "single":
-        for profile in profiles:
-            series = rate_series(profile, exp.link, use_drift_correction=exp.drift)
-            path = out_dir / f"rate_{profile.station}.csv"
-            _atomic_text(path, lambda fh, s=series, p=profile: write_rate_csv(fh, p.t_s, s))
-            written.append(path)
-    elif exp.policy == "static":
-        split = exp.resolve_static_split(profiles)
-        m_a = np.full(profiles[0].n_samples, split[0])
-        m_b = np.full(profiles[0].n_samples, split[1])
-        series = _dual_rate_series(profiles[0], profiles[1], m_a, m_b, exp.link, exp.link)
+        series = rate_series(profiles[0], exp.link, use_drift_correction=exp.drift)
+        path = out_dir / f"rate_{profiles[0].station}.csv"
+        _atomic_text(path, lambda fh: write_rate_csv(fh, profiles[0].t_s, series))
+    else:
+        if exp.policy == "static":
+            m_a, m_b = (np.full(profiles[0].n_samples, m) for m in exp.resolve_static_split(profiles))
+            series = _dual_rate_series(profiles[0], profiles[1], m_a, m_b, exp.link, exp.link)
+        else:
+            alloc = allocation_series(profiles[0], profiles[1], exp.link.m_sat, exp.link)
+            series, m_a, m_b = alloc.rate_int, alloc.m_A_int, alloc.m_B_int
         path = out_dir / "rate_dual.csv"
         _atomic_text(path, lambda fh: write_rate_csv(fh, profiles[0].t_s, series, m_a, m_b))
-        written.append(path)
-    else:
-        alloc = allocation_series(profiles[0], profiles[1], exp.link.m_sat, exp.link)
-        path = out_dir / "rate_dual.csv"
-        _atomic_text(path, lambda fh: write_rate_csv(
-            fh, alloc.t_s, alloc.rate_int, alloc.m_A_int, alloc.m_B_int))
-        written.append(path)
-    for path in written:
-        print(path)
+    print(path)
     return EXIT_OK
 
 
@@ -274,13 +266,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         uncapped = rate_series(profile, exp.link, use_drift_correction=False)
         corrected = rate_series(profile, exp.link, use_drift_correction=True)
         path = out_dir / f"report_rates_{profile.station}.csv"
-
-        def _write(fh: TextIO, p=profile, u=uncapped, c=corrected) -> None:
-            fh.write("t_s,rate_uncapped_pairs_per_s,rate_corrected_pairs_per_s,visible\n")
-            for i in range(p.n_samples):
-                fh.write(f"{p.t_s[i]:.12g},{u[i]:.12g},{c[i]:.12g},{int(p.visible[i])}\n")
-
-        _atomic_text(path, _write)
+        columns = (profile.t_s, uncapped, corrected, profile.visible)
+        _atomic_text(path, lambda fh, c=columns: _write_csv(
+            fh, "t_s,rate_uncapped_pairs_per_s,rate_corrected_pairs_per_s,visible", c))
         vis = profile.visible & (profile.eta > 0)
         v_max = float(np.max(np.abs(profile.radial_velocity_mps[vis]))) if vis.any() else 0.0
         summary["stations"][profile.station] = {
@@ -301,17 +289,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     alloc = allocation_series(profiles[0], profiles[1], exp.link.m_sat, exp.link) if len(profiles) == 2 else None
     if alloc is not None:
+        if exp.policy == "static" and exp.static_split is None:  # the split the search just found
+            exp = replace(exp, static_split=alloc.static_split)
         dual_path = out_dir / "report_dual.csv"
-
-        def _write_dual(fh: TextIO) -> None:
-            fh.write("t_s,rate_real,rate_int,rate_static,m_A_int,m_B_int\n")
-            for i in range(len(alloc.t_s)):
-                fh.write(
-                    f"{alloc.t_s[i]:.12g},{alloc.rate_real[i]:.12g},{alloc.rate_int[i]:.12g},"
-                    f"{alloc.static_rate[i]:.12g},{int(alloc.m_A_int[i])},{int(alloc.m_B_int[i])}\n"
-                )
-
-        _atomic_text(dual_path, _write_dual)
+        columns = (alloc.t_s, alloc.rate_real, alloc.rate_int, alloc.static_rate, alloc.m_A_int, alloc.m_B_int)
+        _atomic_text(dual_path, lambda fh: _write_csv(
+            fh, "t_s,rate_real,rate_int,rate_static,m_A_int,m_B_int", columns))
         step = profiles[0].step_s
         dyn_total = float(np.sum(alloc.rate_int) * step)
         static_total = float(np.sum(alloc.static_rate) * step)
@@ -332,19 +315,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         moments = predict_bin_moments(config)
         bins_path = out_dir / "report_bins.csv"
         n = max(moments[0].n_bins, max(len(c) for c in means.values()))
-        cells = []  # per leg: mu, sigma and the simulated mean, zero-padded to n bins
-        for leg, key in zip(range(len(exp.stations)), ("pairs_legA", "pairs_legB")):
-            cells += [_pad_sum([c], n).tolist() for c in (moments[leg].mu, moments[leg].sigma, means[key])]
-
-        def _write_bins(fh: TextIO) -> None:
-            cols = ["bin_start_s"]
-            for st in exp.stations:
-                cols += [f"mu_{st.name}", f"sigma_{st.name}", f"sim_mean_{st.name}"]
-            fh.write(",".join(cols) + "\n")
-            for i, row in enumerate(zip(*cells)):
-                fh.write(",".join(f"{v:.12g}" for v in (i * exp.bin_width_s, *row)) + "\n")
-
-        _atomic_text(bins_path, _write_bins)
+        header = ["bin_start_s"]
+        columns = [np.arange(n) * exp.bin_width_s]
+        for leg, (st, key) in enumerate(zip(exp.stations, ("pairs_legA", "pairs_legB"))):
+            header += [f"mu_{st.name}", f"sigma_{st.name}", f"sim_mean_{st.name}"]
+            columns += [_pad_sum([c], n) for c in (moments[leg].mu, moments[leg].sigma, means[key])]
+        _atomic_text(bins_path, lambda fh: _write_csv(fh, ",".join(header), columns))
         summary["simulation"] = {"runs_pooled": len(sim_files)}
         print(bins_path)
 

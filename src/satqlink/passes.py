@@ -12,7 +12,8 @@ zenith atmospheric transmission raised to the plane-parallel airmass
 1/sin(elevation), times a catch-all system efficiency.  Profiles computed
 elsewhere (other orbit propagators, other atmosphere codes) can be ingested
 from CSV instead; the on-disk format is documented at
-:func:`write_profile`.
+:func:`write_profile`.  Every CSV table the package writes or reads goes
+through the one writer and reader here.
 
 Conventions: SI units, angles in degrees in all public fields (suffix
 ``_deg``), radial velocity positive when the satellite recedes.
@@ -25,9 +26,10 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from datetime import datetime, timezone
+from datetime import datetime
+from itertools import repeat
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -476,6 +478,74 @@ def _text_io(target, mode: str) -> Iterator[tuple[TextIO, str]]:
         yield target, getattr(target, "name", "<stream>")
 
 
+def _write_csv(destination, header: str, columns: Sequence, comment: str | None = None) -> None:
+    """Write ``columns`` as CSV rows under ``header``, after an optional ``comment`` line.
+
+    A float column's cells carry 12 significant digits; integer and boolean cells are integers.
+    """
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%.12g" if c.dtype.kind == "f" else "%d" for c in columns) + "\n"
+    with _text_io(destination, "w") as (fh, _):
+        fh.write(header + "\n" if comment is None else f"{comment}\n{header}\n")
+        fh.writelines(map(row.__mod__, zip(*(c.tolist() for c in columns))))
+
+
+def _cell_fault(kind: type, token: str) -> str | None:
+    """Why ``token`` is no ``kind`` cell (a finite float, an integer in [0, 2**63), a 0/1 flag), or None."""
+    if kind is bool:
+        return None if token in ("0", "1") else f"want 0 or 1, got {token!r}"
+    try:
+        value = kind(token)
+    except ValueError:
+        return f"not a number: {token!r}" if kind is float else f"not an integer >= 0: {token!r}"
+    if kind is float:
+        return None if math.isfinite(value) else f"not finite: {token!r}"
+    return None if 0 <= value < 2**63 else f"not an integer >= 0: {token!r}"
+
+
+def _read_csv(source, header: str, kinds: Sequence[type], comment: re.Pattern | None = None) -> tuple:
+    """Read a table written by :func:`_write_csv` as ``(where, rows, match, columns)``.
+
+    ``comment`` must match the first line, if given, and ``header`` the next.
+    Each column is parsed whole into an array of its ``kinds`` entry, and a
+    bad cell (see :func:`_cell_fault`) raises DataFormatError citing its row
+    and column.  ``where`` names the source; ``rows`` holds each data line's
+    row, counting every line from 1, as blank lines are skipped.
+    """
+    with _text_io(source, "r") as (fh, where):
+        lines = fh.read().split("\n")
+    match = None
+    if comment is not None and not (match := comment.match(lines[0])):
+        raise DataFormatError(f"{where}: row 1: bad metadata line {lines[0]!r}")
+    top = 0 if comment is None else 1
+    if (line := lines[top] if top < len(lines) else "") != header:
+        raise DataFormatError(f"{where}: row {top + 1}: bad header {line!r}")
+    data = lines[top + 1 : -1 if lines[-1] == "" else None]  # the line end of the last row ends no row
+    rows: Sequence[int] = range(top + 2, top + 2 + len(data))
+    if "" in data:
+        rows = [r for r, line in zip(rows, data) if line]
+        data = [line for line in data if line]
+    n = header.count(",") + 1
+    commas = list(map(str.count, data, repeat(",")))
+    if commas.count(n - 1) != len(commas):
+        i = next(i for i, c in enumerate(commas) if c != n - 1)
+        raise DataFormatError(f"{where}: row {rows[i]}: expected {n} fields, got {commas[i] + 1}")
+    cells = ",".join(data).split(",") if data else []
+    columns = []
+    for k, (name, kind) in enumerate(zip(header.split(","), kinds)):
+        tokens = cells[k::n]
+        parse, dtype = {float: (float, float), int: (int, np.int64), bool: (("0", "1").index, bool)}[kind]
+        try:
+            column = np.fromiter(map(parse, tokens), dtype, len(tokens))
+        except (ValueError, OverflowError):
+            column = None
+        if column is None or not (np.isfinite(column) if kind is float else column >= 0).all():
+            i, fault = next((i, f) for i, t in enumerate(tokens) if (f := _cell_fault(kind, t)))
+            raise DataFormatError(f"{where}: row {rows[i]}, column {name}: {fault}")
+        columns.append(column)
+    return where, rows, match, columns
+
+
 _CSV_HEADER = "t_s,distance_m,elevation_deg,radial_velocity_mps,eta,visible"
 _META_RE = re.compile(r"^# station=(?P<station>\S+) epoch=(?P<epoch>\S+) step_s=(?P<step>\S+)$")
 
@@ -486,25 +556,9 @@ def write_profile(profile: PassProfile, destination: str | Path | TextIO) -> Non
     Numeric fields carry 12 significant digits so a read/write cycle
     reproduces values to well past the 9 digits the format guarantees.
     """
-    with _text_io(destination, "w") as (fh, _):
-        fh.write(f"# station={profile.station} epoch={profile.epoch} step_s={profile.step_s:.12g}\n")
-        fh.write(_CSV_HEADER + "\n")
-        for i in range(profile.n_samples):
-            fh.write(
-                f"{profile.t_s[i]:.12g},{profile.distance_m[i]:.12g},"
-                f"{profile.elevation_deg[i]:.12g},{profile.radial_velocity_mps[i]:.12g},"
-                f"{profile.eta[i]:.12g},{1 if profile.visible[i] else 0}\n"
-            )
-
-
-def _parse_float(token: str, row: int, column: str, where: str) -> float:
-    try:
-        value = float(token)
-    except ValueError as exc:
-        raise DataFormatError(f"{where}: row {row}, column {column}: not a number: {token!r}") from exc
-    if not math.isfinite(value):
-        raise DataFormatError(f"{where}: row {row}, column {column}: not finite: {token!r}")
-    return value
+    columns = [getattr(profile, name) for name in _CSV_HEADER.split(",")]
+    meta = f"# station={profile.station} epoch={profile.epoch} step_s={profile.step_s:.12g}"
+    _write_csv(destination, _CSV_HEADER, columns, meta)
 
 
 def read_profile(source: str | Path | TextIO) -> PassProfile:
@@ -514,52 +568,19 @@ def read_profile(source: str | Path | TextIO) -> PassProfile:
     row 1) and column.  All profile invariants are re-checked on ingest, so
     hand-edited files cannot smuggle in inconsistent samples.
     """
-    with _text_io(source, "r") as (fh, where):
-        meta_line = fh.readline().rstrip("\n")
-        meta = _META_RE.match(meta_line)
-        if not meta:
-            raise DataFormatError(f"{where}: row 1: bad metadata line {meta_line!r}")
-        header = fh.readline().rstrip("\n")
-        if header != _CSV_HEADER:
-            raise DataFormatError(f"{where}: row 2: bad header {header!r}")
-        step = _parse_float(meta["step"], 1, "step_s", where)
-        cols: list[list[float]] = [[], [], [], [], []]
-        visible: list[bool] = []
-        row = 2
-        for line in fh:
-            row += 1
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise DataFormatError(f"{where}: row {row}: expected 6 fields, got {len(parts)}")
-            names = ("t_s", "distance_m", "elevation_deg", "radial_velocity_mps", "eta")
-            for k, name in enumerate(names):
-                cols[k].append(_parse_float(parts[k], row, name, where))
-            if parts[5] not in ("0", "1"):
-                raise DataFormatError(f"{where}: row {row}, column visible: want 0 or 1, got {parts[5]!r}")
-            visible.append(parts[5] == "1")
-            # row-level checks so the error can cite its row
-            if cols[1][-1] <= 0.0:
-                raise DataFormatError(f"{where}: row {row}, column distance_m: must be > 0")
-            if not 0.0 <= cols[4][-1] <= 1.0:
-                raise DataFormatError(f"{where}: row {row}, column eta: out of [0, 1]")
-            if not visible[-1] and cols[4][-1] != 0.0:
-                raise DataFormatError(f"{where}: row {row}, column eta: must be 0 when visible=0")
-            if len(cols[0]) >= 2 and cols[0][-1] <= cols[0][-2]:
-                raise DataFormatError(f"{where}: row {row}, column t_s: not increasing")
+    where, rows, meta, columns = _read_csv(source, _CSV_HEADER, (float,) * 5 + (bool,), _META_RE)
+    if fault := _cell_fault(float, meta["step"]):
+        raise DataFormatError(f"{where}: row 1, column step_s: {fault}")
+    t, distance, _, _, eta, visible = columns
+    for bad, name, fault in (
+        (np.diff(t, prepend=-np.inf) <= 0.0, "t_s", "not increasing"),
+        (distance <= 0.0, "distance_m", "must be > 0"),
+        ((eta < 0.0) | (eta > 1.0), "eta", "out of [0, 1]"),
+        (~visible & (eta != 0.0), "eta", "must be 0 when visible=0"),
+    ):
+        if bad.any():  # the first bad row of the check
+            raise DataFormatError(f"{where}: row {rows[int(bad.argmax())]}, column {name}: {fault}")
     try:
-        return PassProfile(
-            station=meta["station"],
-            epoch=meta["epoch"],
-            step_s=step,
-            t_s=np.array(cols[0]),
-            distance_m=np.array(cols[1]),
-            elevation_deg=np.array(cols[2]),
-            radial_velocity_mps=np.array(cols[3]),
-            eta=np.array(cols[4]),
-            visible=np.array(visible, dtype=bool),
-        )
+        return PassProfile(meta["station"], meta["epoch"], float(meta["step"]), *columns)
     except ConfigError as exc:
         raise DataFormatError(f"{where}: {exc}") from exc

@@ -72,7 +72,7 @@ import numpy as np
 
 from .analytics import LinkParams, _drift_bound, _round_trip, allocation_series
 from .errors import ConfigError, DataFormatError, ReplayError
-from .passes import PassProfile, _check_finite, _text_io
+from .passes import PassProfile, _check_finite, _read_csv, _text_io, _write_csv
 
 __all__ = [
     "ENGINE_VERSION",
@@ -815,23 +815,11 @@ def replay(config: SimConfig, log: RoundLog | Sequence[Round]) -> SimResult:
             raise ReplayError(f"log from engine {log.engine_version!r}, this is {ENGINE_VERSION!r}")
         columns = log._columns
     else:
-        try:
-            columns = _round_columns(log)
-        except OverflowError:  # name the first value that does not fit its int64 or float64 column
-            for pos, r in enumerate(log):
-                for key, kind in _LOG_FIELDS.items():
-                    try:
-                        np.array(getattr(r, key), dtype=kind)
-                    except OverflowError:
-                        raise ReplayError(f"rounds[{pos}].{key} does not fit a 64-bit column: "
-                                          f"{getattr(r, key)}") from None
-        faults = [("is negative", c < 0) if c.dtype.kind == "i" else ("is not finite", ~np.isfinite(c))
-                  for c in columns[:-1]]
-        faults.append(("is not a string", np.array([not isinstance(o, (str, type(None))) for o in columns[-1]])))
-        for key, (fault, bad) in zip((*_LOG_FIELDS, "outcomes"), faults):  # a value no round log holds
-            if bad.any():
-                pos = int(bad.argmax())
-                raise ReplayError(f"rounds[{pos}].{key} {fault}: {getattr(log[pos], key)!r}")
+        for pos, r in enumerate(log):  # a value no round log holds
+            for key, kind in _ROUND_FIELDS.items():
+                if fault := _field_fault(kind, value := getattr(r, key)):
+                    raise ReplayError(f"rounds[{pos}].{key} {fault}: {value!r}")
+        columns = _round_columns(log)
     leg, index, start, n, v_r, conf, succ, outcomes = columns
     stray = np.flatnonzero(leg >= config.n_legs)
     if stray.size:
@@ -853,42 +841,18 @@ _SIM_CSV_HEADER = "bin_start_s,pairs_legA,pairs_legB,pairs_end_to_end"
 
 def write_sim_csv(result: SimResult, destination: str | Path | TextIO) -> None:
     """Write per-bin counts; single-link runs carry zeros in the unused columns."""
-    with _text_io(destination, "w") as (fh, _):
-        fh.write(_SIM_CSV_HEADER + "\n")
-        legs = (*result.pairs_per_leg, np.zeros(result.n_bins, dtype=np.int64))[:2]
-        columns = (c.tolist() for c in (result.bin_start_s, *legs, result.pairs_end_to_end))
-        fh.writelines(f"{start:.12g},{a},{b},{e}\n" for start, a, b, e in zip(*columns))
+    legs = (*result.pairs_per_leg, np.zeros(result.n_bins, dtype=np.int64))[:2]
+    _write_csv(destination, _SIM_CSV_HEADER, (result.bin_start_s, *legs, result.pairs_end_to_end))
 
 
 def read_sim_csv(source: str | Path | TextIO) -> dict[str, np.ndarray]:
-    """Read counts written by :func:`write_sim_csv` into column arrays."""
-    with _text_io(source, "r") as (fh, where):
-        header = fh.readline().rstrip("\n")
-        if header != _SIM_CSV_HEADER:
-            raise DataFormatError(f"{where}: row 1: bad header {header!r}")
-        starts: list[float] = []
-        cols: list[list[int]] = [[], [], []]
-        row = 1
-        for line in fh:
-            row += 1
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise DataFormatError(f"{where}: row {row}: expected 4 fields, got {len(parts)}")
-            try:
-                starts.append(float(parts[0]))
-                for k in range(3):
-                    cols[k].append(int(parts[k + 1]))
-            except ValueError as exc:
-                raise DataFormatError(f"{where}: row {row}: {exc}") from exc
-    return {
-        "bin_start_s": np.asarray(starts),
-        "pairs_legA": np.asarray(cols[0], dtype=np.int64),
-        "pairs_legB": np.asarray(cols[1], dtype=np.int64),
-        "pairs_end_to_end": np.asarray(cols[2], dtype=np.int64),
-    }
+    """Read counts written by :func:`write_sim_csv` into column arrays.
+
+    Bin starts must be finite and counts integers >= 0; a bad cell raises
+    DataFormatError citing its row and column.
+    """
+    columns = _read_csv(source, _SIM_CSV_HEADER, (float, int, int, int))[3]
+    return dict(zip(_SIM_CSV_HEADER.split(","), columns))
 
 
 # one record of the round log, keys in sorted order; %s takes a value's text, or the outcomes member or ""
@@ -929,6 +893,25 @@ def write_round_log(result: SimResult, destination: str | Path | TextIO) -> None
 # the keys of a round log record and the types of their Round fields
 _LOG_FIELDS = dict(leg=int, index=int, start_time_s=float, train_length=int,
                    v_r_at_start_mps=float, confirm_time_s=float, n_success=int)
+_ROUND_FIELDS = {**_LOG_FIELDS, "outcomes": str}
+
+
+def _field_fault(kind: type, value) -> str | None:
+    """What keeps ``value`` out of a round log's ``kind`` column, or None.
+
+    An ``int`` value is an int (not a bool) in [0, 2**63), a ``float`` value a finite int or
+    float, and a ``str`` value (the outcomes) a str or None.
+    """
+    if kind is str:
+        return None if isinstance(value, (str, type(None))) else "is not a string"
+    if type(value) not in (int, kind):
+        return "is not an integer" if kind is int else "is not a number"
+    if kind is int:
+        return "is negative" if value < 0 else None if value < 2**63 else "does not fit a 64-bit column"
+    try:
+        return None if math.isfinite(value) else "is not finite"
+    except OverflowError:
+        return "does not fit a 64-bit column"
 
 
 # one record line in the writer's layout, a named group per value: an integer
@@ -959,19 +942,12 @@ def _log_object(line: str, where: str, row: int, keys: Iterable[str]) -> dict:
 def _log_round(rec: dict, where: str, row: int) -> Round:
     """The round of one log record: integers in [0, 2**63), finite numbers, string outcomes."""
     fields = {}
-    for key, kind in _LOG_FIELDS.items():
-        try:  # a float field takes any JSON number, an integer field only an integer
-            value = kind(rec[key]) if type(rec[key]) in (int, kind) else None
-        except OverflowError:
-            value = None
-        if value is None or not (0 <= value < 2**63 if kind is int else math.isfinite(value)):
-            want = "an integer >= 0" if kind is int else "a finite number"
-            raise DataFormatError(f"{where}: row {row}: {key} must be {want}, got {rec[key]!r}")
-        fields[key] = value
-    outcomes = rec.get("outcomes")
-    if not isinstance(outcomes, (str, type(None))):
-        raise DataFormatError(f"{where}: row {row}: outcomes must be a string, got {outcomes!r}")
-    return Round(**fields, outcomes=outcomes)
+    for key, kind in _ROUND_FIELDS.items():
+        if _field_fault(kind, value := rec.get(key)):
+            want = {int: "an integer >= 0", float: "a finite number", str: "a string"}[kind]
+            raise DataFormatError(f"{where}: row {row}: {key} must be {want}, got {value!r}")
+        fields[key] = float(value) if kind is float else value
+    return Round(**fields)
 
 
 def _log_rows(lines: Sequence[str], where: str, row: int) -> list[Round]:

@@ -25,7 +25,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
-from .passes import _text_io
+from .passes import _write_csv
 from .sim import SimConfig, SimResult, _bin_counts, _capacity_series, _leg_schedule
 
 __all__ = [
@@ -194,11 +194,5 @@ def pool_counts(results: Sequence[SimResult], leg: int = 0) -> np.ndarray:
 
 def write_validation_csv(report: ValidationReport, destination: str | Path | TextIO) -> None:
     """Write per-bin rows as ``bin_start_s,mu,sigma,count,z``."""
-    with _text_io(destination, "w") as (fh, _):
-        fh.write("bin_start_s,mu,sigma,count,z\n")
-        starts = report.bin_start_s
-        for i in range(report.n_bins):
-            fh.write(
-                f"{starts[i]:.12g},{report.mu[i]:.12g},{report.sigma[i]:.12g},"
-                f"{int(report.count[i])},{report.z[i]:.12g}\n"
-            )
+    columns = (report.bin_start_s, report.mu, report.sigma, report.count, report.z)
+    _write_csv(destination, "bin_start_s,mu,sigma,count,z", columns)

@@ -502,6 +502,14 @@ def test_write_rate_csv_format():
     assert buf.getvalue() == "t_s,rate_pairs_per_s\n0,0.125\n"
 
 
+def test_write_rate_csv_needs_both_splits_or_neither():
+    for m_a, m_b in (([1, 2], None), (None, [1, 2])):
+        buf = io.StringIO()
+        with pytest.raises(ConfigError, match="both m_a and m_b"):
+            write_rate_csv(buf, [0.0, 1.0], [1.0, 2.0], m_a, m_b)
+        assert buf.getvalue() == ""
+
+
 def test_write_rate_csv_accepts_str_bytes_and_pathlike(tmp_path):
     want = "t_s,rate_pairs_per_s\n0,0.125\n"
     for i, wrap in enumerate((str, os.fsencode, lambda p: p)):

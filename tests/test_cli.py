@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from satqlink import cli, read_profile, read_sim_csv
+from satqlink import analytics, cli, experiment, read_profile, read_sim_csv
 from satqlink.cli import main
 
 NICE = {"name": "nice", "latitude_deg": 43.7034, "longitude_deg": 7.2663}
@@ -227,6 +227,23 @@ def test_validate_detects_wrong_model(single_spec, tmp_path):
     assert verdict["verdict"] is False
 
 
+@pytest.mark.parametrize("cells, column", [
+    ("4,-2,0,0", "pairs_legA"), ("nan,3,0,0", "bin_start_s"), ("-inf,3,0,0", "bin_start_s"),
+])
+def test_bad_simulation_cells_exit_3(single_spec, tmp_path, capsys, cells, column):
+    out = tmp_path / "out"
+    args = ["--spec", single_spec, "--out", str(out)]
+    assert main(["simulate", *args]) == 0
+    path = out / "sim_seed0.csv"
+    lines = path.read_text().splitlines()
+    lines[5] = cells
+    path.write_text("\n".join(lines) + "\n")
+    for command in ("validate", "report"):
+        capsys.readouterr()
+        assert main([command, *args]) == 3
+        assert f"sim_seed0.csv: row 6, column {column}" in capsys.readouterr().err
+
+
 def test_report_outputs(dual_spec, tmp_path):
     out = tmp_path / "out"
     # without a simulate manifest the report has no simulation section
@@ -247,6 +264,24 @@ def test_report_outputs(dual_spec, tmp_path):
         assert (out / name).exists(), name
     header = (out / "report_dual.csv").read_text().splitlines()[0]
     assert header == "t_s,rate_real,rate_int,rate_static,m_A_int,m_B_int"
+
+
+def test_static_report_searches_the_split_once(dual_spec, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    args = ["--spec", dual_spec, "--out", str(out), "--policy", "static"]
+    assert main(["simulate", *args, "--seeds", "1"]) == 0
+    calls = []
+    search = analytics.best_static_split
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(analytics, "best_static_split", counted)
+    monkeypatch.setattr(experiment, "best_static_split", counted)
+    assert main(["report", *args]) == 0
+    assert (out / "report_bins.csv").exists()
+    assert len(calls) == 1
 
 
 def test_policy_override_changes_outputs(dual_spec, tmp_path):
@@ -329,3 +364,30 @@ def test_closed_form_artifacts_are_pinned(dual_spec, tmp_path):
             for path in sorted(out.iterdir()):
                 got[f"{out.name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == CLOSED_FORM_SHA256
+
+
+# sha256 of the pass, count, validation and bin files written for DUAL,
+# recorded before every CSV went through one table writer
+SIMULATION_SHA256 = {
+    "pass_nice.csv": "445527d5b3024bb35a086deb010342bc48fd4a271c8f3c1683d59d2981cb91b5",
+    "pass_paris.csv": "12a368d91cc288f514b70f3c4a5ccc2e48a38d9916432e57ab77dbc103ae21fc",
+    "report_bins.csv": "348218f447602d4752ba2abf0e423964ae9ef36c329aa73bad2701ef32666a10",
+    "sim_seed0.csv": "7114ac06cdfef6f072e118055a6f39960e6eadc4c0f1d499bcba82d9f4ceb955",
+    "sim_seed1.csv": "f9cd41871341dafef83ee1ecd633ac9c94628f8ab58bceb46070490f63ab37c8",
+    "validation_nice.csv": "e487ee990c953155e99a08a51ecd1d54e0c6b39fe510c8f4689e9a26b47913ef",
+    "validation_paris.csv": "e32b2d8af4defb34a8d4eda529f3077f849e1306fd2b7e93bf31b0f7a6a28633",
+}
+
+
+def test_simulation_artifacts_are_pinned(dual_spec, tmp_path):
+    out = tmp_path / "out"
+    args = ["--spec", dual_spec, "--out", str(out)]
+    for station in ("nice", "paris"):
+        assert main(["gen-pass", *args, "--station", station]) == 0
+    assert main(["simulate", *args]) == 0
+    assert main(["validate", *args]) == 0
+    assert main(["report", *args]) == 0
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in sorted(out.iterdir())
+           if path.name.startswith(("pass_", "sim_seed", "validation_", "report_bins"))}
+    assert got == SIMULATION_SHA256

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from satqlink import (
     ConfigError,
@@ -26,6 +28,8 @@ from satqlink import (
     read_profile,
     write_profile,
 )
+
+from satqlink.passes import _write_csv
 
 from conftest import random_profile
 
@@ -323,3 +327,36 @@ def test_propagate_rejects_bad_grid():
             propagate_pass(sat, station, "2026-01-01T00:00:00Z", bad, 1.0)
         with pytest.raises(ConfigError, match="must be finite"):
             propagate_pass(sat, station, "2026-01-01T00:00:00Z", 100.0, bad)
+
+
+def _reference_csv(header: str, columns, comment=None) -> str:
+    """Per-row f-string writer: a float cell at 12 significant digits, any other cell as an integer."""
+    lines = [header] if comment is None else [comment, header]
+    for row in zip(*columns):
+        lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else f"{int(v)}" for v in row))
+    return "".join(line + "\n" for line in lines)
+
+
+# cells of each column dtype, with the edge cases drawn often
+_FLOAT_EDGES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e16 + 2, -1e-300, math.nan, math.inf, -math.inf]
+_CELL_VALUES = {
+    np.float64: st.sampled_from(_FLOAT_EDGES) | st.floats(allow_subnormal=True),
+    np.int64: st.sampled_from([-(2**63), 2**63 - 1, 0, -1]) | st.integers(-(2**63), 2**63 - 1),
+    np.bool_: st.booleans(),
+}
+_TABLES = st.integers(0, 12).flatmap(lambda n: st.lists(
+    st.sampled_from(list(_CELL_VALUES)).flatmap(
+        lambda d: st.lists(_CELL_VALUES[d], min_size=n, max_size=n).map(lambda v: np.array(v, dtype=d))),
+    min_size=1, max_size=5))
+_EDGE_TABLE = [np.array(_FLOAT_EDGES), np.resize(np.array([-(2**63), 2**63 - 1, 0], dtype=np.int64), 10),
+               np.arange(10) % 3 == 0]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(columns=_TABLES, comment=st.none() | st.just("# a comment line"))
+@example(columns=_EDGE_TABLE, comment=None)
+def test_write_csv_matches_per_row_reference(columns, comment):
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    buf = io.StringIO()
+    _write_csv(buf, header, columns, comment)
+    assert buf.getvalue() == _reference_csv(header, columns, comment)

@@ -790,7 +790,13 @@ def test_replayed_rounds_write_a_readable_log():
                               ("start_time_s", -math.inf, "is not finite: -inf"),
                               ("confirm_time_s", math.nan, "is not finite: nan"),
                               ("index", -1, "is negative: -1"), ("n_success", -2, "is negative: -2"),
-                              ("outcomes", 7, "is not a string: 7")):
+                              ("outcomes", 7, "is not a string: 7"),
+                              # no value is coerced to its column's type
+                              ("index", 1.5, "is not an integer: 1.5"),
+                              ("train_length", "3", "is not an integer: '3'"),
+                              ("start_time_s", "1.0", "is not a number: '1.0'"),
+                              ("leg", True, "is not an integer: True"),
+                              ("n_success", 2.0, "is not an integer: 2.0")):
         bad = dataclasses.replace(rounds[2], **{key: value})
         with pytest.raises(ReplayError, match=re.escape(f"rounds[2].{key} {fault}")):
             replay(config, [*rounds[:2], bad, *rounds[3:]])
@@ -1074,6 +1080,22 @@ def test_sim_csv_roundtrip():
     assert np.array_equal(cols["pairs_legB"], result.pairs_per_leg[1])
     assert np.array_equal(cols["pairs_end_to_end"], result.pairs_end_to_end)
     assert np.array_equal(cols["bin_start_s"], result.bin_start_s)
+
+
+def test_read_sim_csv_errors_cite_rows():
+    head = "bin_start_s,pairs_legA,pairs_legB,pairs_end_to_end\n"
+    for body, message in (
+        ("0,1,2,3\n1,x,0,0\n", "row 3, column pairs_legA: not an integer >= 0: 'x'"),
+        ("0,1,2,3\n1,-2,0,0\n", "row 3, column pairs_legA: not an integer >= 0: '-2'"),
+        ("0,1,2,3\n\n1,0,0,2.5\n", "row 4, column pairs_end_to_end: not an integer >= 0: '2.5'"),
+        ("0,1,2,9223372036854775808\n", "row 2, column pairs_end_to_end: not an integer >= 0"),
+        ("0,1,2,3\nnan,0,0,0\n", "row 3, column bin_start_s: not finite: 'nan'"),
+        ("0,1,2,3\n1,0,0\n", "row 3: expected 4 fields, got 3"),
+        ("bin_start_s,pairs_legA\n", "row 1: bad header"),
+    ):
+        text = body if body.startswith("bin_start_s") else head + body
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            read_sim_csv(io.StringIO(text))
 
 
 def test_expected_rate_long_run():
