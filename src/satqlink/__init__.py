@@ -5,137 +5,23 @@ on-board memories toward ground stations, analytically (closed-form rates,
 drift correction, two-leg memory allocation) and with a discrete-event
 Monte-Carlo simulator whose per-bin counts are cross-validated against the
 model's predicted moments.
+
+The public API is what the modules below list in their ``__all__``.
 """
 
-from .analytics import (
-    AllocationResult,
-    LinkParams,
-    LinkState,
-    allocate_int,
-    allocate_real,
-    allocation_series,
-    best_static_split,
-    corrected_rate,
-    differential_shift,
-    dual_rate,
-    link_state_at,
-    max_train_length,
-    rate_series,
-    round_trip_time,
-    single_link_rate,
-    write_rate_csv,
-)
-from .constants import (
-    C_LIGHT,
-    DEFAULT_COINCIDENCE_WINDOW,
-    DEFAULT_EMISSION_PERIOD,
-    DEFAULT_P_BSM,
-    EARTH_RADIUS,
-)
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    GridMismatchError,
-    NoOverlapError,
-    NoVisibilityError,
-    ReplayError,
-    SatLinkError,
-)
-from .experiment import Experiment, load_experiment
-from .passes import (
-    GroundStation,
-    OpticalParams,
-    PassProfile,
-    PassSample,
-    SatelliteConfig,
-    link_budget,
-    overpass_geometry,
-    propagate_pass,
-    read_profile,
-    write_profile,
-)
-from .sim import (
-    ENGINE_VERSION,
-    Round,
-    RoundLog,
-    SimConfig,
-    SimResult,
-    read_round_log,
-    read_sim_csv,
-    replay,
-    run,
-    write_round_log,
-    write_sim_csv,
-)
-from .validation import (
-    BinMoments,
-    ValidationReport,
-    compare,
-    compare_counts,
-    pool_counts,
-    predict_bin_moments,
-    write_validation_csv,
-)
+from . import analytics, constants, errors, experiment, passes, sim, validation
+from .analytics import *  # noqa: F403
+from .constants import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .experiment import *  # noqa: F403
+from .passes import *  # noqa: F403
+from .sim import *  # noqa: F403
+from .validation import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationResult",
-    "BinMoments",
-    "C_LIGHT",
-    "ConfigError",
-    "DataFormatError",
-    "DEFAULT_COINCIDENCE_WINDOW",
-    "DEFAULT_EMISSION_PERIOD",
-    "DEFAULT_P_BSM",
-    "EARTH_RADIUS",
-    "ENGINE_VERSION",
-    "Experiment",
-    "GridMismatchError",
-    "GroundStation",
-    "LinkParams",
-    "LinkState",
-    "NoOverlapError",
-    "NoVisibilityError",
-    "OpticalParams",
-    "PassProfile",
-    "PassSample",
-    "ReplayError",
-    "Round",
-    "RoundLog",
-    "SatelliteConfig",
-    "SatLinkError",
-    "SimConfig",
-    "SimResult",
-    "ValidationReport",
-    "allocate_int",
-    "allocate_real",
-    "allocation_series",
-    "best_static_split",
-    "compare",
-    "compare_counts",
-    "corrected_rate",
-    "differential_shift",
-    "dual_rate",
-    "link_budget",
-    "link_state_at",
-    "load_experiment",
-    "max_train_length",
-    "overpass_geometry",
-    "pool_counts",
-    "predict_bin_moments",
-    "propagate_pass",
-    "rate_series",
-    "read_profile",
-    "read_round_log",
-    "read_sim_csv",
-    "replay",
-    "round_trip_time",
-    "run",
-    "single_link_rate",
-    "write_profile",
-    "write_rate_csv",
-    "write_round_log",
-    "write_sim_csv",
-    "write_validation_csv",
+    name
+    for module in (analytics, constants, errors, experiment, passes, sim, validation)
+    for name in module.__all__
 ]

@@ -17,26 +17,26 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, TextIO
 
 import numpy as np
 
-from .analytics import (
-    _dual_rate_series,
-    allocation_series,
-    max_train_length,
-    rate_series,
-    write_rate_csv,
-)
+from .analytics import _dual_rate_series, allocation_series, max_train_length, rate_series, write_rate_csv
 from .errors import ConfigError, DataFormatError, SatLinkError
 from .experiment import Experiment, load_experiment
-from .passes import _write_csv, propagate_pass, write_profile
-from .sim import ENGINE_VERSION, _seed_configs, run, write_round_log, write_sim_csv, read_sim_csv
+from .passes import _text_io, _write_csv, propagate_pass, write_profile
+from .sim import (
+    ENGINE_VERSION,
+    _capacity_series,
+    _seed_configs,
+    read_sim_csv,
+    run,
+    write_round_log,
+    write_sim_csv,
+)
 from .validation import _pad_sum, compare_counts, predict_bin_moments, write_validation_csv
 
 __all__ = ["main", "entry"]
@@ -57,15 +57,9 @@ _TRAIN_BOUND_NOTE = (
 )
 
 
-def _atomic_text(path: Path, writer: Callable[[TextIO], None]) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        writer(fh)
-    os.replace(tmp, path)
-
-
 def _write_json(path: Path, obj: dict) -> None:
-    _atomic_text(path, lambda fh: fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n"))
+    with _text_io(path, "w") as (fh, _):
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _out_dir(args: argparse.Namespace, exp: Experiment) -> Path:
@@ -110,7 +104,7 @@ def _cmd_gen_pass(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     out = _out_dir(args, exp) / f"pass_{station.name}.csv"
-    _atomic_text(out, lambda fh: write_profile(profile, fh))
+    write_profile(profile, out)
     print(out)
     return EXIT_OK
 
@@ -119,19 +113,15 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     exp = _experiment(args)
     out_dir = _out_dir(args, exp)
     profiles = exp.profiles()
+    t_s = profiles[0].t_s
     if exp.policy == "single":
-        series = rate_series(profiles[0], exp.link, use_drift_correction=exp.drift)
         path = out_dir / f"rate_{profiles[0].station}.csv"
-        _atomic_text(path, lambda fh: write_rate_csv(fh, profiles[0].t_s, series))
-    else:
-        if exp.policy == "static":
-            m_a, m_b = (np.full(profiles[0].n_samples, m) for m in exp.resolve_static_split(profiles))
-            series = _dual_rate_series(profiles[0], profiles[1], m_a, m_b, exp.link, exp.link)
-        else:
-            alloc = allocation_series(profiles[0], profiles[1], exp.link.m_sat, exp.link)
-            series, m_a, m_b = alloc.rate_int, alloc.m_A_int, alloc.m_B_int
+        write_rate_csv(path, t_s, rate_series(profiles[0], exp.link, use_drift_correction=exp.drift))
+    else:  # under the slot shares the simulator runs
+        config = exp.sim_config(exp.seed0, profiles)
+        m_a, m_b = _capacity_series(config)
         path = out_dir / "rate_dual.csv"
-        _atomic_text(path, lambda fh: write_rate_csv(fh, profiles[0].t_s, series, m_a, m_b))
+        write_rate_csv(path, t_s, _dual_rate_series(*profiles, m_a, m_b, *config.link_params), m_a, m_b)
     print(path)
     return EXIT_OK
 
@@ -146,8 +136,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     json_path = out_dir / "allocation.json"
     _write_json(json_path, alloc.to_json_dict())
     csv_path = out_dir / "allocation.csv"
-    _atomic_text(csv_path, lambda fh: write_rate_csv(
-        fh, alloc.t_s, alloc.rate_int, alloc.m_A_int, alloc.m_B_int))
+    write_rate_csv(csv_path, alloc.t_s, alloc.rate_int, alloc.m_A_int, alloc.m_B_int)
     print(json_path)
     print(csv_path)
     print(f"static_split={alloc.static_split[0]},{alloc.static_split[1]}")
@@ -169,10 +158,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     totals = {}
     for seed, result in zip(seeds, results):
         path = out_dir / f"sim_seed{seed}.csv"
-        _atomic_text(path, lambda fh, r=result: write_sim_csv(r, fh))
+        write_sim_csv(result, path)
         if exp.capture_rounds:
-            log_path = out_dir / f"rounds_seed{seed}.ndjson"
-            _atomic_text(log_path, lambda fh, r=result: write_round_log(r, fh))
+            write_round_log(result, out_dir / f"rounds_seed{seed}.ndjson")
         totals[str(seed)] = result.summary_dict()
         print(path)
     manifest = {
@@ -198,7 +186,8 @@ def _sim_files(out_dir: Path) -> list[Path] | None:
     if not manifest.is_file():
         return None
     try:
-        seeds = json.loads(manifest.read_text(encoding="utf-8"))["seeds"]
+        with _text_io(manifest, "r") as (fh, _):
+            seeds = json.load(fh)["seeds"]
         names = [f"sim_seed{int(s)}.csv" for s in seeds]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{manifest}: bad manifest: {exc}") from exc
@@ -235,7 +224,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         counts = pooled["pairs_legA" if leg == 0 else "pairs_legB"]
         report = compare_counts(counts, moments[leg])
         csv_path = out_dir / f"validation_{name}.csv"
-        _atomic_text(csv_path, lambda fh, r=report: write_validation_csv(r, fh))
+        write_validation_csv(report, csv_path)
         summaries[name] = report.summary_dict()
         verdicts.append(report.verdict)
         print(
@@ -266,9 +255,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         uncapped = rate_series(profile, exp.link, use_drift_correction=False)
         corrected = rate_series(profile, exp.link, use_drift_correction=True)
         path = out_dir / f"report_rates_{profile.station}.csv"
-        columns = (profile.t_s, uncapped, corrected, profile.visible)
-        _atomic_text(path, lambda fh, c=columns: _write_csv(
-            fh, "t_s,rate_uncapped_pairs_per_s,rate_corrected_pairs_per_s,visible", c))
+        _write_csv(path, "t_s,rate_uncapped_pairs_per_s,rate_corrected_pairs_per_s,visible",
+                   (profile.t_s, uncapped, corrected, profile.visible))
         vis = profile.visible & (profile.eta > 0)
         v_max = float(np.max(np.abs(profile.radial_velocity_mps[vis]))) if vis.any() else 0.0
         summary["stations"][profile.station] = {
@@ -292,9 +280,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if exp.policy == "static" and exp.static_split is None:  # the split the search just found
             exp = replace(exp, static_split=alloc.static_split)
         dual_path = out_dir / "report_dual.csv"
-        columns = (alloc.t_s, alloc.rate_real, alloc.rate_int, alloc.static_rate, alloc.m_A_int, alloc.m_B_int)
-        _atomic_text(dual_path, lambda fh: _write_csv(
-            fh, "t_s,rate_real,rate_int,rate_static,m_A_int,m_B_int", columns))
+        _write_csv(dual_path, "t_s,rate_real,rate_int,rate_static,m_A_int,m_B_int",
+                   (alloc.t_s, alloc.rate_real, alloc.rate_int, alloc.static_rate, alloc.m_A_int, alloc.m_B_int))
         step = profiles[0].step_s
         dyn_total = float(np.sum(alloc.rate_int) * step)
         static_total = float(np.sum(alloc.static_rate) * step)
@@ -320,7 +307,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         for leg, (st, key) in enumerate(zip(exp.stations, ("pairs_legA", "pairs_legB"))):
             header += [f"mu_{st.name}", f"sigma_{st.name}", f"sim_mean_{st.name}"]
             columns += [_pad_sum([c], n) for c in (moments[leg].mu, moments[leg].sigma, means[key])]
-        _atomic_text(bins_path, lambda fh: _write_csv(fh, ",".join(header), columns))
+        _write_csv(bins_path, ",".join(header), columns)
         summary["simulation"] = {"runs_pooled": len(sim_files)}
         print(bins_path)
 
@@ -398,3 +385,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -5,6 +5,15 @@ All quantities are SI unless the name says otherwise.
 
 from __future__ import annotations
 
+# the package exports the defaults a caller may quote; the orbit constants stay internal
+__all__ = [
+    "C_LIGHT",
+    "EARTH_RADIUS",
+    "DEFAULT_EMISSION_PERIOD",
+    "DEFAULT_COINCIDENCE_WINDOW",
+    "DEFAULT_P_BSM",
+]
+
 # Vacuum speed of light, m/s (exact by definition).
 C_LIGHT = 299_792_458.0
 

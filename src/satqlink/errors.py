@@ -9,6 +9,16 @@ row/column context.
 
 from __future__ import annotations
 
+__all__ = [
+    "SatLinkError",
+    "ConfigError",
+    "DataFormatError",
+    "NoVisibilityError",
+    "NoOverlapError",
+    "GridMismatchError",
+    "ReplayError",
+]
+
 
 class SatLinkError(Exception):
     """Base class for all errors raised by satqlink."""

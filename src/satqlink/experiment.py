@@ -33,6 +33,7 @@ from .passes import (
     PassProfile,
     SatelliteConfig,
     _check_finite,
+    _text_io,
     propagate_pass,
 )
 from .sim import SimConfig, _check_split
@@ -92,8 +93,8 @@ class Experiment:
             _check_split(self.static_split, self.satellite.memory_slots)
         if self.seeds < 1:
             raise ConfigError(f"seeds must be >= 1: {self.seeds}", "seeds")
-        if self.seed0 < 0:
-            raise ConfigError(f"seed0 must be >= 0: {self.seed0}", "seed0")
+        if not 0 <= self.seed0 <= 2**64 - self.seeds:  # every seed fits a 64-bit generator seed
+            raise ConfigError(f"seed0 must be in [0, 2**64 - seeds]: {self.seed0}", "seed0")
 
     @property
     def seed_list(self) -> list[int]:
@@ -106,18 +107,13 @@ class Experiment:
             for st in self.stations
         )
 
-    def resolve_static_split(self, profiles: tuple[PassProfile, ...]) -> tuple[int, int]:
-        """The declared split, or the best fixed split of the profile pair."""
-        if self.static_split is not None:
-            return self.static_split
-        return best_static_split(profiles[0], profiles[1], self.link.m_sat, self.link)
-
     def sim_config(self, seed: int, profiles: tuple[PassProfile, ...] | None = None) -> SimConfig:
+        """The run at ``seed``; the static policy takes the declared split, else the best fixed one."""
         if profiles is None:
             profiles = self.profiles()
         split = None
         if self.policy == "static":
-            split = self.resolve_static_split(profiles)
+            split = self.static_split or best_static_split(*profiles, self.link.m_sat, self.link)
         return SimConfig(
             profiles=profiles,
             link_params=tuple(self.link for _ in profiles),
@@ -231,7 +227,8 @@ def load_experiment(path: str | Path) -> Experiment:
     """Read and schema-check an experiment file; ``name`` defaults to the file's stem."""
     p = Path(path)
     try:
-        raw = p.read_text(encoding="utf-8")
+        with _text_io(p, "r") as (fh, _):
+            raw = fh.read()
     except OSError as exc:
         raise DataFormatError(f"{p}: {exc}") from exc
     try:

@@ -13,7 +13,7 @@ zenith atmospheric transmission raised to the plane-parallel airmass
 elsewhere (other orbit propagators, other atmosphere codes) can be ingested
 from CSV instead; the on-disk format is documented at
 :func:`write_profile`.  Every CSV table the package writes or reads goes
-through the one writer and reader here.
+through the one writer and reader here, and every file through one opener.
 
 Conventions: SI units, angles in degrees in all public fields (suffix
 ``_deg``), radial velocity positive when the satellite recedes.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from datetime import datetime
 from itertools import repeat
@@ -467,23 +467,42 @@ def overpass_geometry(
 def _text_io(target, mode: str) -> Iterator[tuple[TextIO, str]]:
     """Yield a text handle for ``target`` and the name that error messages cite.
 
-    A path (``str``, ``bytes`` or ``os.PathLike``) is opened as UTF-8, with
-    LF line ends when writing, and closed on exit; an open handle is used as
-    is and left open.
+    Every file the package reads or writes is opened here.  A path (``str``,
+    ``bytes`` or ``os.PathLike``) is opened as UTF-8 and closed on exit.  A
+    write goes to ``<path>.tmp``, with LF line ends, and is renamed over the
+    path when the block exits cleanly; on an exception the temporary file is
+    removed, so the path keeps its previous bytes.  An open handle is used
+    as is and left open.
     """
-    if isinstance(target, (str, bytes, os.PathLike)):
-        with open(target, mode, encoding="utf-8", newline="\n" if "w" in mode else None) as fh:
-            yield fh, os.fsdecode(target)
-    else:
+    if not isinstance(target, (str, bytes, os.PathLike)):
         yield target, getattr(target, "name", "<stream>")
+        return
+    name = os.fsdecode(target)
+    if "w" not in mode:
+        with open(name, mode, encoding="utf-8") as fh:
+            yield fh, name
+        return
+    tmp = name + ".tmp"
+    try:
+        with open(tmp, mode, encoding="utf-8", newline="\n") as fh:
+            yield fh, name
+        os.replace(tmp, name)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _write_csv(destination, header: str, columns: Sequence, comment: str | None = None) -> None:
     """Write ``columns`` as CSV rows under ``header``, after an optional ``comment`` line.
 
     A float column's cells carry 12 significant digits; integer and boolean cells are integers.
+    Columns of unequal length raise ConfigError before ``destination`` is touched.
     """
     columns = [np.asarray(c) for c in columns]
+    if len({len(c) for c in columns}) > 1:
+        lengths = ", ".join(f"{name}={len(c)}" for name, c in zip(header.split(","), columns))
+        raise ConfigError(f"CSV columns differ in length: {lengths}")
     row = ",".join("%.12g" if c.dtype.kind == "f" else "%d" for c in columns) + "\n"
     with _text_io(destination, "w") as (fh, _):
         fh.write(header + "\n" if comment is None else f"{comment}\n{header}\n")

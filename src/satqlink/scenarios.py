@@ -22,7 +22,6 @@ __all__ = [
     "EPOCH",
     "two_station_scenario",
     "two_station_profiles",
-    "overhead_station_profile",
 ]
 
 EPOCH = "2026-03-21T10:00:00Z"
@@ -74,27 +73,3 @@ def two_station_profiles(
     )
     return profiles, link
 
-
-def overhead_station_profile(
-    altitude_m: float = 500e3,
-    m_sat: int = 100,
-    zenith_transmission: float = 0.85,
-) -> tuple[PassProfile, LinkParams]:
-    """A single equatorial station passed directly overhead at t = 400 s.
-
-    Useful when a test wants a clean symmetric pass with a known culmination.
-    """
-    sat, _, _, link = two_station_scenario(m_sat)
-    raan_deg, phase_deg = overpass_geometry(altitude_m, 51.6, 0.0, 0.0, _AIM_TIME_S, ascending=True)
-    sat = SatelliteConfig(
-        orbit_altitude_m=altitude_m,
-        orbit_inclination_deg=51.6,
-        raan_deg=raan_deg,
-        phase_at_epoch_deg=phase_deg,
-        tx_telescope_diameter_m=sat.tx_telescope_diameter_m,
-        memory_slots=m_sat,
-    )
-    station = GroundStation("equator", 0.0, 0.0)
-    optics = OpticalParams(wavelength_m=1550e-9, zenith_atmospheric_transmission=zenith_transmission)
-    profile = propagate_pass(sat, station, EPOCH, _DURATION_S, _STEP_S, optics)
-    return profile, link

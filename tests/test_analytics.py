@@ -516,3 +516,24 @@ def test_write_rate_csv_accepts_str_bytes_and_pathlike(tmp_path):
         path = tmp_path / f"rate{i}.csv"
         write_rate_csv(wrap(path), [0.0], [0.125])
         assert path.read_bytes() == want.encode()
+
+
+def test_write_rate_csv_refuses_unequal_columns(tmp_path):
+    path = tmp_path / "rate.csv"
+    path.write_bytes(b"before\n")
+    with pytest.raises(ConfigError, match="t_s=3, rate_pairs_per_s=1, m_A=3, m_B=2"):
+        write_rate_csv(path, [0.0, 1.0, 2.0], [1.0], [1, 2, 3], [4, 5])
+    assert path.read_bytes() == b"before\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rate.csv"]
+
+
+def test_writer_failing_midway_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "rate.csv"
+    write_rate_csv(path, [0.0], [0.125])
+    before = path.read_bytes()
+    # the third m_A cell cannot be formatted, after the header and two rows
+    m_a = np.array([1, 2, None], dtype=object)
+    with pytest.raises(TypeError):
+        write_rate_csv(path, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0], m_a, [4, 5, 6])
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rate.csv"]

@@ -5,11 +5,18 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from satqlink import analytics, cli, experiment, read_profile, read_sim_csv
+import satqlink
+from satqlink import analytics, cli, experiment, read_profile, read_sim_csv, sim
 from satqlink.cli import main
+
+DEMO_SPEC = Path(__file__).resolve().parents[1] / "demos/specs/two_station.json"
 
 NICE = {"name": "nice", "latitude_deg": 43.7034, "longitude_deg": 7.2663}
 PARIS = {"name": "paris", "latitude_deg": 48.8566, "longitude_deg": 2.3522}
@@ -391,3 +398,66 @@ def test_simulation_artifacts_are_pinned(dual_spec, tmp_path):
            for path in sorted(out.iterdir())
            if path.name.startswith(("pass_", "sim_seed", "validation_", "report_bins"))}
     assert got == SIMULATION_SHA256
+
+
+# sha256 of rate_dual.csv for the demo spec (m_S=100) and the number of
+# best_static_split calls that wrote it, recorded before dual rates took the
+# simulator's slot shares
+RATE_DUAL = {
+    "dynamic": ("d2da4048a717dc5d4eaca7a6b3f8f36fa4b8823a9e72b53eff3968a3eb8625ea", 1),
+    "static": ("1488702da13cc2e9d938f58b91482ddf00a368de96fd60ada2086e6f526522a4", 1),
+    "declared": ("337c0d1894c812c301b09d3eb8217b9488b08cc836ced47d3bbf2a6d9ce2078f", 0),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(RATE_DUAL))
+def test_rate_dual_is_pinned(tmp_path, monkeypatch, policy):
+    doc = json.loads(DEMO_SPEC.read_text(encoding="utf-8"))
+    if policy != "dynamic":
+        doc["run"]["policy"] = "static"
+    if policy == "declared":
+        doc["run"]["static_split"] = [40, 60]
+    calls = []
+    search = analytics.best_static_split
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(analytics, "best_static_split", counted)
+    monkeypatch.setattr(experiment, "best_static_split", counted)
+    out = tmp_path / "out"
+    assert main(["rate", "--spec", write_spec(tmp_path, doc), "--out", str(out)]) == 0
+    got = hashlib.sha256((out / "rate_dual.csv").read_bytes()).hexdigest()
+    assert (got, len(calls)) == RATE_DUAL[policy]
+
+
+def test_cli_write_failing_midway_keeps_the_previous_file(dual_spec, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    args = ["simulate", "--spec", dual_spec, "--out", str(out), "--seeds", "1"]
+    assert main(args) == 0
+    log = out / "rounds_seed0.ndjson"
+    before = log.read_bytes()
+
+    def disk_full(*columns):  # the round log's header line is written by now
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(sim, "_float_texts", disk_full)
+    assert main([*args, "--m-sat", "20"]) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert log.read_bytes() == before
+    assert not list(out.glob("*.tmp"))
+
+
+def test_module_runs_the_command(single_spec, tmp_path):
+    src = str(Path(satqlink.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "satqlink.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120).returncode
+
+    out = tmp_path / "out"
+    assert module("rate", "--spec", single_spec, "--out", str(out)) == 0
+    assert (out / "rate_nice.csv").read_bytes() != b""
+    assert module("rate", "--spec", str(tmp_path / "nope.json")) == 3

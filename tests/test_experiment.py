@@ -182,6 +182,7 @@ NAN, INF = float("nan"), float("inf")
         (lambda d: d.update(run={"policy": "static", "static_split": [30, 60]}),
          "spec.run: static_split (30, 60) must be positive and sum to m_sat=100"),
         (lambda d: d["stations"][1].update(name="nice"), "spec: stations[1].name repeats 'nice'"),
+        (lambda d: d.update(run={"seed0": 2**64}), "spec.run: seed0 must be in [0, 2**64 - seeds]"),
     ],
 )
 @pytest.mark.parametrize("command", ["rate", "simulate"])
