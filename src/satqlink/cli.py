@@ -156,6 +156,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         results = [run(config) for config in configs]
     totals = {}
+    # a run that fails partway leaves no manifest, so its files never pool with an earlier run's
+    (out_dir / "simulate.json").unlink(missing_ok=True)
     for seed, result in zip(seeds, results):
         path = out_dir / f"sim_seed{seed}.csv"
         write_sim_csv(result, path)

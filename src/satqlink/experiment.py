@@ -46,6 +46,8 @@ _POLICY_ALIASES = {"dynamic": "dynamic_int"}
 _PASS = {"group": "pass"}
 _RUN = {"group": "run"}
 
+_MAX_GRID = 10**6  # samples (duration / step) or bins (duration / bin width) of one run; the demo spec has 900
+
 
 @dataclass(frozen=True)
 class Experiment:
@@ -91,6 +93,11 @@ class Experiment:
             raise ConfigError(f"stations[{n - 1}].name repeats {names[-1]!r}")
         if self.static_split is not None:
             _check_split(self.static_split, self.satellite.memory_slots)
+        for key, what in (("step_s", "samples"), ("bin_width_s", "bins")):
+            width = getattr(self, key)
+            if width > 0 and self.duration_s / width > _MAX_GRID:  # a width <= 0 is refused where it is used
+                raise ConfigError(
+                    f"{key} {width} makes more than {_MAX_GRID} {what} of duration_s {self.duration_s}", key)
         if self.seeds < 1:
             raise ConfigError(f"seeds must be >= 1: {self.seeds}", "seeds")
         if not 0 <= self.seed0 <= 2**64 - self.seeds:  # every seed fits a 64-bit generator seed

@@ -69,6 +69,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .analytics import LinkParams, _drift_bound, _round_trip, allocation_series
 from .errors import ConfigError, DataFormatError, ReplayError
@@ -860,6 +861,7 @@ _LOG_RECORD = (
     '{"confirm_time_s": %s, "index": %s, "leg": %s, "n_success": %s, %s'
     '"start_time_s": %s, "train_length": %s, "v_r_at_start_mps": %s}\n'
 )
+_LOG_OUTCOMES = '"outcomes": %s, '  # the outcomes member; %s takes the JSON-escaped string
 
 
 def _float_texts(*columns: np.ndarray) -> list[list[str]]:
@@ -885,7 +887,7 @@ def write_round_log(result: SimResult, destination: str | Path | TextIO) -> None
         for lo in range(0, len(outcomes), _ROWS):
             leg, index, start, n, v_r, conf, succ = (c[lo : lo + _ROWS] for c in nums)
             start, conf, v_r = _float_texts(start, conf, v_r)  # a confirm time is mostly the next start
-            out = ["" if o is None else f'"outcomes": {encode_basestring(o)}, ' for o in outcomes[lo : lo + _ROWS]]
+            out = ["" if o is None else _LOG_OUTCOMES % encode_basestring(o) for o in outcomes[lo : lo + _ROWS]]
             fh.write("".join(map(_LOG_RECORD.__mod__, zip(
                 conf, index.tolist(), leg.tolist(), succ.tolist(), out, start, n.tolist(), v_r))))
 
@@ -914,15 +916,93 @@ def _field_fault(kind: type, value) -> str | None:
         return "does not fit a 64-bit column"
 
 
-# one record line in the writer's layout, a named group per value: an integer
-# of at most 18 digits (it fits an int64) or a JSON number; the outcomes key
-# has its own group, so absent and empty differ, and the outcome text excludes
-# what a JSON string escapes
-_LOG_NUMBER = {int: r"0|[1-9][0-9]{0,17}", float: r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"}
-_LOG_LINE = re.compile("^" + re.sub(
-    r'"(\w+)":\\ %s', lambda m: f'"{m[1]}": (?P<{m[1]}>{_LOG_NUMBER[_LOG_FIELDS[m[1]]]})',
-    re.escape(_LOG_RECORD[:-1]),
-).replace("%s", r'(?:(?P<has_outcomes>"outcomes": )"(?P<outcomes>[^"\\\x00-\x1f]*)", )?') + "$", re.MULTILINE)
+def _record_layout() -> tuple:
+    """The writer's record line with outcomes, as ``(keys, pieces, delimiters)``.
+
+    ``pieces`` are the fixed texts around the value slots, each as (ASCII bytes, k, off): the
+    piece starts ``off`` bytes before the k-th quote or newline of its line.  ``keys`` names the
+    slot after each piece but the last, "outcomes" the outcome text; ``delimiters`` counts the
+    quotes and the newline of one line.
+    """
+    texts = (_LOG_RECORD % (*["%s"] * 4, _LOG_OUTCOMES % '"%s"', *["%s"] * 3)).split("%s")
+    keys = [re.search(r'"(\w+)": "?$', t)[1] for t in texts[:-1]]
+    pieces, k = [], 0
+    for t in texts:
+        pieces.append((np.frombuffer(t.encode(), np.uint8), k, min(i for i, c in enumerate(t) if c in '"\n')))
+        k += t.count('"') + t.count("\n")
+    return keys, pieces, k
+
+
+_LOG_KEYS, _LOG_PIECES, _LOG_DELIMS = _record_layout()
+_LOG_PAD = 64  # spaces after a chunk's bytes, so that every window gathered from them fits
+_FLOAT_WIDTH = 32  # the widest float text the byte path reads; repr writes at most 24 characters
+_POW10 = 10 ** np.arange(17, -1, -1)  # place values of an integer of at most 18 digits, which fits an int64
+# float texts one per line, each a JSON number but "-0", which JSON reads as the integer 0
+_FLOAT_LINES = re.compile(rb"(?:(?!-0\n)-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?\n)*")
+
+
+def _int_values(b: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray | None:
+    """The integers in ``b[s:e]`` per row, if each is ``0|[1-9][0-9]{0,17}``, else None."""
+    w = e - s
+    if not ((w >= 1) & (w <= _POW10.size) & ((b[s] != 48) | (w == 1))).all():
+        return None
+    width = int(w.max())
+    # each text right-aligned in a row of digit values, zeros before it; uint8 wraps below "0"
+    digits = (sliding_window_view(b, width)[e - width] - 48) * (np.arange(width) >= width - w[:, None])
+    return None if (digits >= 10).any() else digits @ _POW10[-width:]
+
+
+def _layout_columns(text: str, n: int) -> tuple | None:
+    """:func:`_round_columns` columns of ``n`` record lines in the writer's layout, else None.
+
+    The lines must be ASCII without a backslash, and each must hold outcomes.  Their quotes
+    and newlines locate every fixed piece, and one compare per piece checks it; no other byte
+    is a control character.  Value texts are gathered into rows of one width and checked
+    against JSON's number grammar: integers of at most 18 digits are parsed exactly, floats by
+    numpy's cast and must be finite.  A start time equal to the previous row's confirm time,
+    or a v_r equal to the previous row's, is parsed once.
+    """
+    if not text.isascii() or "\\" in text:
+        return None
+    b = np.frombuffer((text if text.endswith("\n") else text + "\n").encode() + b" " * _LOG_PAD, np.uint8)
+    delims = np.flatnonzero((b == 34) | (b == 10))
+    if delims.size != n * _LOG_DELIMS or np.count_nonzero(b < 32) != n:
+        return None
+    pos = delims.reshape(n, _LOG_DELIMS)
+    starts = [pos[:, k] - off for _, k, off in _LOG_PIECES]
+    if not (starts[0] == np.r_[0, pos[:-1, -1] + 1]).all():  # the first piece starts its line
+        return None
+    for (piece, _, _), s in zip(_LOG_PIECES, starts):
+        if not (sliding_window_view(b, piece.size)[s] == piece).all():
+            return None
+    slots = {key: (s + piece.size, e)
+             for key, (piece, _, _), s, e in zip(_LOG_KEYS, _LOG_PIECES, starts, starts[1:])}
+
+    ints = [key for key in _LOG_KEYS if _LOG_FIELDS.get(key) is int]
+    values = _int_values(b, *(np.concatenate(c) for c in zip(*map(slots.get, ints))))
+    if values is None:
+        return None
+    nums = dict(zip(ints, np.split(values, len(ints))))
+    conf, start, v_r = (slots[key] for key in ("confirm_time_s", "start_time_s", "v_r_at_start_mps"))
+    width = max(int((e - s).max()) for s, e in (conf, start, v_r))
+    if not 0 < width <= _FLOAT_WIDTH:
+        return None
+    # each text left-aligned in a row of bytes, zeros after it
+    conf, start, v_r = (sliding_window_view(b, width)[s] * (np.arange(width) < (e - s)[:, None])
+                        for s, e in (conf, start, v_r))
+    new_start = np.r_[True, (start[1:] != conf[:-1]).any(1)]
+    new_v_r = np.r_[True, (v_r[1:] != v_r[:-1]).any(1)]
+    texts = np.concatenate((conf, start[new_start], v_r[new_v_r])).view(f"S{width}")[:, 0]
+    if not _FLOAT_LINES.fullmatch(b"\n".join(texts.tolist()) + b"\n"):
+        return None
+    values = texts.astype(np.float64)
+    if not np.isfinite(values).all():
+        return None
+    nums["confirm_time_s"] = values[:n]
+    nums["start_time_s"] = values[np.where(new_start, n + np.cumsum(new_start) - 1, np.arange(n) - 1)]
+    nums["v_r_at_start_mps"] = values[n + np.count_nonzero(new_start) + np.cumsum(new_v_r) - 1]
+    outcomes = [text[i:j] for i, j in zip(*(c.tolist() for c in slots["outcomes"]))]
+    return (*map(nums.get, _LOG_FIELDS), outcomes)
 
 
 def _log_object(line: str, where: str, row: int, keys: Iterable[str]) -> dict:
@@ -957,16 +1037,9 @@ def _log_rows(lines: Sequence[str], where: str, row: int) -> list[Round]:
 
 
 def _log_chunk(lines: Sequence[str], where: str, row: int) -> tuple:
-    """Columns of record lines, the first at ``row``: by one regex pass, else by :func:`_log_rows`."""
-    found = _LOG_LINE.findall("".join(lines))
-    if len(found) == len(lines):  # every line in the writer's layout
-        text = list(zip(*found))
-        group = lambda key: text[_LOG_LINE.groupindex[key] - 1]  # noqa: E731
-        nums = [np.array(group(key), dtype=kind) for key, kind in _LOG_FIELDS.items()]
-        # a non-finite float goes to the per-row reader, which names its row
-        if all(np.isfinite(c).all() for c in nums if c.dtype.kind == "f"):
-            return (*nums, [o if k else None for k, o in zip(group("has_outcomes"), group("outcomes"))])
-    return _round_columns(_log_rows(lines, where, row))
+    """Columns of record lines, the first at ``row``: by :func:`_layout_columns`, else by :func:`_log_rows`."""
+    columns = _layout_columns("".join(lines), len(lines))
+    return _round_columns(_log_rows(lines, where, row)) if columns is None else columns
 
 
 def read_round_log(source: str | Path | TextIO) -> RoundLog:

@@ -449,6 +449,32 @@ def test_cli_write_failing_midway_keeps_the_previous_file(dual_spec, tmp_path, m
     assert not list(out.glob("*.tmp"))
 
 
+def test_simulate_failing_partway_leaves_no_manifest(dual_spec, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    args = ["simulate", "--spec", dual_spec, "--out", str(out)]
+    assert main(args) == 0
+    assert (out / "simulate.json").is_file()
+    calls = []
+    write_log = cli.write_round_log
+
+    def second_fails(result, destination):
+        calls.append(destination)
+        if len(calls) == 2:
+            raise OSError("No space left on device")
+        write_log(result, destination)
+
+    monkeypatch.setattr(cli, "write_round_log", second_fails)
+    assert main([*args, "--m-sat", "20"]) == 3
+    assert len(calls) == 2
+    assert not (out / "simulate.json").exists()
+    capsys.readouterr()
+    # the first seed's files are the new run's, the second seed's the old run's: neither pools
+    assert main(["validate", "--spec", dual_spec, "--out", str(out)]) == 3
+    assert "no simulate.json" in capsys.readouterr().err
+    assert main(["report", "--spec", dual_spec, "--out", str(out)]) == 0
+    assert not (out / "report_bins.csv").exists()
+
+
 def test_module_runs_the_command(single_spec, tmp_path):
     src = str(Path(satqlink.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))

@@ -183,6 +183,10 @@ NAN, INF = float("nan"), float("inf")
          "spec.run: static_split (30, 60) must be positive and sum to m_sat=100"),
         (lambda d: d["stations"][1].update(name="nice"), "spec: stations[1].name repeats 'nice'"),
         (lambda d: d.update(run={"seed0": 2**64}), "spec.run: seed0 must be in [0, 2**64 - seeds]"),
+        (lambda d: d["pass"].update(step_s=1e-300),
+         "spec.pass: step_s 1e-300 makes more than 1000000 samples of duration_s 300.0"),
+        (lambda d: d.update(run={"bin_width_s": 1e-300}),
+         "spec.run: bin_width_s 1e-300 makes more than 1000000 bins of duration_s 300.0"),
     ],
 )
 @pytest.mark.parametrize("command", ["rate", "simulate"])

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from satqlink import (
     write_sim_csv,
 )
 from satqlink import sim as sim_mod
+from satqlink.experiment import load_experiment
 
 from conftest import constant_profile, make_profile, unimodal_pair
 
@@ -1068,6 +1070,96 @@ def test_round_log_fast_path_reads_writer_layout(monkeypatch):
         assert len(log.rounds) > sim_mod._ROWS
         assert log.rounds == tuple(result.rounds)
         _assert_same_counts(result, replay(config, log), config)
+
+
+DEMO_SPEC = Path(__file__).resolve().parents[1] / "demos/specs/two_station.json"
+
+
+def _float_bits(columns) -> list:
+    """Round log columns with floats as their bit patterns, so that -0.0 and 0.0 differ."""
+    return [c.view(np.int64).tolist() if isinstance(c, np.ndarray) and c.dtype.kind == "f" else list(c)
+            for c in columns]
+
+
+@pytest.mark.parametrize("retain", [False, True], ids=["unbounded", "retained"])
+def test_demo_round_logs_take_the_byte_path(monkeypatch, retain):
+    # a demo-spec log (m_S=100, seed 0), many chunks long, never reaches the per-row reader
+    def per_row(lines, where, row):
+        raise AssertionError(f"{where}: row {row}: chunk left the writer's layout")
+
+    config = dataclasses.replace(load_experiment(DEMO_SPEC).sim_config(0), capture_rounds=True,
+                                 retain_until_swap=retain)
+    result = run(config)
+    buf = io.StringIO()
+    write_round_log(result, buf)
+    buf.seek(0)
+    monkeypatch.setattr(sim_mod, "_log_rows", per_row)
+    log = read_round_log(buf)
+    assert len(log._columns[-1]) > 10 * sim_mod._ROWS
+    assert _float_bits(log._columns) == _float_bits(sim_mod._table_columns(result._tables, result._by_confirm))
+    _assert_same_counts(result, replay(config, log), config)
+
+
+_NUMBER_TEXTS = {
+    float: ["01", "-01", "1.", ".5", "+1", "1e", "1e+", "-", "1.5e+-3", "1_0", "1.2.3", "1ee5",  # invalid
+            "1E2", "0e0", "-0.0", "1e-05", "1e+16", "123456789012345678", "-0"],  # valid
+    int: ["007", "+1", "-0", "1.0", "1e3",  # invalid
+          "0", "123456789012345678"],  # valid
+}
+
+
+def _edited_log(old: str, new: str) -> str:
+    """A small writer-made log with ``old`` replaced by ``new`` once in its second record line.
+
+    Starts repeat the previous confirm time and v_r repeats, as in a run's log.
+    """
+    text = _log_text([([0.0, 1.5, 3.0], [1.5, 3.0, 4.5], [1, 0, 2], [2, 2, 2], [7.5, 7.5, 7.5], ["SL", "LL", "SS"]),
+                      ([0.5], [2.0], [0], [3], [-7.5], ["LLD"])])
+    header, first, second, *rest = text.splitlines(keepends=True)
+    assert re.search(old, second)
+    return "".join([header, first, re.sub(old, lambda _: new, second, count=1), *rest])
+
+
+def _read_like_reference(text: str):
+    """read_round_log of ``text``, held to _reference_rounds: the same message, or the same rounds bit for bit."""
+    try:
+        want = _reference_rounds(text)
+    except DataFormatError as exc:
+        with pytest.raises(DataFormatError) as got:
+            read_round_log(io.StringIO(text))
+        assert str(got.value) == str(exc)
+        return None
+    got = read_round_log(io.StringIO(text))
+    assert got.rounds == want
+    assert _float_bits(got._columns) == _float_bits(sim_mod._round_columns(want))
+    return got
+
+
+@pytest.mark.parametrize("key, value", [(key, value) for key, kind in sim_mod._LOG_FIELDS.items()
+                                        for value in _NUMBER_TEXTS[kind]])
+def test_round_log_number_texts_in_place(monkeypatch, key, value):
+    text = _edited_log(f'"{key}": [^,}}]*', f'"{key}": {value}')
+    got = _read_like_reference(text)
+    if got is not None and value != "-0":  # JSON reads -0 as the integer 0: left to the per-row reader
+        monkeypatch.setattr(sim_mod, "_log_rows", None)  # the byte path reads every other valid text
+        assert _float_bits(read_round_log(io.StringIO(text))._columns) == _float_bits(got._columns)
+
+
+@pytest.mark.parametrize("old, new", [('"index"', '"indeX"'), ('"outcomes"', '"outcomeZ"'), (r'^\{', "["),
+                                      ("}$", "]"), ("^", "x"), (', "leg"', ',\t"leg"'), ('"LL"', '"L\x01"'),
+                                      ('"LL"', '"L\x7f"'), ('"LL"', '"L\\u0041"')])
+def test_round_log_fixed_text_in_place(old, new):
+    # edits of the writer's fixed text or of an outcome, most keeping the line's length
+    _read_like_reference(_edited_log(old, new))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+def test_bytes_to_float_cast_matches_float(values):
+    # the round log reader parses float texts with numpy's bytes-to-float64 cast
+    texts = [repr(x) for x in values]
+    cast = np.array([t.encode() for t in texts]).astype(np.float64)
+    assert cast.view(np.int64).tolist() == np.array([float(t) for t in texts]).view(np.int64).tolist()
 
 
 def test_sim_csv_roundtrip():
