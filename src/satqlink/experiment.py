@@ -36,7 +36,7 @@ from .passes import (
     _text_io,
     propagate_pass,
 )
-from .sim import SimConfig, _check_split
+from .sim import SimConfig, _check_run
 
 __all__ = ["Experiment", "load_experiment"]
 
@@ -78,24 +78,16 @@ class Experiment:
     def __post_init__(self) -> None:
         _check_finite(self)
         n = len(self.stations)
-        if not 1 <= n <= 2:
-            raise ConfigError(f"need 1 or 2 stations, got {n}")
         policy = self.policy if self.policy is not None else ("single" if n == 1 else "dynamic_int")
-        policy = _POLICY_ALIASES.get(policy, policy)
-        if policy not in ("single", "static", "dynamic_int"):
-            raise ConfigError(f"unknown policy {policy!r}", "policy")
-        object.__setattr__(self, "policy", policy)
-        want = 1 if policy == "single" else 2
-        if n != want:
-            raise ConfigError(f"policy {policy} needs {want} station(s), got {n}")
+        object.__setattr__(self, "policy", _POLICY_ALIASES.get(policy, policy))
+        _check_run(self.policy, n, self.satellite.memory_slots, self.static_split, self.retain_until_swap,
+                   self.bin_width_s)
         names = [st.name for st in self.stations]
         if len(set(names)) < n:
             raise ConfigError(f"stations[{n - 1}].name repeats {names[-1]!r}")
-        if self.static_split is not None:
-            _check_split(self.static_split, self.satellite.memory_slots)
         for key, what in (("step_s", "samples"), ("bin_width_s", "bins")):
             width = getattr(self, key)
-            if width > 0 and self.duration_s / width > _MAX_GRID:  # a width <= 0 is refused where it is used
+            if width > 0 and self.duration_s / width > _MAX_GRID:  # a step_s <= 0 is refused where it is used
                 raise ConfigError(
                     f"{key} {width} makes more than {_MAX_GRID} {what} of duration_s {self.duration_s}", key)
         if self.seeds < 1:
@@ -145,10 +137,8 @@ class Experiment:
         if m_sat is not None:
             sat = replace(exp.satellite, memory_slots=m_sat)
             exp = replace(exp, satellite=sat, link=exp.link.with_m_sat(m_sat), static_split=None)
-        if policy is not None:
-            exp = replace(exp, policy=policy)
-            if exp.policy != "static":
-                exp = replace(exp, static_split=None)
+        if policy is not None:  # a declared split goes with the static policy, in one step
+            exp = replace(exp, policy=policy, static_split=exp.static_split if policy == "static" else None)
         if drift is not None:
             exp = replace(exp, drift=drift)
         if seeds is not None:

@@ -62,6 +62,17 @@ def _check_finite(config) -> None:
             raise ConfigError(f"{f.name} is not finite: {value}", field=f.name)
 
 
+_MAX_ORBIT_RADIUS_M = 1e102  # the mean motion cubes the orbit radius; a float64 cube overflows past 5.6e102
+
+
+def _orbit_radius(altitude_m: float, name: str) -> float:
+    """The orbit radius at ``altitude_m``, refused unless it is above the surface and its cube is finite."""
+    a = EARTH_RADIUS + altitude_m
+    if not (altitude_m > 0.0 and a <= _MAX_ORBIT_RADIUS_M):
+        raise ConfigError(f"{name} must be > 0 and at most {_MAX_ORBIT_RADIUS_M:g}: {altitude_m}", name)
+    return a
+
+
 @dataclass(frozen=True)
 class GroundStation:
     """A receiving telescope site on the spherical Earth.
@@ -79,8 +90,10 @@ class GroundStation:
 
     def __post_init__(self) -> None:
         _check_finite(self)
-        if not self.name or re.search(r"\s", self.name):
-            raise ConfigError(f"station name must be a non-blank token, got {self.name!r}")
+        # the name is a file-name part and a CSV column suffix
+        if not self.name or not self.name.isprintable() or re.search(r"[\s/\\,]", self.name):
+            raise ConfigError(f"station name must be a printable token without whitespace, '/', '\\' "
+                              f"or ',', got {self.name!r}", "name")
         if not -90.0 <= self.latitude_deg <= 90.0:
             raise ConfigError(f"latitude_deg out of [-90, 90]: {self.latitude_deg}")
         if not -180.0 <= self.longitude_deg <= 180.0:
@@ -112,8 +125,7 @@ class SatelliteConfig:
 
     def __post_init__(self) -> None:
         _check_finite(self)
-        if self.orbit_altitude_m <= 0.0:
-            raise ConfigError(f"orbit_altitude_m must be > 0: {self.orbit_altitude_m}")
+        _orbit_radius(self.orbit_altitude_m, "orbit_altitude_m")
         if self.tx_telescope_diameter_m <= 0.0:
             raise ConfigError("tx_telescope_diameter_m must be > 0")
         if int(self.memory_slots) != self.memory_slots or self.memory_slots < 1:
@@ -447,9 +459,7 @@ def overpass_geometry(
         raise ConfigError(
             f"inclination {inclination_deg} deg cannot reach latitude {site_latitude_deg} deg"
         )
-    a = EARTH_RADIUS + sat_altitude_m
-    if sat_altitude_m <= 0.0:
-        raise ConfigError("sat_altitude_m must be > 0")
+    a = _orbit_radius(sat_altitude_m, "sat_altitude_m")
     n = math.sqrt(EARTH_MU / a**3)
     u_asc = math.asin(math.sin(lat) / math.sin(i))
     u = u_asc if ascending else math.pi - u_asc

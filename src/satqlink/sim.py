@@ -61,7 +61,7 @@ import math
 import numbers
 import re
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
 from json.encoder import encode_basestring
 from operator import attrgetter
@@ -94,12 +94,28 @@ ENGINE_VERSION = "satqlink-engine-1"
 _POLICIES = ("single", "static", "dynamic_int")
 
 
-def _check_split(split: tuple[int, int], m_s: int) -> None:
-    """A fixed split of the satellite memory: both shares positive, summing to ``m_s``."""
-    a, b = split
-    if a < 1 or b < 1 or a + b != m_s:
-        raise ConfigError(f"static_split {tuple(split)} must be positive and sum to m_sat={m_s}",
-                          "static_split")
+def _check_run(policy: str, n_legs: int, m_s: int, static_split: tuple[int, int] | None,
+               retain_until_swap: bool, bin_width_s: float) -> None:
+    """The run rules of :class:`SimConfig` and of the experiment file, which may leave the split to a search."""
+    if policy not in _POLICIES:
+        raise ConfigError(f"unknown policy {policy!r}, want one of {_POLICIES}", "policy")
+    want = 1 if policy == "single" else 2
+    if n_legs != want:
+        raise ConfigError(f"policy {policy} needs {want} leg(s), got {n_legs}", "policy")
+    if want == 2 and m_s < 2:
+        raise ConfigError(f"policy {policy} shares m_sat between two legs: m_sat must be >= 2, got {m_s}",
+                          "policy")
+    if static_split is not None:
+        if policy != "static":
+            raise ConfigError(f"static_split is only meaningful for the static policy, not {policy}",
+                              "static_split")
+        if len(static_split) != 2 or min(static_split) < 1 or sum(static_split) != m_s:
+            raise ConfigError(f"static_split {tuple(static_split)} must be positive and sum to m_sat={m_s}",
+                              "static_split")
+    if retain_until_swap and want == 1:
+        raise ConfigError("retain_until_swap applies to dual runs only", "retain_until_swap")
+    if bin_width_s <= 0.0:
+        raise ConfigError(f"bin_width_s must be > 0: {bin_width_s}", "bin_width_s")
 
 
 @dataclass(frozen=True)
@@ -129,35 +145,22 @@ class SimConfig:
         _check_finite(self)
         object.__setattr__(self, "profiles", tuple(self.profiles))
         object.__setattr__(self, "link_params", tuple(self.link_params))
-        if self.policy not in _POLICIES:
-            raise ConfigError(f"unknown policy {self.policy!r}, want one of {_POLICIES}")
-        want_legs = 1 if self.policy == "single" else 2
-        if len(self.profiles) != want_legs:
-            raise ConfigError(
-                f"policy {self.policy} needs {want_legs} profile(s), got {len(self.profiles)}"
-            )
-        if len(self.link_params) != len(self.profiles):
-            raise ConfigError("need one LinkParams per profile")
+        if not self.profiles or len(self.link_params) != len(self.profiles):
+            raise ConfigError("need at least one profile, with one LinkParams each")
+        _check_run(self.policy, self.n_legs, self.m_s, self.static_split, self.retain_until_swap,
+                   self.bin_width_s)
+        if self.policy == "static" and self.static_split is None:  # an experiment may leave it to the search
+            raise ConfigError("static policy needs static_split", "static_split")
         if not isinstance(self.rng_seed, numbers.Integral):
             raise ConfigError(f"rng_seed must be an integer: {self.rng_seed!r}")
         if not 0 <= int(self.rng_seed) < 2**64:
             raise ConfigError(f"rng_seed must fit in 64 bits: {self.rng_seed}")
-        if self.bin_width_s <= 0.0:
-            raise ConfigError("bin_width_s must be > 0")
-        if want_legs == 2:
+        if self.n_legs == 2:
             from .analytics import _check_aligned
 
             _check_aligned(self.profiles[0], self.profiles[1])
             if self.link_params[0].m_sat != self.link_params[1].m_sat:
                 raise ConfigError("dual legs must share one satellite memory size m_sat")
-        if self.policy == "static":
-            if self.static_split is None:
-                raise ConfigError("static policy needs static_split")
-            _check_split(self.static_split, self.m_s)
-        elif self.static_split is not None:
-            raise ConfigError("static_split is only meaningful for the static policy")
-        if self.retain_until_swap and self.policy == "single":
-            raise ConfigError("retain_until_swap applies to dual runs only")
 
     @property
     def m_s(self) -> int:
@@ -179,18 +182,7 @@ class SimConfig:
             "static_split": list(self.static_split) if self.static_split else None,
             "stations": [p.station for p in self.profiles],
             "epoch": self.profiles[0].epoch,
-            "legs": [
-                {
-                    "m_sat": pr.m_sat,
-                    "m_ground": pr.m_ground,
-                    "emission_period_s": pr.emission_period_s,
-                    "acceptance_window_s": pr.acceptance_window_s,
-                    "p_bsm": pr.p_bsm,
-                    "processing_delay_s": pr.processing_delay_s,
-                    "light_speed_mps": pr.light_speed_mps,
-                }
-                for pr in self.link_params
-            ],
+            "legs": [asdict(pr) for pr in self.link_params],
         }
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import re
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
@@ -17,11 +17,13 @@ from satqlink import (
     LinkParams,
     OpticalParams,
     SatelliteConfig,
+    SimConfig,
     load_experiment,
 )
 from satqlink.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+DEMO_SPEC = Path(__file__).resolve().parents[1] / "demos/specs/two_station.json"
 
 MINIMAL = {
     "stations": [
@@ -162,6 +164,17 @@ def test_policy_aliases_resolve_once():
 
 NAN, INF = float("nan"), float("inf")
 
+# Specs that break a run rule; every command refuses them when it loads the spec.
+RUN_RULE_SPECS = [
+    (lambda d: d.update(stations=d["stations"][:1], run={"retain_until_swap": True}),
+     "spec.run: retain_until_swap applies to dual runs only"),
+    (lambda d: d.update(run={"bin_width_s": 0}), "spec.run: bin_width_s must be > 0: 0.0"),
+    (lambda d: d["satellite"].update(memory_slots=1),
+     "spec.run: policy dynamic_int shares m_sat between two legs: m_sat must be >= 2, got 1"),
+    (lambda d: d.update(run={"policy": "dynamic", "static_split": [40, 60]}),
+     "spec.run: static_split is only meaningful for the static policy, not dynamic_int"),
+]
+
 
 @pytest.mark.parametrize(
     "edit, message",
@@ -187,6 +200,12 @@ NAN, INF = float("nan"), float("inf")
          "spec.pass: step_s 1e-300 makes more than 1000000 samples of duration_s 300.0"),
         (lambda d: d.update(run={"bin_width_s": 1e-300}),
          "spec.run: bin_width_s 1e-300 makes more than 1000000 bins of duration_s 300.0"),
+        *RUN_RULE_SPECS,
+        (lambda d: d["stations"][0].update(name="a\u0000b"), "spec.stations[0]: station name must be"),
+        (lambda d: d["stations"][0].update(name="a/b"), "spec.stations[0]: station name must be"),
+        (lambda d: d["stations"][0].update(name="a,b"), "spec.stations[0]: station name must be"),
+        (lambda d: d["satellite"].update(orbit_altitude_m=1e300),
+         "spec.satellite: orbit_altitude_m must be > 0 and at most 1e+102: 1e+300"),
     ],
 )
 @pytest.mark.parametrize("command", ["rate", "simulate"])
@@ -197,6 +216,78 @@ def test_cli_rejects_bad_values_at_load(tmp_path, capsys, edit, message, command
     assert main([command, "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("edit, message", RUN_RULE_SPECS)
+def test_every_command_refuses_a_run_rule_at_load(tmp_path, capsys, edit, message):
+    doc = copy.deepcopy(MINIMAL)
+    edit(doc)
+    spec = write(tmp_path, doc)
+    for command in ("gen-pass", "rate", "allocate", "simulate", "validate", "report"):
+        assert main([command, "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2, command
+        assert message in capsys.readouterr().err, command
+    assert not (tmp_path / "out").exists()
+
+
+# (policy, legs, m_sat, static_split, retain_until_swap, bin_width_s) -> the one message for both
+@pytest.mark.parametrize(
+    "policy, legs, m_sat, split, retain, bin_width, message",
+    [
+        ("bogus", 2, 10, None, False, 1.0, "unknown policy 'bogus'"),
+        ("single", 2, 10, None, False, 1.0, "policy single needs 1 leg(s), got 2"),
+        ("static", 1, 10, (4, 6), False, 1.0, "policy static needs 2 leg(s), got 1"),
+        ("dynamic_int", 1, 10, None, False, 1.0, "policy dynamic_int needs 2 leg(s), got 1"),
+        ("dynamic_int", 2, 1, None, False, 1.0, "m_sat must be >= 2, got 1"),
+        ("static", 2, 1, None, False, 1.0, "m_sat must be >= 2, got 1"),
+        ("dynamic_int", 2, 10, (4, 6), False, 1.0, "static_split is only meaningful for the static policy"),
+        ("static", 2, 10, (4, 5), False, 1.0, "static_split (4, 5) must be positive and sum to m_sat=10"),
+        ("static", 2, 10, (0, 10), False, 1.0, "static_split (0, 10) must be positive and sum to m_sat=10"),
+        ("single", 1, 10, None, True, 1.0, "retain_until_swap applies to dual runs only"),
+        ("dynamic_int", 2, 10, None, False, 0.0, "bin_width_s must be > 0: 0.0"),
+        ("single", 1, 10, None, False, -1.0, "bin_width_s must be > 0: -1.0"),
+    ],
+)
+def test_sim_config_and_experiment_share_the_run_rules(tmp_path, policy, legs, m_sat, split, retain, bin_width,
+                                                         message):
+    exp = load_experiment(write(tmp_path, MINIMAL))
+    profiles = exp.profiles()[:legs]
+    with pytest.raises(ConfigError) as from_sim:
+        SimConfig(profiles=profiles, link_params=(LinkParams(m_sat=m_sat),) * legs, policy=policy, rng_seed=0,
+                  static_split=split, retain_until_swap=retain, bin_width_s=bin_width)
+    with pytest.raises(ConfigError) as from_exp:
+        replace(exp, stations=exp.stations[:legs], satellite=SatelliteConfig(500e3, memory_slots=m_sat),
+                link=LinkParams(m_sat=m_sat), policy=policy, static_split=split, retain_until_swap=retain,
+                bin_width_s=bin_width)
+    assert message in str(from_sim.value)
+    assert (str(from_exp.value), from_exp.value.field) == (str(from_sim.value), from_sim.value.field)
+
+
+def test_only_sim_config_needs_a_declared_static_split(tmp_path):
+    doc = copy.deepcopy(MINIMAL)
+    doc["run"] = {"policy": "static"}
+    exp = load_experiment(write(tmp_path, doc))
+    assert exp.static_split is None  # the experiment leaves it to the search
+    with pytest.raises(ConfigError, match="static policy needs static_split"):
+        SimConfig(profiles=exp.profiles(), link_params=(exp.link, exp.link), policy="static", rng_seed=0)
+
+
+def test_overrides_drop_a_declared_split_in_one_step(tmp_path, capsys):
+    doc = json.loads(DEMO_SPEC.read_text(encoding="utf-8"))
+    doc["run"].update(policy="static", static_split=[40, 60], seeds=1)
+    spec = write(tmp_path, doc)
+    exp = load_experiment(spec)
+    assert exp.static_split == (40, 60)
+    dynamic = exp.with_overrides(policy="dynamic")
+    assert (dynamic.policy, dynamic.static_split) == ("dynamic_int", None)
+    smaller = exp.with_overrides(m_sat=50)
+    assert (smaller.policy, smaller.static_split, smaller.link.m_sat) == ("static", None, 50)
+    assert exp.with_overrides(policy="static").static_split == (40, 60)
+
+    out = tmp_path / "out"
+    assert main(["simulate", "--spec", str(spec), "--out", str(out), "--policy", "dynamic"]) == 0
+    capsys.readouterr()
+    config = json.loads((out / "simulate.json").read_text(encoding="utf-8"))["config"]
+    assert (config["policy"], config["static_split"]) == ("dynamic_int", None)
 
 
 def test_readme_spec_example_loads(tmp_path):

@@ -182,6 +182,12 @@ def test_overpass_geometry_descending_and_site():
     assert abs(profile.t_s[j] - 400.0) <= 2.0
 
 
+def test_overpass_geometry_rejects_an_overflowing_altitude():
+    with pytest.raises(ConfigError, match="sat_altitude_m must be > 0 and at most 1e\\+102: 1e\\+300") as info:
+        overpass_geometry(1e300, 97.4, 46.3, 5.0, 400.0)
+    assert info.value.field == "sat_altitude_m"
+
+
 def test_finite_difference_matches_radial_velocity():
     profile = overhead_pass()
     d = profile.distance_m
