@@ -15,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from satqlink import allocation_series, write_rate_csv
-from satqlink.scenarios import two_station_profiles
+from satqlink import allocation_series, load_experiment, write_rate_csv
 
 
 def main() -> None:
@@ -27,7 +26,8 @@ def main() -> None:
     args = ap.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
-    (nice, paris), link = two_station_profiles(args.m_sat)
+    exp = load_experiment(Path(__file__).parent / "specs" / "two_station.json").with_overrides(m_sat=args.m_sat)
+    (nice, paris), link = exp.profiles(), exp.link
     alloc = allocation_series(nice, paris, args.m_sat, link)
     both = (nice.visible & (nice.eta > 0)) & (paris.visible & (paris.eta > 0))
     window = np.flatnonzero(both)

@@ -19,12 +19,12 @@ import numpy as np
 from satqlink import (
     LinkParams,
     SimConfig,
+    load_experiment,
     max_train_length,
     rate_series,
     run,
     write_rate_csv,
 )
-from satqlink.scenarios import two_station_profiles
 
 
 def main() -> None:
@@ -35,8 +35,7 @@ def main() -> None:
     args = ap.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
-    profiles, _ = two_station_profiles(100)
-    profile = profiles[0]
+    profile = load_experiment(Path(__file__).parent / "specs" / "two_station.json").profiles()[0]
     vis = profile.visible
     print(f"pass over {profile.station}: {int(vis.sum())} visible seconds, "
           f"max |v_r| = {np.abs(profile.radial_velocity_mps[vis]).max():.0f} m/s")

@@ -20,12 +20,12 @@ from satqlink import (
     LinkParams,
     SimConfig,
     compare_counts,
+    load_experiment,
     pool_counts,
     predict_bin_moments,
     run,
     write_validation_csv,
 )
-from satqlink.scenarios import two_station_profiles
 
 
 def main() -> None:
@@ -37,8 +37,7 @@ def main() -> None:
     args = ap.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
-    profiles, _ = two_station_profiles(args.m_sat)
-    profile = profiles[0]
+    profile = load_experiment(Path(__file__).parent / "specs" / "two_station.json").profiles()[0]
     link = LinkParams(m_sat=args.m_sat)
 
     def config(seed: int) -> SimConfig:

@@ -33,6 +33,7 @@ from .passes import (
     PassProfile,
     SatelliteConfig,
     _check_finite,
+    _check_grid,
     _text_io,
     propagate_pass,
 )
@@ -85,9 +86,10 @@ class Experiment:
         names = [st.name for st in self.stations]
         if len(set(names)) < n:
             raise ConfigError(f"stations[{n - 1}].name repeats {names[-1]!r}")
+        _check_grid(self.duration_s, self.step_s)
         for key, what in (("step_s", "samples"), ("bin_width_s", "bins")):
             width = getattr(self, key)
-            if width > 0 and self.duration_s / width > _MAX_GRID:  # a step_s <= 0 is refused where it is used
+            if self.duration_s / width > _MAX_GRID:
                 raise ConfigError(
                     f"{key} {width} makes more than {_MAX_GRID} {what} of duration_s {self.duration_s}", key)
         if self.seeds < 1:

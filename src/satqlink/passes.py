@@ -73,6 +73,15 @@ def _orbit_radius(altitude_m: float, name: str) -> float:
     return a
 
 
+def _check_grid(duration_s: float, step_s: float) -> None:
+    """Refuse a pass grid unless its step and duration are finite and > 0 and it holds at least 2 steps."""
+    for name, value in (("duration_s", duration_s), ("step_s", step_s)):
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{name} must be finite and > 0: {value}", name)
+    if duration_s / step_s < 2.0:
+        raise ConfigError(f"duration_s must cover at least 2 steps of step_s {step_s}: {duration_s}", "duration_s")
+
+
 @dataclass(frozen=True)
 class GroundStation:
     """A receiving telescope site on the spherical Earth.
@@ -288,7 +297,7 @@ class PassProfile:
 
     def index_at(self, t: float) -> int:
         """Zero-order-hold sample index for time ``t`` (seconds from epoch)."""
-        i = int(np.floor((t - self.t_s[0]) / self.step_s))
+        i = int((t - float(self.t_s[0])) // self.step_s)  # the engine's sample arithmetic
         return min(max(i, 0), self.n_samples - 1)
 
 
@@ -304,13 +313,9 @@ def _eta_arrays(
     optics: OpticalParams,
 ) -> np.ndarray:
     """Vectorized transmission; caller guarantees elevation > 0."""
-    geom = (
-        math.pi
-        * sat.tx_telescope_diameter_m
-        * station.rx_telescope_diameter_m
-        / (4.0 * optics.wavelength_m * distance_m)
-    ) ** 2
-    geom = np.minimum(1.0, geom)
+    r = (math.pi * sat.tx_telescope_diameter_m * station.rx_telescope_diameter_m
+         / (4.0 * optics.wavelength_m * distance_m))
+    geom = np.minimum(1.0, r) ** 2  # capped before squaring, so a huge telescope gives 1, not an overflow
     airmass = 1.0 / np.sin(np.radians(elevation_deg))
     atmo = optics.zenith_atmospheric_transmission**airmass
     return geom * atmo * optics.system_efficiency
@@ -402,10 +407,7 @@ def propagate_pass(
     elsewhere.  A pass that never rises above the elevation mask yields an
     all-invisible profile, not an error.
     """
-    if not (0.0 < duration_s < math.inf and 0.0 < step_s < math.inf):
-        raise ConfigError(f"duration_s and step_s must be finite and > 0: {duration_s}, {step_s}")
-    if duration_s / step_s < 2.0:
-        raise ConfigError("duration_s must cover at least 2 steps")
+    _check_grid(duration_s, step_s)
     _check_epoch(epoch)
     if optics is None:
         optics = OpticalParams()

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from satqlink import LinkParams, PassProfile
-from satqlink.scenarios import two_station_profiles
+from satqlink import LinkParams, PassProfile, load_experiment
+
+# the calibrated two-station pass: 500 km, Nice and Paris, m_S = 100
+DEMO_SPEC = Path(__file__).resolve().parents[1] / "demos/specs/two_station.json"
 
 C_LIGHT = 299792458.0
 EPOCH = "2026-01-01T00:00:00Z"
@@ -100,16 +104,21 @@ def random_profile(rng: np.random.Generator, n: int | None = None) -> PassProfil
     )
 
 
+def _calibrated(m_sat: int) -> tuple[tuple[PassProfile, PassProfile], LinkParams]:
+    exp = load_experiment(DEMO_SPEC).with_overrides(m_sat=m_sat)
+    return exp.profiles(), exp.link
+
+
 @pytest.fixture(scope="session")
 def calibrated_m100() -> tuple[tuple[PassProfile, PassProfile], LinkParams]:
-    return two_station_profiles(100)
+    return _calibrated(100)
 
 
 @pytest.fixture(scope="session")
 def calibrated_m50() -> tuple[tuple[PassProfile, PassProfile], LinkParams]:
-    return two_station_profiles(50)
+    return _calibrated(50)
 
 
 @pytest.fixture(scope="session")
 def calibrated_m10() -> tuple[tuple[PassProfile, PassProfile], LinkParams]:
-    return two_station_profiles(10)
+    return _calibrated(10)

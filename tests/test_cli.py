@@ -16,7 +16,7 @@ import satqlink
 from satqlink import analytics, cli, experiment, read_profile, read_sim_csv, sim
 from satqlink.cli import main
 
-DEMO_SPEC = Path(__file__).resolve().parents[1] / "demos/specs/two_station.json"
+from conftest import DEMO_SPEC
 
 NICE = {"name": "nice", "latitude_deg": 43.7034, "longitude_deg": 7.2663}
 PARIS = {"name": "paris", "latitude_deg": 48.8566, "longitude_deg": 2.3522}

@@ -22,8 +22,9 @@ from satqlink import (
 )
 from satqlink.cli import main
 
+from conftest import DEMO_SPEC
+
 README = Path(__file__).resolve().parents[1] / "README.md"
-DEMO_SPEC = Path(__file__).resolve().parents[1] / "demos/specs/two_station.json"
 
 MINIMAL = {
     "stations": [
@@ -154,7 +155,7 @@ def test_null_means_the_default_where_the_default_is_none(tmp_path):
 
 
 def test_policy_aliases_resolve_once():
-    exp = load_experiment(Path(__file__).resolve().parents[1] / "demos/specs/two_station.json")
+    exp = load_experiment(DEMO_SPEC)
     assert exp.policy == "dynamic_int"
     assert exp.with_overrides(policy="dynamic").policy == "dynamic_int"
     assert exp.with_overrides(policy="static").policy == "static"
@@ -173,6 +174,11 @@ RUN_RULE_SPECS = [
      "spec.run: policy dynamic_int shares m_sat between two legs: m_sat must be >= 2, got 1"),
     (lambda d: d.update(run={"policy": "dynamic", "static_split": [40, 60]}),
      "spec.run: static_split is only meaningful for the static policy, not dynamic_int"),
+    (lambda d: d["pass"].update(step_s=0), "spec.pass: step_s must be finite and > 0: 0.0"),
+    (lambda d: d["pass"].update(step_s=-1), "spec.pass: step_s must be finite and > 0: -1.0"),
+    (lambda d: d["pass"].update(duration_s=0), "spec.pass: duration_s must be finite and > 0: 0.0"),
+    (lambda d: d["pass"].update(duration_s=1.5),
+     "spec.pass: duration_s must cover at least 2 steps of step_s 1.0: 1.5"),
 ]
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from satqlink import (
     PassSample,
     SatelliteConfig,
     link_budget,
+    load_experiment,
     overpass_geometry,
     propagate_pass,
     read_profile,
@@ -30,8 +32,9 @@ from satqlink import (
 )
 
 from satqlink.passes import _write_csv
+from satqlink.sim import _sample_start
 
-from conftest import random_profile
+from conftest import DEMO_SPEC, make_profile, random_profile
 
 REL = 1e-12
 
@@ -136,6 +139,22 @@ def test_link_budget_cap_and_efficiency():
         link_budget(sample(1e3, -1.0), sat, station, OpticalParams())
 
 
+@pytest.mark.parametrize("telescope", ["tx", "rx"])
+def test_a_huge_telescope_caps_the_gain_without_overflow(telescope):
+    exp = load_experiment(DEMO_SPEC)
+
+    def eta(diameter_m):
+        sat, station = exp.satellite, exp.stations[0]
+        if telescope == "tx":
+            sat = replace(sat, tx_telescope_diameter_m=diameter_m)
+        else:
+            station = replace(station, rx_telescope_diameter_m=diameter_m)
+        return propagate_pass(sat, station, exp.epoch, exp.duration_s, exp.step_s, exp.optics).eta
+
+    # 1 km already caps the diffraction gain at every visible sample of the pass
+    assert eta(1e300).tobytes() == eta(1e3).tobytes()
+
+
 def test_link_budget_monotone_in_range():
     sat = SatelliteConfig(orbit_altitude_m=500e3)
     station = GroundStation("g", 0.0, 0.0)
@@ -182,6 +201,13 @@ def test_overpass_geometry_descending_and_site():
     assert abs(profile.t_s[j] - 400.0) <= 2.0
 
 
+def test_demo_spec_aims_the_orbit_over_46_3n_5_0e():
+    # the spec's angles: the track crosses (46.3 N, 5.0 E) ascending at t = 400 s, between Nice and Paris
+    sat = load_experiment(DEMO_SPEC).satellite
+    aim = overpass_geometry(sat.orbit_altitude_m, sat.orbit_inclination_deg, 46.3, 5.0, 400.0, ascending=True)
+    assert aim == (sat.raan_deg, sat.phase_at_epoch_deg)
+
+
 def test_overpass_geometry_rejects_an_overflowing_altitude():
     with pytest.raises(ConfigError, match="sat_altitude_m must be > 0 and at most 1e\\+102: 1e\\+300") as info:
         overpass_geometry(1e300, 97.4, 46.3, 5.0, 400.0)
@@ -218,11 +244,13 @@ def test_profile_accessors():
     # out-of-window times clamp to the nearest sample
     assert profile.index_at(-1.0) == 0
     assert profile.index_at(1e9) == profile.n_samples - 1
+    # the engine's sample arithmetic: on a 0.1 s grid, t = 0.5 and 1.0 still hold samples 4 and 9
+    fine = make_profile(np.full(20, 0.5), step_s=0.1)
+    assert (fine.index_at(0.5), fine.index_at(1.0)) == (4, 9)
+    assert [fine.index_at(_sample_start(j, 0.0, 0.1)) for j in range(20)] == list(range(20))
 
 
 def test_profile_grid_validation():
-    from conftest import make_profile
-
     with pytest.raises(ConfigError):
         make_profile(np.array([0.0, 1.5, 0.0]))  # eta > 1
     p = make_profile(np.array([0.0, 0.5, 0.0]))
@@ -267,8 +295,6 @@ def test_csv_round_trip_100_random_profiles():
 
 
 def test_csv_write_format():
-    from conftest import make_profile
-
     profile = make_profile(np.array([0.0, 0.25]), station="fmt", step_s=1.0)
     buf = io.StringIO()
     write_profile(profile, buf)

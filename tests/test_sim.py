@@ -8,7 +8,6 @@ import io
 import json
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from satqlink import (
 from satqlink import sim as sim_mod
 from satqlink.experiment import load_experiment
 
-from conftest import constant_profile, make_profile, unimodal_pair
+from conftest import DEMO_SPEC, constant_profile, make_profile, unimodal_pair
 
 T_RT = 0.004  # realized by the constant profile's distance
 
@@ -1070,9 +1069,6 @@ def test_round_log_fast_path_reads_writer_layout(monkeypatch):
         assert len(log.rounds) > sim_mod._ROWS
         assert log.rounds == tuple(result.rounds)
         _assert_same_counts(result, replay(config, log), config)
-
-
-DEMO_SPEC = Path(__file__).resolve().parents[1] / "demos/specs/two_station.json"
 
 
 def _float_bits(columns) -> list:

@@ -1,4 +1,4 @@
-"""The package source stays within the oldest Python that pyproject.toml accepts."""
+"""Invariants of the package source, read with ``ast``: Python version, reachability, one file opener."""
 
 from __future__ import annotations
 
@@ -9,8 +9,50 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "satqlink"
 
+# `import satqlink` runs __init__; the console script in pyproject.toml is satqlink.cli:entry
+ENTRY_MODULES = ("__init__", "cli")
+
+# calls that open a file or read or write one whole: open, io.open, os.open, Path.open, Path.read_text, ...
+FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The satqlink modules a module imports anywhere in its body; the package imports itself relatively."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module.split(".")[0]] if node.module else (alias.name for alias in node.names))
+    return found
+
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_parses_as_python_3_10(path):
     # requires-python is ">=3.10": no syntax of a later version
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_every_module_is_imported_from_the_package_or_the_console_script():
+    graph = {path.stem: _package_imports(_tree(path)) for path in SRC.glob("*.py")}
+    reached, todo = set(), list(ENTRY_MODULES)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(graph[name])
+    assert sorted(graph.keys() - reached) == []
+
+
+def test_only_the_text_io_helper_opens_files():
+    openers = set()
+    for path in SRC.glob("*.py"):
+        for top in _tree(path).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in FILE_CALLS:
+                        openers.add((path.name, getattr(top, "name", None), node.lineno))
+    assert {(module, where) for module, where, _ in openers} == {("passes.py", "_text_io")}, sorted(openers)
