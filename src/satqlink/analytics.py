@@ -113,8 +113,8 @@ class LinkParams:
             raise ConfigError("emission_period_s and acceptance_window_s must be > 0")
         if self.processing_delay_s < 0.0:
             raise ConfigError("processing_delay_s must be >= 0")
-        if self.light_speed_mps <= 0.0:
-            raise ConfigError("light_speed_mps must be > 0")
+        if not self.light_speed_mps >= 1.0:  # slower than any medium's; 5e-324 made every round trip infinite
+            raise ConfigError(f"light_speed_mps must be at least 1: {self.light_speed_mps}")
 
     def with_m_sat(self, m_sat: int) -> "LinkParams":
         """Copy with a different satellite slot count (m_ground tracks it when defaulted)."""

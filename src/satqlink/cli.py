@@ -20,6 +20,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from .passes import _text_io, _write_csv, propagate_pass, write_profile
 from .sim import (
     ENGINE_VERSION,
     _capacity_series,
-    _seed_configs,
+    _plan,
     read_sim_csv,
     run,
     write_round_log,
@@ -149,12 +150,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     exp = _experiment(args)
     out_dir = _out_dir(args, exp)
     seeds = exp.seed_list
-    configs = _seed_configs(exp.sim_config(exp.seed0), seeds)
+    config = exp.sim_config(exp.seed0)
+    plan = _plan(config)  # no seed changes it: every run shares it
+    configs = [replace(config, rng_seed=seed) for seed in seeds]
     if args.workers > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=min(args.workers, len(seeds))) as pool:
-            results = list(pool.map(run, configs))
+            results = list(pool.map(partial(run, plan=plan), configs))
     else:
-        results = [run(config) for config in configs]
+        results = [run(c, plan=plan) for c in configs]
     totals = {}
     # a run that fails partway leaves no manifest, so its files never pool with an earlier run's
     (out_dir / "simulate.json").unlink(missing_ok=True)
@@ -242,12 +245,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if overall else EXIT_VERDICT_FALSE
 
 
-def _sim_mean_by_bin(files: list[Path] | None) -> dict[str, np.ndarray] | None:
-    if not files:
-        return None
-    return {key: col / len(files) for key, col in _pooled_counts(files).items()}
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     exp = _experiment(args)
     out_dir = _out_dir(args, exp)
@@ -296,12 +293,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(dual_path)
 
     sim_files = _sim_files(out_dir)
-    means = _sim_mean_by_bin(sim_files)
-    if means is not None and not exp.retain_until_swap:
+    means = sim_files and {key: col / len(sim_files) for key, col in _pooled_counts(sim_files).items()}
+    if means and not exp.retain_until_swap:
         config = exp.sim_config(exp.seed0, profiles)
-        if alloc is not None and config.policy == "dynamic_int":  # the shares written to report_dual.csv
-            object.__setattr__(config, "_caps", (alloc.m_A_int, alloc.m_B_int))
-        moments = predict_bin_moments(config)
+        # under the dynamic policy, the shares written to report_dual.csv
+        caps = (alloc.m_A_int, alloc.m_B_int) if alloc is not None and config.policy == "dynamic_int" else None
+        moments = predict_bin_moments(config, plan=_plan(config, caps))
         bins_path = out_dir / "report_bins.csv"
         n = max(moments[0].n_bins, max(len(c) for c in means.values()))
         header = ["bin_start_s"]
@@ -322,12 +319,8 @@ def _add_common(sub: argparse.ArgumentParser, seeds: bool = False) -> None:
     sub.add_argument("--spec", required=True, help="experiment JSON file")
     sub.add_argument("--out", default=None, help="output directory (default: spec output_dir or .)")
     sub.add_argument("--m-sat", type=int, default=None, dest="m_sat", help="override satellite memory slots")
-    sub.add_argument(
-        "--policy",
-        choices=["single", "static", "dynamic"],
-        default=None,
-        help="override allocation policy",
-    )
+    sub.add_argument("--policy", choices=["single", "static", "dynamic"], default=None,
+                     help="override allocation policy")
     sub.add_argument("--drift", choices=["on", "off"], default=None, help="override drift handling")
     if seeds:
         sub.add_argument("--seeds", type=int, default=None, help="seed count; validate checks simulate.json")

@@ -107,8 +107,8 @@ class GroundStation:
             raise ConfigError(f"latitude_deg out of [-90, 90]: {self.latitude_deg}")
         if not -180.0 <= self.longitude_deg <= 180.0:
             raise ConfigError(f"longitude_deg out of [-180, 180]: {self.longitude_deg}")
-        if self.altitude_m < 0.0:
-            raise ConfigError(f"altitude_m must be >= 0: {self.altitude_m}")
+        if not 0.0 <= self.altitude_m <= _MAX_ORBIT_RADIUS_M:  # the orbit's bound: the geometry squares radii
+            raise ConfigError(f"altitude_m must be >= 0 and at most {_MAX_ORBIT_RADIUS_M:g}: {self.altitude_m}")
         if self.rx_telescope_diameter_m <= 0.0:
             raise ConfigError("rx_telescope_diameter_m must be > 0")
         if not 0.0 < self.min_elevation_deg < 90.0:
@@ -164,8 +164,8 @@ class OpticalParams:
 
     def __post_init__(self) -> None:
         _check_finite(self)
-        if self.wavelength_m <= 0.0:
-            raise ConfigError("wavelength_m must be > 0")
+        if not self.wavelength_m >= 1e-12:  # gamma rays; 5e-324 overflowed the diffraction ratio
+            raise ConfigError(f"wavelength_m must be at least 1e-12: {self.wavelength_m}")
         if not 0.0 < self.zenith_atmospheric_transmission <= 1.0:
             raise ConfigError("zenith_atmospheric_transmission must be in (0, 1]")
         if not 0.0 < self.system_efficiency <= 1.0:

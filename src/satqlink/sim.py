@@ -45,10 +45,11 @@ Both paths record a run in one round table per leg: start time, confirm
 time and successes per round, and per block (a maximal run of consecutive
 rounds with one profile sample and one train length) the sample, the train
 length and the drift-eligible count; outcome strings only when capturing.
-The vectorized path schedules the table first and fills the successes a
-block at a time; the event loop appends to it round by round.  Binning,
-``SimResult.rounds``, the round log, :func:`replay` and the validator's
-exact moments all read that table.
+The vectorized path draws the successes a block at a time onto a schedule
+that one plan per command builds once and every seed shares; the event loop
+appends to its table round by round.  Binning, ``SimResult.rounds``, the
+round log, :func:`replay` and the validator's exact moments all read these
+tables, and the moments read the very schedule the runs draw on.
 
 The round log is read back into columns, which :func:`replay` uses; a
 :class:`Round` is built only when ``SimResult.rounds`` or ``RoundLog.rounds`` is read.
@@ -138,8 +139,6 @@ class SimConfig:
     drift: bool = True
     capture_rounds: bool = False
     retain_until_swap: bool = False
-    # per-leg slot shares set by _seed_configs; replace() drops them
-    _caps: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_finite(self)
@@ -283,7 +282,8 @@ class SimResult:
 # function of the profile and the per-sample slot allocation: each round
 # starts the instant the previous one confirms, holding the channel state of
 # the sample its start falls in.  The analytic validator reads the table of
-# that schedule, which is what makes its per-bin moments exact for the engine.
+# that schedule, from the same plan as the runs, which is what makes its
+# per-bin moments exact for the engine.
 
 
 @dataclass
@@ -468,15 +468,17 @@ def _outcome_chars(ok: np.ndarray, n: int) -> str:
 _ADVANCE_MIN = 512
 
 
-def _draw(table: _RoundTable, eta: np.ndarray, p_bsm: float, rng: np.random.Generator, capture: bool) -> None:
-    """Fill a scheduled table's successes, and outcomes when capturing, a block at a time.
+def _draw(table: _RoundTable, eta: np.ndarray, p_bsm: float, rng: np.random.Generator,
+          capture: bool) -> tuple[np.ndarray, list[str] | None]:
+    """A scheduled table's successes, and outcomes when capturing, drawn a block at a time.
 
     A drifted photon cannot succeed, so only the first ``eligible`` photons
     of a round are compared; where a round's drifted tail is long and no
     outcome strings are built, its uniforms are skipped with an advance.
+    The table itself is only read.
     """
-    table.successes = np.empty(table.start.size, dtype=np.int64)
-    table.outcomes = [] if capture else None
+    successes = np.empty(table.start.size, dtype=np.int64)
+    outcomes = [] if capture else None
     lo = 0
     for k, i, n, e in zip(*(c.tolist() for c in (table.k, table.sample, table.n, table.eligible))):
         if capture or 2 * (n - e) < _ADVANCE_MIN:
@@ -487,11 +489,12 @@ def _draw(table: _RoundTable, eta: np.ndarray, p_bsm: float, rng: np.random.Gene
                 rng.random(out=row)
                 rng.bit_generator.advance(2 * (n - e))
         ok = (u[:, :e, 0] < eta[i]) & (u[:, :e, 1] < p_bsm)
-        table.successes[lo : lo + k] = ok.sum(axis=1)
-        if table.outcomes is not None:
+        successes[lo : lo + k] = ok.sum(axis=1)
+        if outcomes is not None:
             chars = _outcome_chars(ok, n)
-            table.outcomes.extend(chars[j * n : (j + 1) * n] for j in range(k))
+            outcomes.extend(chars[j * n : (j + 1) * n] for j in range(k))
         lo += k
+    return successes, outcomes
 
 
 def _bin_counts(times: np.ndarray, weights: np.ndarray, width: float, n_bins: int) -> np.ndarray:
@@ -503,35 +506,41 @@ def _bin_counts(times: np.ndarray, weights: np.ndarray, width: float, n_bins: in
 
 
 def _capacity_series(config: SimConfig) -> list[np.ndarray]:
-    """Per-sample satellite slot share for each leg under the policy."""
-    if config._caps is not None:
-        return list(config._caps)
-    n = config.profiles[0].n_samples
-    if config.policy == "single":
-        return [np.full(n, config.m_s, dtype=np.int64)]
-    if config.policy == "static":
-        a, b = config.static_split  # type: ignore[misc]
-        return [np.full(n, a, dtype=np.int64), np.full(n, b, dtype=np.int64)]
-    alloc = allocation_series(*config.profiles, config.m_s, *config.link_params)
-    return [alloc.m_A_int.astype(np.int64), alloc.m_B_int.astype(np.int64)]
+    """Per-sample satellite slot share for each leg under the policy, as int64."""
+    if config.policy == "dynamic_int":
+        alloc = allocation_series(*config.profiles, config.m_s, *config.link_params)
+        return [alloc.m_A_int, alloc.m_B_int]
+    shares = config.static_split or (config.m_s,)  # single: the whole memory
+    return [np.full(config.profiles[0].n_samples, m, dtype=np.int64) for m in shares]
 
 
-def _seed_configs(config: SimConfig, seeds: Iterable[int]) -> list[SimConfig]:
-    """``config`` at each seed, all sharing one computation of the slot shares: no seed changes them."""
-    caps = tuple(_capacity_series(config))
-    configs = [replace(config, rng_seed=seed) for seed in seeds]
-    for c in configs:
-        object.__setattr__(c, "_caps", caps)
-    return configs
+@dataclass(frozen=True)
+class _Plan:
+    """What no seed changes: each leg's slot shares and, unless retaining, its schedule without successes."""
+
+    caps: tuple[np.ndarray, ...]
+    schedules: tuple[_RoundTable, ...] | None
+
+
+def _plan(config: SimConfig, caps: Sequence[np.ndarray] | None = None) -> _Plan:
+    """The plan of ``config`` at any seed and capture setting; ``caps`` are shares already allocated."""
+    caps = tuple(_capacity_series(config) if caps is None else caps)
+    legs = zip(config.profiles, config.link_params, caps)
+    return _Plan(caps, None if config.retain_until_swap else
+                 tuple(_leg_schedule(p, lk, cap, config.drift) for p, lk, cap in legs))
 
 
 # --------------------------------------------------------------------------
 # run entry points
 
 
-def run(config: SimConfig) -> SimResult:
-    """Simulate the config's legs and, for two legs, the onboard swaps under its policy."""
-    return _run_dual_event(config) if config.retain_until_swap else _run_scheduled(config)
+def run(config: SimConfig, *, plan: _Plan | None = None) -> SimResult:
+    """Simulate the config's legs and, for two legs, the onboard swaps under its policy.
+
+    ``plan``, built by :func:`_plan` for this config at any seed, saves building it again.
+    """
+    plan = _plan(config) if plan is None else plan
+    return _run_dual_event(config, plan) if config.retain_until_swap else _run_scheduled(config, plan)
 
 
 def _result(config: SimConfig, tables: Sequence[_RoundTable], by_confirm: bool = False) -> SimResult:
@@ -564,16 +573,13 @@ def _result(config: SimConfig, tables: Sequence[_RoundTable], by_confirm: bool =
     )
 
 
-def _run_scheduled(config: SimConfig) -> SimResult:
-    """Unbounded-buffer run of one or two legs: legs are independent given the allocation."""
-    caps = _capacity_series(config)
+def _run_scheduled(config: SimConfig, plan: _Plan) -> SimResult:
+    """Unbounded-buffer run of one or two legs: legs are independent given the plan's schedules."""
     tables = []
-    for leg in range(config.n_legs):
-        profile = config.profiles[leg]
-        table = _leg_schedule(profile, config.link_params[leg], caps[leg], config.drift)
-        _draw(table, profile.eta, config.link_params[leg].p_bsm, _leg_rng(config.rng_seed, leg),
-              config.capture_rounds)
-        tables.append(table)
+    for leg, table in enumerate(plan.schedules):
+        successes, outcomes = _draw(table, config.profiles[leg].eta, config.link_params[leg].p_bsm,
+                                    _leg_rng(config.rng_seed, leg), config.capture_rounds)
+        tables.append(replace(table, successes=successes, outcomes=outcomes))  # the plan's table stays bare
     return _result(config, tables)
 
 
@@ -619,7 +625,7 @@ class _PhotonStream:
         return [*np.flatnonzero(ok).tolist(), ok.size]
 
 
-def _run_dual_event(config: SimConfig) -> SimResult:
+def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
     """Event-driven dual run used when confirmed pairs retain their slots.
 
     The legs interact through the swap (a confirmation on one leg can free
@@ -661,7 +667,7 @@ def _run_dual_event(config: SimConfig) -> SimResult:
     eta = [p.eta.tolist() for p in profiles]
     t_rt = [_round_trip(p.distance_m, lk).tolist() for p, lk in zip(profiles, links)]
     next_vis = [_next_true(np.asarray(p.visible, dtype=bool)).tolist() for p in profiles]
-    alloc = [c.tolist() for c in _capacity_series(config)]
+    alloc = [c.tolist() for c in plan.caps]
     cap_e = [_eligible_cap(p, lk, config.drift).tolist() for p, lk in zip(profiles, links)]
 
     streams = [_PhotonStream(_leg_rng(config.rng_seed, leg), config.m_s, capture) for leg in range(2)]

@@ -5,9 +5,10 @@ so given the deterministic round schedule the count in a bin is a sum of
 binomials: mu = sum over rounds confirming in the bin of N_eff * q and
 sigma^2 = sum of N_eff * q * (1 - q), with q = eta * p_bsm and N_eff the
 latch-eligible train length after the drift cap.  The moments are read
-from the round table the simulator's own scheduler builds (confirm times
-per round; profile sample, train length and eligible count per block), so
-they are exact for the engine rather than an approximation of it.
+from the schedule in the simulator's plan (confirm times per round; profile
+sample, train length and eligible count per block), the same table the runs
+draw their photons on, so they are exact for the engine rather than an
+approximation of it.
 
 A comparison z-scores each bin, and the verdict is a band-coverage
 heuristic: at least 90 percent of evaluated bins inside two sigma and the
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatchError
 from .passes import _write_csv
-from .sim import SimConfig, SimResult, _bin_counts, _capacity_series, _leg_schedule
+from .sim import SimConfig, SimResult, _bin_counts, _Plan, _plan
 
 __all__ = [
     "BinMoments",
@@ -62,9 +63,11 @@ class BinMoments:
         return np.arange(self.n_bins, dtype=float) * self.bin_width_s
 
 
-def predict_bin_moments(config: SimConfig, n_runs: int = 1) -> tuple[BinMoments, ...]:
+def predict_bin_moments(config: SimConfig, n_runs: int = 1, *, plan: _Plan | None = None) -> tuple[BinMoments, ...]:
     """Exact per-bin count moments for every leg of ``config``.
 
+    The moments come from the schedule of ``plan`` (built from ``config``
+    when None), the same table every run of that plan draws on.
     ``n_runs`` scales the moments for counts pooled over that many
     independent seeds (mu scales linearly, sigma with the square root).
     Only defined while confirmed pairs recycle their slots immediately;
@@ -75,11 +78,9 @@ def predict_bin_moments(config: SimConfig, n_runs: int = 1) -> tuple[BinMoments,
         raise ConfigError("bin moments are undefined when pairs retain slots until swap")
     if n_runs < 1:
         raise ConfigError(f"n_runs must be >= 1: {n_runs}")
-    caps = _capacity_series(config)
     width = config.bin_width_s
     out = []
-    for leg in range(config.n_legs):
-        table = _leg_schedule(config.profiles[leg], config.link_params[leg], caps[leg], config.drift)
+    for leg, table in enumerate((_plan(config) if plan is None else plan).schedules):
         q = config.profiles[leg].eta[table.sample] * config.link_params[leg].p_bsm
         mean = table.eligible * q
         conf = table.confirm

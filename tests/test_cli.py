@@ -187,8 +187,34 @@ def test_simulate_rejects_workers_below_one(dual_spec, tmp_path, capsys, workers
     assert not (tmp_path / "simulate.json").exists()
 
 
+def _counted(monkeypatch, name, *modules):
+    """Calls of the function ``name`` through each of ``modules``' bindings of it, as a list of their args."""
+    calls, original = [], getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_command_builds_one_plan(tmp_path, monkeypatch):
+    # one allocation and one schedule per leg per command, however many seeds simulate runs
+    schedules = _counted(monkeypatch, "_leg_schedule", sim)
+    allocations = _counted(monkeypatch, "allocation_series", analytics, sim, cli)
+    assert experiment.load_experiment(DEMO_SPEC).seeds == 4
+    for command in ("simulate", "validate", "report"):
+        schedules.clear()
+        allocations.clear()
+        assert main([command, "--spec", str(DEMO_SPEC), "--out", str(tmp_path)]) == 0
+        assert (len(schedules), len(allocations)) == (2, 1), command
+
+
 def test_simulate_pool_never_exceeds_seed_count(dual_spec, tmp_path, monkeypatch):
     sizes = []
+    schedules = _counted(monkeypatch, "_leg_schedule", sim)
 
     class RecordingPool:
         """Records the pool size and maps in this process: starts no worker."""
@@ -209,6 +235,7 @@ def test_simulate_pool_never_exceeds_seed_count(dual_spec, tmp_path, monkeypatch
     assert main(["simulate", "--spec", dual_spec, "--out", str(tmp_path), "--workers", "64"]) == 0
     assert sizes == [2]
     assert json.loads((tmp_path / "simulate.json").read_text())["seeds"] == [0, 1]
+    assert len(schedules) == 2  # each leg's schedule, built once and passed with every seed's task
 
 
 def test_validate_flow(single_spec, tmp_path, capsys):

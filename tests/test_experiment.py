@@ -212,6 +212,12 @@ RUN_RULE_SPECS = [
         (lambda d: d["stations"][0].update(name="a,b"), "spec.stations[0]: station name must be"),
         (lambda d: d["satellite"].update(orbit_altitude_m=1e300),
          "spec.satellite: orbit_altitude_m must be > 0 and at most 1e+102: 1e+300"),
+        (lambda d: d.update(link={"light_speed_mps": 5e-324}),
+         "spec.link: light_speed_mps must be at least 1: 5e-324"),
+        (lambda d: d.update(optics={"wavelength_m": 5e-324}),
+         "spec.optics: wavelength_m must be at least 1e-12: 5e-324"),
+        (lambda d: d["stations"][0].update(altitude_m=1e300),
+         "spec.stations[0]: altitude_m must be >= 0 and at most 1e+102: 1e+300"),
     ],
 )
 @pytest.mark.parametrize("command", ["rate", "simulate"])

@@ -211,8 +211,9 @@ def test_dual_fast_and_event_paths_agree():
     for seed in range(6):
         for policy, split in (("dynamic_int", None), ("static", (4, 6))):
             config = dual_config(policy=policy, seed=seed, split=split, capture=True)
-            fast = sim_mod._run_scheduled(config)
-            event = sim_mod._run_dual_event(config)
+            plan = sim_mod._plan(config)
+            fast = sim_mod._run_scheduled(config, plan)
+            event = sim_mod._run_dual_event(config, plan)
             _assert_same_counts(fast, event, (seed, policy))
             _assert_same_rounds(fast, event, (seed, policy))
 
@@ -224,7 +225,8 @@ def test_dual_fast_and_event_paths_agree():
         # the event loop draws photons in chunks and windows; the fast path
         # draws whole blocks of rounds: equal counts mean equal streams
         config = dataclasses.replace(config, capture_rounds=True)
-        fast, event = sim_mod._run_scheduled(config), sim_mod._run_dual_event(config)
+        plan = sim_mod._plan(config)
+        fast, event = sim_mod._run_scheduled(config, plan), sim_mod._run_dual_event(config, plan)
         _assert_same_counts(fast, event, config)
         _assert_same_rounds(fast, event, config)
         caps = sim_mod._capacity_series(config)
@@ -371,7 +373,7 @@ def test_draw_skips_drifted_tails_bitwise():
         table = sim_mod._RoundTable(np.zeros(k.sum()), np.zeros(k.sum()), None, k, sample, n_col,
                                     eligible, np.zeros(k.size))
         rng, ref_rng = sim_mod._leg_rng(7, 0), sim_mod._leg_rng(7, 0)
-        sim_mod._draw(table, eta, 0.8, rng, capture)
+        table.successes, table.outcomes = sim_mod._draw(table, eta, 0.8, rng, capture)
         successes, outcomes = _reference_draw(table, eta, 0.8, ref_rng)
         assert table.successes.tolist() == successes
         assert table.outcomes == (outcomes if capture else None)
@@ -389,6 +391,30 @@ def test_uncaptured_long_drift_tail_counts_are_pinned():
                                   sim_mod._capacity_series(configs[0])[0], True)
     assert 2 * int((table.n - table.eligible).min()) >= sim_mod._ADVANCE_MIN
     assert _counts_digest([run(c) for c in configs]) == LONG_TAIL_DIGEST
+
+
+def test_a_shared_plan_changes_no_counts_and_stays_read_only():
+    # one plan, shared by several seeds as simulate shares it, counts as a plan each run builds
+    cases = (dual_config(), dual_config(capture=True), dual_config(policy="static", split=(4, 6)),
+             single_config(eta=0.7, p=0.5), single_config(eta=0.7, p=0.5, capture=True),
+             dual_config(retain=True, capture=True))
+    for case in cases:
+        plan = sim_mod._plan(case)
+        for seed in range(3):
+            config = dataclasses.replace(case, rng_seed=seed)
+            shared, own = run(config, plan=plan), run(config)
+            assert _counts_digest([shared]) == _counts_digest([own]), config
+            if config.capture_rounds:
+                logs = [io.StringIO(), io.StringIO()]
+                write_round_log(shared, logs[0])
+                write_round_log(own, logs[1])
+                assert logs[0].getvalue() == logs[1].getvalue(), config
+            else:
+                assert shared.rounds is own.rounds is None
+        if case.retain_until_swap:
+            assert plan.schedules is None
+        else:
+            assert all(t.successes is None and t.outcomes is None for t in plan.schedules)
 
 
 def test_retained_mode_reduces_leg_throughput():
@@ -595,7 +621,7 @@ def test_event_loop_matches_strict_order_reference():
     @example(config=_tied_legs_case(False))
     def agree(config):
         want = _reference_event_tables(config)
-        result = sim_mod._run_dual_event(config)
+        result = sim_mod._run_dual_event(config, sim_mod._plan(config))
         _assert_same_counts(sim_mod._result(config, want, by_confirm=True), result, config)
         if config.capture_rounds:
             for leg, (got, ref) in enumerate(zip(result._tables, want)):
@@ -1055,7 +1081,7 @@ def test_write_round_log_matches_per_row_reference(result):
 
 
 def test_round_log_fast_path_reads_writer_layout(monkeypatch):
-    # every chunk of a writer-made log parses by regex: the per-row path never runs
+    # every chunk of a writer-made log parses on the byte path (_layout_columns): the per-row path never runs
     def per_row(lines, where, row):
         raise AssertionError(f"{where}: row {row}: chunk left the writer's layout")
 

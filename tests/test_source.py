@@ -56,3 +56,17 @@ def test_only_the_text_io_helper_opens_files():
                     if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in FILE_CALLS:
                         openers.add((path.name, getattr(top, "name", None), node.lineno))
     assert {(module, where) for module, where, _ in openers} == {("passes.py", "_text_io")}, sorted(openers)
+
+
+
+def test_frozen_fields_are_set_only_in_post_init():
+    # a frozen config changes through replace(), never behind its back: object.__setattr__ only builds one
+    setters = set()
+    for path in SRC.glob("*.py"):
+        scope = {}
+        for node in ast.walk(_tree(path)):  # breadth first: an inner function overrides the one around it
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update(dict.fromkeys(ast.walk(node), node.name))
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+                setters.add((path.name, scope.get(node), node.lineno))
+    assert {where for _, where, _ in setters} == {"__post_init__"}, sorted(setters)
