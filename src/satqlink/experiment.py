@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Any
 
 from .analytics import LinkParams, best_static_split
+from .constants import EARTH_RADIUS
 from .errors import ConfigError, DataFormatError
 from .passes import (
     GroundStation,
@@ -46,8 +47,6 @@ _POLICY_ALIASES = {"dynamic": "dynamic_int"}
 # field groups of Experiment: the keys of the file's "pass" and "run" objects
 _PASS = {"group": "pass"}
 _RUN = {"group": "run"}
-
-_MAX_GRID = 10**6  # samples (duration / step) or bins (duration / bin width) of one run; the demo spec has 900
 
 
 @dataclass(frozen=True)
@@ -81,17 +80,14 @@ class Experiment:
         n = len(self.stations)
         policy = self.policy if self.policy is not None else ("single" if n == 1 else "dynamic_int")
         object.__setattr__(self, "policy", _POLICY_ALIASES.get(policy, policy))
+        # no station is farther from the satellite than the orbit radius plus its own radius
+        legs = [(self.link, self.satellite.semi_major_axis_m + EARTH_RADIUS + st.altitude_m) for st in self.stations]
         _check_run(self.policy, n, self.satellite.memory_slots, self.static_split, self.retain_until_swap,
-                   self.bin_width_s)
+                   self.bin_width_s, self.duration_s + self.step_s, legs)
         names = [st.name for st in self.stations]
         if len(set(names)) < n:
             raise ConfigError(f"stations[{n - 1}].name repeats {names[-1]!r}")
         _check_grid(self.duration_s, self.step_s)
-        for key, what in (("step_s", "samples"), ("bin_width_s", "bins")):
-            width = getattr(self, key)
-            if self.duration_s / width > _MAX_GRID:
-                raise ConfigError(
-                    f"{key} {width} makes more than {_MAX_GRID} {what} of duration_s {self.duration_s}", key)
         if self.seeds < 1:
             raise ConfigError(f"seeds must be >= 1: {self.seeds}", "seeds")
         if not 0 <= self.seed0 <= 2**64 - self.seeds:  # every seed fits a 64-bit generator seed

@@ -63,6 +63,7 @@ def _check_finite(config) -> None:
 
 
 _MAX_ORBIT_RADIUS_M = 1e102  # the mean motion cubes the orbit radius; a float64 cube overflows past 5.6e102
+_MAX_GRID = 10**6  # samples or bins of one run; the demo spec has 901 of each
 
 
 def _orbit_radius(altitude_m: float, name: str) -> float:
@@ -74,12 +75,15 @@ def _orbit_radius(altitude_m: float, name: str) -> float:
 
 
 def _check_grid(duration_s: float, step_s: float) -> None:
-    """Refuse a pass grid unless its step and duration are finite and > 0 and it holds at least 2 steps."""
+    """Refuse a pass grid unless its step and duration are finite and > 0 and it holds 2 to ``_MAX_GRID`` steps."""
     for name, value in (("duration_s", duration_s), ("step_s", step_s)):
         if not 0.0 < value < math.inf:
             raise ConfigError(f"{name} must be finite and > 0: {value}", name)
     if duration_s / step_s < 2.0:
         raise ConfigError(f"duration_s must cover at least 2 steps of step_s {step_s}: {duration_s}", "duration_s")
+    if duration_s / step_s > _MAX_GRID:
+        raise ConfigError(f"step_s {step_s} makes more than {_MAX_GRID} samples of duration_s {duration_s}",
+                          "step_s")
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .analytics import LinkParams, _drift_bound, _round_trip, allocation_series
 from .errors import ConfigError, DataFormatError, ReplayError
-from .passes import PassProfile, _check_finite, _read_csv, _text_io, _write_csv
+from .passes import _MAX_GRID, PassProfile, _check_finite, _read_csv, _text_io, _write_csv
 
 __all__ = [
     "ENGINE_VERSION",
@@ -95,9 +95,13 @@ ENGINE_VERSION = "satqlink-engine-1"
 _POLICIES = ("single", "static", "dynamic_int")
 
 
-def _check_run(policy: str, n_legs: int, m_s: int, static_split: tuple[int, int] | None,
-               retain_until_swap: bool, bin_width_s: float) -> None:
-    """The run rules of :class:`SimConfig` and of the experiment file, which may leave the split to a search."""
+def _check_run(policy: str, n_legs: int, m_s: int, static_split: tuple[int, int] | None, retain_until_swap: bool,
+               bin_width_s: float, pass_end_s: float, legs: Iterable[tuple[LinkParams, float]]) -> None:
+    """The run rules of :class:`SimConfig` and of the experiment file, which may leave the split to a search.
+
+    At most ``_MAX_GRID`` bins may run to the last confirmation: at most one round, (m_sat - 1) * T_em plus
+    the round trip at a leg's largest distance (``legs`` pairs each link with it), after ``pass_end_s``.
+    """
     if policy not in _POLICIES:
         raise ConfigError(f"unknown policy {policy!r}, want one of {_POLICIES}", "policy")
     want = 1 if policy == "single" else 2
@@ -117,6 +121,10 @@ def _check_run(policy: str, n_legs: int, m_s: int, static_split: tuple[int, int]
         raise ConfigError("retain_until_swap applies to dual runs only", "retain_until_swap")
     if bin_width_s <= 0.0:
         raise ConfigError(f"bin_width_s must be > 0: {bin_width_s}", "bin_width_s")
+    end = pass_end_s + max((m_s - 1) * lk.emission_period_s + _round_trip(d_max, lk) for lk, d_max in legs)
+    if end / bin_width_s > _MAX_GRID:
+        raise ConfigError(f"bin_width_s {bin_width_s} makes more than {_MAX_GRID} bins up to {end:g} s, "
+                          "the last confirmation time the pass allows", "bin_width_s")
 
 
 @dataclass(frozen=True)
@@ -146,8 +154,10 @@ class SimConfig:
         object.__setattr__(self, "link_params", tuple(self.link_params))
         if not self.profiles or len(self.link_params) != len(self.profiles):
             raise ConfigError("need at least one profile, with one LinkParams each")
-        _check_run(self.policy, self.n_legs, self.m_s, self.static_split, self.retain_until_swap,
-                   self.bin_width_s)
+        grid = self.profiles[0]  # rounds start before the end of its last sample
+        _check_run(self.policy, self.n_legs, self.m_s, self.static_split, self.retain_until_swap, self.bin_width_s,
+                   float(grid.t_s[0]) + grid.n_samples * grid.step_s,
+                   [(lk, float(p.distance_m.max())) for p, lk in zip(self.profiles, self.link_params)])
         if self.policy == "static" and self.static_split is None:  # an experiment may leave it to the search
             raise ConfigError("static policy needs static_split", "static_split")
         if not isinstance(self.rng_seed, numbers.Integral):
@@ -223,7 +233,6 @@ class SimResult:
     config_echo: dict
     engine_version: str = ENGINE_VERSION
     _tables: tuple[_RoundTable, ...] | None = field(default=None, repr=False, compare=False)
-    _by_confirm: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.pairs_end_to_end.size
@@ -241,10 +250,10 @@ class SimResult:
 
     @property
     def rounds(self) -> list[Round] | None:
-        """Every round, or None when the run did not capture rounds."""
+        """Every round, leg by leg, or None when the run did not capture rounds."""
         if self._tables is None:
             return None
-        return [Round(*row) for row in _scalar_rows(_table_columns(self._tables, self._by_confirm))]
+        return [Round(*row) for row in _scalar_rows(_table_columns(self._tables))]
 
     @property
     def n_bins(self) -> int:
@@ -327,23 +336,14 @@ def _scalar_rows(columns: Sequence) -> Iterator[tuple]:
         yield from zip(*(c[lo : lo + _ROWS].tolist() for c in nums), outcomes[lo : lo + _ROWS])
 
 
-def _table_columns(tables: Sequence[_RoundTable], by_confirm: bool) -> tuple:
-    """:class:`Round` fields of every round as :func:`_round_columns` gives them.
-
-    Rows run leg by leg, or in (confirm, leg, index) order with ``by_confirm``.
-    """
+def _table_columns(tables: Sequence[_RoundTable]) -> tuple:
+    """:class:`Round` fields of every round as :func:`_round_columns` gives them, leg by leg."""
     parts = [
         (np.full(t.start.size, leg), np.arange(t.start.size), t.start, np.repeat(t.n, t.k),
          np.repeat(t.v_r, t.k), t.confirm, t.successes)
         for leg, t in enumerate(tables)
     ]
-    cols = [np.concatenate(c) for c in zip(*parts)]
-    outcomes = [o for t in tables for o in t.outcomes]
-    if by_confirm:
-        order = np.lexsort((cols[1], cols[0], cols[5]))
-        cols = [c[order] for c in cols]
-        outcomes = [outcomes[i] for i in order.tolist()]
-    return (*cols, outcomes)
+    return (*(np.concatenate(c) for c in zip(*parts)), [o for t in tables for o in t.outcomes])
 
 
 def _eligible_cap(profile: PassProfile, params: LinkParams, drift: bool) -> np.ndarray:
@@ -543,13 +543,11 @@ def run(config: SimConfig, *, plan: _Plan | None = None) -> SimResult:
     return _run_dual_event(config, plan) if config.retain_until_swap else _run_scheduled(config, plan)
 
 
-def _result(config: SimConfig, tables: Sequence[_RoundTable], by_confirm: bool = False) -> SimResult:
+def _result(config: SimConfig, tables: Sequence[_RoundTable]) -> SimResult:
     """Bin each leg's confirmations and the swaps; keep the tables if they hold outcomes.
 
     The i-th end-to-end pair appears at the later of the two legs' i-th
     confirmed pairs, so no swap falls past the last confirmation's bin.
-    ``by_confirm`` orders the result's rounds by (confirm, leg, index)
-    instead of leg by leg.
     """
     width = config.bin_width_s
     conf = [t.confirm for t in tables]
@@ -569,7 +567,6 @@ def _result(config: SimConfig, tables: Sequence[_RoundTable], by_confirm: bool =
         policy=config.policy,
         config_echo=config.echo_dict(),
         _tables=tuple(tables) if tables[0].outcomes is not None else None,
-        _by_confirm=by_confirm,
     )
 
 
@@ -646,7 +643,7 @@ def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
     waking at that confirmation would only block again).  Otherwise it
     takes its confirmation at once when the partner is done or acts later,
     and then its next start unless the partner confirms at that instant.
-    Each leg so runs the rounds of the strict order; ``_result`` sorts them.
+    Each leg so runs the rounds of the strict order.
 
     Photons are drawn a chunk at a time; one draw of k rows consumes the
     leg's stream exactly as k single-photon draws do.  While a leg stays in
@@ -770,7 +767,7 @@ def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
             np.diff(first, append=start.size), sample, n_col, np.minimum(np.take(cap_e[leg], sample), n_col),
             p.radial_velocity_mps[sample], outcomes[leg] if capture else None,
         ))
-    return _result(config, tables, by_confirm=True)
+    return _result(config, tables)
 
 
 # --------------------------------------------------------------------------
@@ -804,7 +801,9 @@ def replay(config: SimConfig, log: RoundLog | Sequence[Round]) -> SimResult:
 
     Each leg's rounds are taken in (confirm, index) order and swaps are
     rebuilt with the engine's first-in-first-out rule, which reproduces both
-    buffer modes exactly.  The result's rounds are numbered by that order.
+    buffer modes exactly.  The result's rounds run leg by leg, numbered in
+    that order, as a run's do; so a log in any row order, such as an older
+    retained log's (confirm, leg, index), rewrites to the run's own log.
     A log from another engine version is refused, and so is a round that no log can hold.
     """
     if log is None:
@@ -832,7 +831,7 @@ def replay(config: SimConfig, log: RoundLog | Sequence[Round]) -> SimResult:
             start[order], conf[order], succ[order], np.ones(order.size, dtype=np.int64), unknown,
             n[order], unknown, v_r[order], [outcomes[j] for j in order.tolist()],
         ))
-    return _result(config, tables, by_confirm=True)
+    return _result(config, tables)
 
 
 _SIM_CSV_HEADER = "bin_start_s,pairs_legA,pairs_legB,pairs_end_to_end"
@@ -881,7 +880,7 @@ def write_round_log(result: SimResult, destination: str | Path | TextIO) -> None
         header = dict(engine_version=result.engine_version, seed=int(result.seed),
                       policy=result.policy, bin_width_s=result.bin_width_s)
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        *nums, outcomes = _table_columns(result._tables, result._by_confirm)
+        *nums, outcomes = _table_columns(result._tables)
         for lo in range(0, len(outcomes), _ROWS):
             leg, index, start, n, v_r, conf, succ = (c[lo : lo + _ROWS] for c in nums)
             start, conf, v_r = _float_texts(start, conf, v_r)  # a confirm time is mostly the next start

@@ -204,8 +204,13 @@ RUN_RULE_SPECS = [
         (lambda d: d.update(run={"seed0": 2**64}), "spec.run: seed0 must be in [0, 2**64 - seeds]"),
         (lambda d: d["pass"].update(step_s=1e-300),
          "spec.pass: step_s 1e-300 makes more than 1000000 samples of duration_s 300.0"),
+        # the bins reach past the pass end by the longest round: the link's terms count too
         (lambda d: d.update(run={"bin_width_s": 1e-300}),
-         "spec.run: bin_width_s 1e-300 makes more than 1000000 bins of duration_s 300.0"),
+         "spec.run: bin_width_s 1e-300 makes more than 1000000 bins up to 301.088 s"),
+        (lambda d: d.update(link={"processing_delay_s": 1e300}),
+         "spec.run: bin_width_s 1.0 makes more than 1000000 bins up to 1e+300 s"),
+        (lambda d: d.update(link={"light_speed_mps": 1}),
+         "spec.run: bin_width_s 1.0 makes more than 1000000 bins up to 2.64843e+07 s"),
         *RUN_RULE_SPECS,
         (lambda d: d["stations"][0].update(name="a\u0000b"), "spec.stations[0]: station name must be"),
         (lambda d: d["stations"][0].update(name="a/b"), "spec.stations[0]: station name must be"),

@@ -145,6 +145,12 @@ def test_sim_config_validation():
     with pytest.raises(ConfigError):
         SimConfig(profiles=pair, link_params=(good, link(m_sat=20)), policy="dynamic_int",
                   rng_seed=0)
+    # the bins run to the last confirmation: at most the longest round past the 5 s pass
+    slow = dataclasses.replace(good, processing_delay_s=1e300)
+    for links, width, end in (((good, slow), 1.0, "1e+300"), ((good, good), 5e-6, "5.00401")):
+        with pytest.raises(ConfigError, match=re.escape(f"bin_width_s {width} makes more than 1000000 bins "
+                                                        f"up to {end} s")):
+            SimConfig(profiles=pair, link_params=links, policy="dynamic_int", rng_seed=0, bin_width_s=width)
 
 
 def dual_config(policy="dynamic_int", seed=5, m_sat=10, retain=False, capture=False,
@@ -172,9 +178,7 @@ def _assert_same_counts(a, b, case):
 
 
 def _assert_same_rounds(a, b, case):
-    # the scheduled path lists rounds leg by leg, the event loop by confirm time
-    by_leg = lambda r: (r.leg, r.index)  # noqa: E731
-    assert sorted(a.rounds, key=by_leg) == sorted(b.rounds, key=by_leg), case
+    assert a.rounds == b.rounds, case
 
 
 @st.composite
@@ -622,8 +626,10 @@ def test_event_loop_matches_strict_order_reference():
     def agree(config):
         want = _reference_event_tables(config)
         result = sim_mod._run_dual_event(config, sim_mod._plan(config))
-        _assert_same_counts(sim_mod._result(config, want, by_confirm=True), result, config)
+        _assert_same_counts(sim_mod._result(config, want), result, config)
         if config.capture_rounds:
+            order = [(r.leg, r.index) for r in result.rounds]  # leg by leg, each leg in round order
+            assert all(a < b for a, b in zip(order, order[1:])), config
             for leg, (got, ref) in enumerate(zip(result._tables, want)):
                 for key in ("start", "confirm", "successes", "k", "sample", "n", "eligible", "v_r"):
                     a, b = getattr(got, key), getattr(ref, key)
@@ -791,6 +797,36 @@ def test_round_log_roundtrip_and_version_guard():
         replay(config, None)
 
 
+def _log_of(result) -> str:
+    buf = io.StringIO()
+    write_round_log(result, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("config", [
+    single_config(eta=0.7, p=0.5, m_sat=100, v_r=6998.0, capture=True),
+    dual_config(capture=True),
+    dual_config(capture=True, retain=True, n=80),
+    dual_config(policy="static", split=(4, 6), capture=True, retain=True, n=80),
+], ids=["single", "dual", "retained_dynamic_int", "retained_static"])
+def test_replayed_log_rewrites_the_run_log(config):
+    # one round order, leg by leg: a log read and replayed writes back its own text
+    result = run(config)
+    text = _log_of(result)
+    replayed = replay(config, read_round_log(io.StringIO(text)))
+    assert replayed.rounds == result.rounds
+    assert _log_of(replayed) == text
+    if config.retain_until_swap:
+        # a log in the (confirm, leg, index) order that retained runs once wrote
+        header, *records = text.splitlines(keepends=True)
+        keys = [(r["confirm_time_s"], r["leg"], r["index"]) for r in map(json.loads, records)]
+        by_confirm = header + "".join(line for _, line in sorted(zip(keys, records)))
+        assert by_confirm != text
+        old = replay(config, read_round_log(io.StringIO(by_confirm)))
+        _assert_same_counts(result, old, config)
+        assert _log_of(old) == text
+
+
 def test_replay_rejects_rounds_that_overflow_a_column():
     config = dual_config(capture=True)
     rounds = run(config).rounds
@@ -838,11 +874,12 @@ ROUND_LOG_DIGESTS = {
 }
 
 
-# and of retained logs, (confirm, leg, index) order and longer than one chunk
-# of sim._ROWS rows, recorded before the writer formatted a chunk at a time
+# and of retained logs, longer than one chunk of sim._ROWS rows: each is the
+# log pinned before the writer formatted a chunk at a time (then in (confirm,
+# leg, index) order), with its records stably sorted into leg-by-leg order
 RETAINED_ROUND_LOG_DIGESTS = {
-    "retained_dynamic_int": "fa8181b88dcb830e430da9c840b5f5286070113a2ae756e63292c8e2b9ea7c00",
-    "retained_static": "928215cc1fca2e9cf5e0bfdaeef2be77daba77ab8e8fd9da00b9fa18c31a3e75",
+    "retained_dynamic_int": "62815f24e6b74a8c7353a20d8eaf85de48024450b08f45dde33c0823b56c85bc",
+    "retained_static": "4a69546a3e89f1ff7b72b07f874b7d929ba1236a0abc41c6c48dec3dc874e229",
 }
 
 
@@ -1033,8 +1070,6 @@ def _reference_round_log(result) -> str:
         n, v_r = np.repeat(t.n, t.k).tolist(), np.repeat(t.v_r, t.k).tolist()
         for i, (start, conf, succ) in enumerate(zip(t.start.tolist(), t.confirm.tolist(), t.successes.tolist())):
             rows.append((leg, i, start, n[i], v_r[i], conf, succ, t.outcomes[i]))
-    if result._by_confirm:
-        rows.sort(key=lambda r: (r[5], r[0], r[1]))
     lines = [json.dumps(header, sort_keys=True) + "\n"]
     for leg, index, start, n, v_r, conf, succ, out in rows:
         member = "" if out is None else f'"outcomes": {json.dumps(out, ensure_ascii=False)}, '
@@ -1065,8 +1100,7 @@ def _writer_results(draw):
         ))
     empty = np.zeros(0, dtype=np.int64)
     return sim_mod.SimResult(bin_width_s=0.5, pairs_per_leg=(empty, empty), pairs_end_to_end=empty, seed=7,
-                             policy="dynamic_int", config_echo={}, _tables=tuple(tables),
-                             _by_confirm=draw(st.booleans()))
+                             policy="dynamic_int", config_echo={}, _tables=tuple(tables))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -1118,7 +1152,7 @@ def test_demo_round_logs_take_the_byte_path(monkeypatch, retain):
     monkeypatch.setattr(sim_mod, "_log_rows", per_row)
     log = read_round_log(buf)
     assert len(log._columns[-1]) > 10 * sim_mod._ROWS
-    assert _float_bits(log._columns) == _float_bits(sim_mod._table_columns(result._tables, result._by_confirm))
+    assert _float_bits(log._columns) == _float_bits(sim_mod._table_columns(result._tables))
     _assert_same_counts(result, replay(config, log), config)
 
 
