@@ -43,7 +43,7 @@ per-bin moments of :mod:`satqlink.validation` follow the engine instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable
 
 import numpy as np
@@ -55,7 +55,7 @@ from .constants import (
     DEFAULT_P_BSM,
 )
 from .errors import ConfigError, GridMismatchError, NoOverlapError, NoVisibilityError
-from .passes import PassProfile, _check_finite, _write_csv
+from .passes import _SLOTS, PassProfile, _check_fields, _within, _write_csv
 
 __all__ = [
     "LinkParams",
@@ -87,34 +87,25 @@ class LinkParams:
     stations are at least as well equipped as the satellite.
     """
 
-    m_sat: int
-    m_ground: int | None = None
-    emission_period_s: float = DEFAULT_EMISSION_PERIOD
-    acceptance_window_s: float = DEFAULT_COINCIDENCE_WINDOW
-    p_bsm: float = DEFAULT_P_BSM
-    processing_delay_s: float = 0.0
-    light_speed_mps: float = C_LIGHT
+    m_sat: int = field(metadata=_within(_SLOTS))
+    m_ground: int | None = field(default=None, metadata=_within(_SLOTS))
+    emission_period_s: float = field(default=DEFAULT_EMISSION_PERIOD, metadata=_within("(0, inf)"))
+    acceptance_window_s: float = field(default=DEFAULT_COINCIDENCE_WINDOW, metadata=_within("(0, inf)"))
+    p_bsm: float = field(default=DEFAULT_P_BSM, metadata=_within("(0, 1]"))
+    processing_delay_s: float = field(default=0.0, metadata=_within("[0, inf)"))
+    light_speed_mps: float = field(default=C_LIGHT, metadata=_within("[1, inf)"))  # 5e-324 made round trips inf
 
     def __post_init__(self) -> None:
-        _check_finite(self)
-        if int(self.m_sat) != self.m_sat or self.m_sat < 1:
-            raise ConfigError(f"m_sat must be a positive integer: {self.m_sat}")
+        _check_fields(self)
         if self.m_ground is None:
             object.__setattr__(self, "m_ground", int(self.m_sat))
-        if int(self.m_ground) != self.m_ground or self.m_ground < 1:
-            raise ConfigError(f"m_ground must be a positive integer: {self.m_ground}")
+        for name in ("m_sat", "m_ground"):
+            if int(value := getattr(self, name)) != value:
+                raise ConfigError(f"{name} must be an integer: {value}", name)
         if self.m_sat > self.m_ground:
             raise ConfigError(
                 f"m_sat ({self.m_sat}) must not exceed m_ground ({self.m_ground})"
             )
-        if not 0.0 < self.p_bsm <= 1.0:
-            raise ConfigError(f"p_bsm out of (0, 1]: {self.p_bsm}")
-        if self.emission_period_s <= 0.0 or self.acceptance_window_s <= 0.0:
-            raise ConfigError("emission_period_s and acceptance_window_s must be > 0")
-        if self.processing_delay_s < 0.0:
-            raise ConfigError("processing_delay_s must be >= 0")
-        if not self.light_speed_mps >= 1.0:  # slower than any medium's; 5e-324 made every round trip infinite
-            raise ConfigError(f"light_speed_mps must be at least 1: {self.light_speed_mps}")
 
     def with_m_sat(self, m_sat: int) -> "LinkParams":
         """Copy with a different satellite slot count (m_ground tracks it when defaulted)."""
@@ -126,16 +117,12 @@ class LinkParams:
 class LinkState:
     """Channel state of one leg at one instant: transmission, round trip, range rate."""
 
-    eta: float
-    t_rt_s: float
+    eta: float = field(metadata=_within("[0, 1]"))
+    t_rt_s: float = field(metadata=_within("(0, inf)"))
     v_r_mps: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_finite(self)
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigError(f"eta out of [0, 1]: {self.eta}")
-        if self.t_rt_s <= 0.0:
-            raise ConfigError(f"t_rt_s must be > 0: {self.t_rt_s}")
+        _check_fields(self)
 
 
 # --------------------------------------------------------------------------

@@ -70,17 +70,20 @@ def _out_dir(args: argparse.Namespace, exp: Experiment) -> Path:
     return path
 
 
+# the spec overrides, each read by the commands that pass its name to _add_common
+_OVERRIDES = {
+    "m_sat": ("--m-sat", {"type": int, "help": "override satellite memory slots"}),
+    "policy": ("--policy", {"choices": ["single", "static", "dynamic"], "help": "override allocation policy"}),
+    "drift": ("--drift", {"choices": ["on", "off"], "help": "override drift handling"}),
+    "seeds": ("--seeds", {"type": int, "help": "seed count; validate checks simulate.json"}),
+}
+
+
 def _experiment(args: argparse.Namespace) -> Experiment:
-    exp = load_experiment(args.spec)
-    drift = None
-    if getattr(args, "drift", None) is not None:
-        drift = args.drift == "on"
-    return exp.with_overrides(
-        m_sat=getattr(args, "m_sat", None),
-        policy=getattr(args, "policy", None),
-        drift=drift,
-        seeds=getattr(args, "seeds", None),
-    )
+    overrides = {name: getattr(args, name, None) for name in _OVERRIDES}  # None where the command takes no flag
+    if overrides["drift"] is not None:
+        overrides["drift"] = overrides["drift"] == "on"
+    return load_experiment(args.spec).with_overrides(**overrides)
 
 
 def _cmd_gen_pass(args: argparse.Namespace) -> int:
@@ -148,9 +151,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}", "workers")
     exp = _experiment(args)
+    config = exp.sim_config(exp.seed0)  # a refused run creates no --out
     out_dir = _out_dir(args, exp)
     seeds = exp.seed_list
-    config = exp.sim_config(exp.seed0)
     plan = _plan(config)  # no seed changes it: every run shares it
     configs = [replace(config, rng_seed=seed) for seed in seeds]
     if args.workers > 1 and len(seeds) > 1:
@@ -315,15 +318,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser, seeds: bool = False) -> None:
+def _add_common(sub: argparse.ArgumentParser, *overrides: str) -> None:
     sub.add_argument("--spec", required=True, help="experiment JSON file")
     sub.add_argument("--out", default=None, help="output directory (default: spec output_dir or .)")
-    sub.add_argument("--m-sat", type=int, default=None, dest="m_sat", help="override satellite memory slots")
-    sub.add_argument("--policy", choices=["single", "static", "dynamic"], default=None,
-                     help="override allocation policy")
-    sub.add_argument("--drift", choices=["on", "off"], default=None, help="override drift handling")
-    if seeds:
-        sub.add_argument("--seeds", type=int, default=None, help="seed count; validate checks simulate.json")
+    for name in overrides:
+        flag, options = _OVERRIDES[name]
+        sub.add_argument(flag, dest=name, default=None, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,24 +339,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_pass)
 
     p = subs.add_parser("rate", help="closed-form rate series")
-    _add_common(p)
+    _add_common(p, "m_sat", "policy", "drift")
     p.set_defaults(func=_cmd_rate)
 
     p = subs.add_parser("allocate", help="memory allocation across two legs")
-    _add_common(p)
+    _add_common(p, "m_sat")
     p.set_defaults(func=_cmd_allocate)
 
     p = subs.add_parser("simulate", help="run seeded Monte-Carlo sweeps")
-    _add_common(p, seeds=True)
+    _add_common(p, "m_sat", "policy", "drift", "seeds")
     p.add_argument("--workers", type=int, default=1, help="parallel seed workers")
     p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("validate", help="check simulated counts against predicted moments")
-    _add_common(p, seeds=True)
+    _add_common(p, "m_sat", "policy", "drift", "seeds")
     p.set_defaults(func=_cmd_validate)
 
     p = subs.add_parser("report", help="figure-ready joined tables")
-    _add_common(p)
+    _add_common(p, "m_sat", "policy", "drift")
     p.set_defaults(func=_cmd_report)
     return parser
 

@@ -33,9 +33,10 @@ from .passes import (
     OpticalParams,
     PassProfile,
     SatelliteConfig,
-    _check_finite,
+    _check_fields,
     _check_grid,
     _text_io,
+    _within,
     propagate_pass,
 )
 from .sim import SimConfig, _check_run
@@ -67,7 +68,7 @@ class Experiment:
     optics: OpticalParams = field(default_factory=OpticalParams)
     policy: str | None = field(default=None, metadata=_RUN)
     static_split: tuple[int, int] | None = field(default=None, metadata=_RUN)
-    seeds: int = field(default=1, metadata=_RUN)
+    seeds: int = field(default=1, metadata=_RUN | _within("[1, 2**64]"))
     seed0: int = field(default=0, metadata=_RUN)
     bin_width_s: float = field(default=1.0, metadata=_RUN)
     drift: bool = field(default=True, metadata=_RUN)
@@ -76,7 +77,7 @@ class Experiment:
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        _check_fields(self)
         n = len(self.stations)
         policy = self.policy if self.policy is not None else ("single" if n == 1 else "dynamic_int")
         object.__setattr__(self, "policy", _POLICY_ALIASES.get(policy, policy))
@@ -88,8 +89,6 @@ class Experiment:
         if len(set(names)) < n:
             raise ConfigError(f"stations[{n - 1}].name repeats {names[-1]!r}")
         _check_grid(self.duration_s, self.step_s)
-        if self.seeds < 1:
-            raise ConfigError(f"seeds must be >= 1: {self.seeds}", "seeds")
         if not 0 <= self.seed0 <= 2**64 - self.seeds:  # every seed fits a 64-bit generator seed
             raise ConfigError(f"seed0 must be in [0, 2**64 - seeds]: {self.seed0}", "seed0")
 
@@ -215,7 +214,12 @@ def _value(hint: Any, value: Any, path: str) -> Any:
     what, accepted = _SCALARS[hint]
     if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
         raise ConfigError(f"{path} must be {what}, got {type(value).__name__}")
-    return float(value) if hint is float else value
+    if hint is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past the largest float
+        raise ConfigError(f"{path} must be a number in the float range, got {len(str(value))} digits") from None
 
 
 def load_experiment(path: str | Path) -> Experiment:
@@ -230,6 +234,8 @@ def load_experiment(path: str | Path) -> Experiment:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{p}: line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past int()'s digit limit
+        raise DataFormatError(f"{p}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{p}: experiment file must hold a JSON object")
     return _section(Experiment, {"name": p.stem, **doc}, "spec")

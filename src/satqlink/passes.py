@@ -22,6 +22,7 @@ Conventions: SI units, angles in degrees in all public fields (suffix
 from __future__ import annotations
 
 import math
+import operator
 import os
 import re
 from contextlib import contextmanager, suppress
@@ -54,16 +55,31 @@ __all__ = [
 # configuration types
 
 
-def _check_finite(config) -> None:
-    """Reject NaN and +-inf in every float field of a dataclass."""
+def _within(interval: str) -> dict:
+    """Field metadata declaring the field's valid interval, such as ``"(0, 1]"`` or ``"[1, 10**6]"``, with its test.
+
+    The test takes a value, or an array elementwise; NaN lies outside.
+    """
+    ends = [end.partition("**") for end in interval[1:-1].split(", ")]
+    lo, hi = (float(base) ** int(power or 1) for base, _, power in ends)
+    above = operator.le if interval[0] == "[" else operator.lt
+    below = operator.le if interval[-1] == "]" else operator.lt
+    return {"within": interval, "inside": lambda value: above(lo, value) & below(value, hi)}
+
+
+def _check_fields(config) -> None:
+    """Refuse NaN and +-inf in every float field of a dataclass, and a value outside its field's interval."""
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{f.name} is not finite: {value}", field=f.name)
+            raise ConfigError(f"{f.name} is not finite: {value}", f.name)
+        if "within" in f.metadata and value is not None and not f.metadata["inside"](value):
+            raise ConfigError(f"{f.name} out of {f.metadata['within']}: {value}", f.name)
 
 
 _MAX_ORBIT_RADIUS_M = 1e102  # the mean motion cubes the orbit radius; a float64 cube overflows past 5.6e102
 _MAX_GRID = 10**6  # samples or bins of one run; the demo spec has 901 of each
+_SLOTS = "[1, 10**6]"  # memory slots of a satellite or a station: per-photon arrays grow with them
 
 
 def _orbit_radius(altitude_m: float, name: str) -> float:
@@ -95,28 +111,18 @@ class GroundStation:
     """
 
     name: str
-    latitude_deg: float
-    longitude_deg: float
-    altitude_m: float = 0.0
-    rx_telescope_diameter_m: float = 1.0
-    min_elevation_deg: float = 20.0
+    latitude_deg: float = field(metadata=_within("[-90, 90]"))
+    longitude_deg: float = field(metadata=_within("[-180, 180]"))
+    altitude_m: float = field(default=0.0, metadata=_within(f"[0, {_MAX_ORBIT_RADIUS_M:g}]"))  # the orbit's bound
+    rx_telescope_diameter_m: float = field(default=1.0, metadata=_within("(0, inf)"))
+    min_elevation_deg: float = field(default=20.0, metadata=_within("(0, 90)"))
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        _check_fields(self)
         # the name is a file-name part and a CSV column suffix
         if not self.name or not self.name.isprintable() or re.search(r"[\s/\\,]", self.name):
             raise ConfigError(f"station name must be a printable token without whitespace, '/', '\\' "
                               f"or ',', got {self.name!r}", "name")
-        if not -90.0 <= self.latitude_deg <= 90.0:
-            raise ConfigError(f"latitude_deg out of [-90, 90]: {self.latitude_deg}")
-        if not -180.0 <= self.longitude_deg <= 180.0:
-            raise ConfigError(f"longitude_deg out of [-180, 180]: {self.longitude_deg}")
-        if not 0.0 <= self.altitude_m <= _MAX_ORBIT_RADIUS_M:  # the orbit's bound: the geometry squares radii
-            raise ConfigError(f"altitude_m must be >= 0 and at most {_MAX_ORBIT_RADIUS_M:g}: {self.altitude_m}")
-        if self.rx_telescope_diameter_m <= 0.0:
-            raise ConfigError("rx_telescope_diameter_m must be > 0")
-        if not 0.0 < self.min_elevation_deg < 90.0:
-            raise ConfigError(f"min_elevation_deg out of (0, 90): {self.min_elevation_deg}")
 
 
 @dataclass(frozen=True)
@@ -133,16 +139,14 @@ class SatelliteConfig:
     orbit_inclination_deg: float = 0.0
     raan_deg: float = 0.0
     phase_at_epoch_deg: float = 0.0
-    tx_telescope_diameter_m: float = 0.1
-    memory_slots: int = 100
+    tx_telescope_diameter_m: float = field(default=0.1, metadata=_within("(0, inf)"))
+    memory_slots: int = field(default=100, metadata=_within(_SLOTS))
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        _check_fields(self)
         _orbit_radius(self.orbit_altitude_m, "orbit_altitude_m")
-        if self.tx_telescope_diameter_m <= 0.0:
-            raise ConfigError("tx_telescope_diameter_m must be > 0")
-        if int(self.memory_slots) != self.memory_slots or self.memory_slots < 1:
-            raise ConfigError(f"memory_slots must be a positive integer: {self.memory_slots}")
+        if int(self.memory_slots) != self.memory_slots:
+            raise ConfigError(f"memory_slots must be an integer: {self.memory_slots}", "memory_slots")
 
     @property
     def semi_major_axis_m(self) -> float:
@@ -162,18 +166,12 @@ class SatelliteConfig:
 class OpticalParams:
     """Optical-channel constants shared by every sample of a pass."""
 
-    wavelength_m: float = 1550e-9
-    zenith_atmospheric_transmission: float = 1.0
-    system_efficiency: float = 1.0
+    wavelength_m: float = field(default=1550e-9, metadata=_within("[1e-12, inf)"))  # gamma rays and up
+    zenith_atmospheric_transmission: float = field(default=1.0, metadata=_within("(0, 1]"))
+    system_efficiency: float = field(default=1.0, metadata=_within("(0, 1]"))
 
     def __post_init__(self) -> None:
-        _check_finite(self)
-        if not self.wavelength_m >= 1e-12:  # gamma rays; 5e-324 overflowed the diffraction ratio
-            raise ConfigError(f"wavelength_m must be at least 1e-12: {self.wavelength_m}")
-        if not 0.0 < self.zenith_atmospheric_transmission <= 1.0:
-            raise ConfigError("zenith_atmospheric_transmission must be in (0, 1]")
-        if not 0.0 < self.system_efficiency <= 1.0:
-            raise ConfigError("system_efficiency must be in (0, 1]")
+        _check_fields(self)
 
 
 # --------------------------------------------------------------------------
@@ -190,20 +188,31 @@ class PassSample:
     """
 
     t_s: float
-    distance_m: float
+    distance_m: float = field(metadata=_within("(0, inf)"))
     elevation_deg: float
     radial_velocity_mps: float
-    eta: float
+    eta: float = field(metadata=_within("[0, 1]"))
     visible: bool
 
     def __post_init__(self) -> None:
-        _check_finite(self)
-        if self.distance_m <= 0.0:
-            raise ConfigError(f"distance_m must be > 0: {self.distance_m}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigError(f"eta out of [0, 1]: {self.eta}")
-        if not self.visible and self.eta != 0.0:
-            raise ConfigError("eta must be 0 on invisible samples")
+        _check_fields(self)
+        if fault := _profile_fault(vars(self)):
+            _, name, why = fault
+            raise ConfigError(f"{name} {why}", name)
+
+
+def _profile_fault(columns: dict) -> tuple[int, str, str] | None:
+    """The first (sample, column, fault) of ``columns`` (arrays, or scalars for one sample) breaking a profile rule.
+
+    In order, each over all samples: ``t_s`` increases, every column lies in its
+    :class:`PassSample` interval, and ``eta`` is 0 where not ``visible``.
+    """
+    col = {name: np.atleast_1d(value) for name, value in columns.items()}
+    rules = [(np.diff(col["t_s"], prepend=-np.inf) <= 0.0, "t_s", "not increasing")]
+    rules += [(~f.metadata["inside"](col[f.name]), f.name, f"out of {f.metadata['within']}")
+              for f in fields(PassSample) if "within" in f.metadata]
+    rules.append(((col["eta"] != 0.0) & np.logical_not(col["visible"]), "eta", "must be 0 when visible=0"))
+    return next(((int(bad.argmax()), name, fault) for bad, name, fault in rules if bad.any()), None)
 
 
 _EPOCH_RE = re.compile(r"^\S+$")
@@ -229,7 +238,7 @@ class PassProfile:
 
     station: str
     epoch: str
-    step_s: float
+    step_s: float = field(metadata=_within("(0, inf)"))
     t_s: np.ndarray
     distance_m: np.ndarray
     elevation_deg: np.ndarray
@@ -241,16 +250,10 @@ class PassProfile:
     GRID_TOL_S = 1e-6
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        _check_fields(self)
         _check_epoch(self.epoch)
-        arrays = {
-            "t_s": np.asarray(self.t_s, dtype=float),
-            "distance_m": np.asarray(self.distance_m, dtype=float),
-            "elevation_deg": np.asarray(self.elevation_deg, dtype=float),
-            "radial_velocity_mps": np.asarray(self.radial_velocity_mps, dtype=float),
-            "eta": np.asarray(self.eta, dtype=float),
-            "visible": np.asarray(self.visible, dtype=bool),
-        }
+        arrays = {name: np.asarray(getattr(self, name), dtype=bool if name == "visible" else float)
+                  for name in _CSV_HEADER.split(",")}
         n = arrays["t_s"].size
         if n < 2:
             raise ConfigError("a pass profile needs at least 2 samples")
@@ -261,21 +264,11 @@ class PassProfile:
                 row = int(np.argmin(np.isfinite(arr)))
                 raise ConfigError(f"profile column {name} is not finite at sample {row}: {arr[row]}")
             object.__setattr__(self, name, arr)
-        if self.step_s <= 0.0:
-            raise ConfigError(f"step_s must be > 0: {self.step_s}")
-        dt = np.diff(arrays["t_s"])
-        if np.any(dt <= 0.0):
-            row = int(np.argmax(dt <= 0.0)) + 1
-            raise ConfigError(f"t_s must be strictly increasing (sample {row})")
-        if np.any(np.abs(dt - self.step_s) > self.GRID_TOL_S):
+        if fault := _profile_fault(arrays):
+            i, name, why = fault
+            raise ConfigError(f"profile column {name} {why} at sample {i}: {arrays[name][i]}", name)
+        if np.any(np.abs(np.diff(arrays["t_s"]) - self.step_s) > self.GRID_TOL_S):
             raise ConfigError("t_s spacing deviates from step_s by more than 1 us")
-        if np.any(arrays["distance_m"] <= 0.0):
-            raise ConfigError("distance_m must be > 0 at every sample")
-        eta = arrays["eta"]
-        if np.any((eta < 0.0) | (eta > 1.0)):
-            raise ConfigError("eta out of [0, 1]")
-        if np.any(eta[~arrays["visible"]] != 0.0):
-            raise ConfigError("eta must be 0 on invisible samples")
 
     @property
     def n_samples(self) -> int:
@@ -606,15 +599,9 @@ def read_profile(source: str | Path | TextIO) -> PassProfile:
     where, rows, meta, columns = _read_csv(source, _CSV_HEADER, (float,) * 5 + (bool,), _META_RE)
     if fault := _cell_fault(float, meta["step"]):
         raise DataFormatError(f"{where}: row 1, column step_s: {fault}")
-    t, distance, _, _, eta, visible = columns
-    for bad, name, fault in (
-        (np.diff(t, prepend=-np.inf) <= 0.0, "t_s", "not increasing"),
-        (distance <= 0.0, "distance_m", "must be > 0"),
-        ((eta < 0.0) | (eta > 1.0), "eta", "out of [0, 1]"),
-        (~visible & (eta != 0.0), "eta", "must be 0 when visible=0"),
-    ):
-        if bad.any():  # the first bad row of the check
-            raise DataFormatError(f"{where}: row {rows[int(bad.argmax())]}, column {name}: {fault}")
+    if fault := _profile_fault(dict(zip(_CSV_HEADER.split(","), columns))):
+        i, name, why = fault
+        raise DataFormatError(f"{where}: row {rows[i]}, column {name}: {why}")
     try:
         return PassProfile(meta["station"], meta["epoch"], float(meta["step"]), *columns)
     except ConfigError as exc:

@@ -74,7 +74,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .analytics import LinkParams, _drift_bound, _round_trip, allocation_series
 from .errors import ConfigError, DataFormatError, ReplayError
-from .passes import _MAX_GRID, PassProfile, _check_finite, _read_csv, _text_io, _write_csv
+from .passes import _MAX_GRID, PassProfile, _check_fields, _read_csv, _text_io, _write_csv
 
 __all__ = [
     "ENGINE_VERSION",
@@ -149,7 +149,7 @@ class SimConfig:
     retain_until_swap: bool = False
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        _check_fields(self)
         object.__setattr__(self, "profiles", tuple(self.profiles))
         object.__setattr__(self, "link_params", tuple(self.link_params))
         if not self.profiles or len(self.link_params) != len(self.profiles):
@@ -158,6 +158,12 @@ class SimConfig:
         _check_run(self.policy, self.n_legs, self.m_s, self.static_split, self.retain_until_swap, self.bin_width_s,
                    float(grid.t_s[0]) + grid.n_samples * grid.step_s,
                    [(lk, float(p.distance_m.max())) for p, lk in zip(self.profiles, self.link_params)])
+        for p, lk in zip(self.profiles, self.link_params):  # no round is shorter than the round trip at its start
+            with np.errstate(divide="ignore", over="ignore"):
+                rounds = float(np.sum(p.step_s / _round_trip(p.distance_m[p.visible], lk) + 1.0))
+            if rounds > _MAX_GRID:
+                raise ConfigError(f"leg {p.station} could run {rounds:.6g} rounds, more than {_MAX_GRID}",
+                                  "link_params")
         if self.policy == "static" and self.static_split is None:  # an experiment may leave it to the search
             raise ConfigError("static policy needs static_split", "static_split")
         if not isinstance(self.rng_seed, numbers.Integral):

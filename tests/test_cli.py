@@ -68,6 +68,25 @@ def test_usage_errors_exit_2(single_spec):
     assert main(["rate", "--spec", single_spec, "--policy", "bogus"]) == 2
 
 
+def test_each_command_takes_only_the_overrides_it_reads(dual_spec, tmp_path):
+    parser = cli.build_parser()
+    reads = {
+        "gen-pass": set(),
+        "rate": {"m_sat", "policy", "drift"},
+        "allocate": {"m_sat"},
+        "simulate": {"m_sat", "policy", "drift", "seeds"},
+        "validate": {"m_sat", "policy", "drift", "seeds"},
+        "report": {"m_sat", "policy", "drift"},
+    }
+    for command, flags in reads.items():
+        args = vars(parser.parse_args([command, "--spec", dual_spec]))
+        assert args.keys() & {"m_sat", "policy", "drift", "seeds"} == flags, command
+    out = str(tmp_path / "out")
+    assert main(["gen-pass", "--spec", dual_spec, "--out", out, "--station", "nice", "--policy", "single"]) == 2
+    assert main(["allocate", "--spec", dual_spec, "--out", out, "--drift", "off"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_key_cites_path(tmp_path, capsys):
     doc = copy.deepcopy(SINGLE)
     doc["run"]["sede"] = 1
@@ -86,6 +105,13 @@ def test_broken_json_exit_3(tmp_path, capsys):
     path.write_text('{"name": "x",\n  oops\n}', encoding="utf-8")
     assert main(["rate", "--spec", str(path), "--out", str(tmp_path)]) == 3
     assert "line 2" in capsys.readouterr().err
+
+
+def test_json_integer_past_the_digit_limit_exit_3(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"name": ' + "9" * 5000 + "}", encoding="utf-8")
+    assert main(["rate", "--spec", str(path), "--out", str(tmp_path)]) == 3
+    assert "huge.json: Exceeds the limit" in capsys.readouterr().err
 
 
 def test_missing_spec_file_exit_3(tmp_path):

@@ -218,11 +218,23 @@ RUN_RULE_SPECS = [
         (lambda d: d["satellite"].update(orbit_altitude_m=1e300),
          "spec.satellite: orbit_altitude_m must be > 0 and at most 1e+102: 1e+300"),
         (lambda d: d.update(link={"light_speed_mps": 5e-324}),
-         "spec.link: light_speed_mps must be at least 1: 5e-324"),
+         "spec.link: light_speed_mps out of [1, inf): 5e-324"),
         (lambda d: d.update(optics={"wavelength_m": 5e-324}),
-         "spec.optics: wavelength_m must be at least 1e-12: 5e-324"),
+         "spec.optics: wavelength_m out of [1e-12, inf): 5e-324"),
         (lambda d: d["stations"][0].update(altitude_m=1e300),
-         "spec.stations[0]: altitude_m must be >= 0 and at most 1e+102: 1e+300"),
+         "spec.stations[0]: altitude_m out of [0, 1e+102]: 1e+300"),
+        # an integer past the float range is refused where it stands, not converted
+        (lambda d: d.update(link={"p_bsm": 10**400}),
+         "spec.link.p_bsm must be a number in the float range, got 401 digits"),
+        (lambda d: d["stations"][0].update(latitude_deg=-10**400),
+         "spec.stations[0].latitude_deg must be a number in the float range, got 402 digits"),
+        (lambda d: d["satellite"].update(memory_slots=10**400),
+         "spec.satellite: memory_slots out of [1, 10**6]: 1" + "0" * 400),
+        (lambda d: d["satellite"].update(memory_slots=10**6 + 1),
+         "spec.satellite: memory_slots out of [1, 10**6]: 1000001"),
+        (lambda d: d.update(link={"m_ground": 10**6 + 1}), "spec.link: m_ground out of [1, 10**6]: 1000001"),
+        (lambda d: d.update(run={"seeds": 10**30}), "spec.run: seeds out of [1, 2**64]: 1" + "0" * 30),
+        (lambda d: d.update(run={"seeds": 0}), "spec.run: seeds out of [1, 2**64]: 0"),
     ],
 )
 @pytest.mark.parametrize("command", ["rate", "simulate"])
@@ -233,6 +245,16 @@ def test_cli_rejects_bad_values_at_load(tmp_path, capsys, edit, message, command
     assert main([command, "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_simulate_refuses_a_leg_of_too_many_rounds_before_writing(tmp_path, capsys):
+    # a one-slot train lasts one round trip, which light at 1e300 m/s shortens to nothing
+    doc = json.loads(DEMO_SPEC.read_text(encoding="utf-8"))
+    doc.update(stations=doc["stations"][:1], link={"light_speed_mps": 1e300}, run={})
+    doc["satellite"]["memory_slots"] = 1
+    assert main(["simulate", "--spec", str(write(tmp_path, doc)), "--out", str(tmp_path / "out")]) == 2
+    assert "error: leg nice could run " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("edit, message", RUN_RULE_SPECS)

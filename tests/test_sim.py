@@ -153,6 +153,19 @@ def test_sim_config_validation():
             SimConfig(profiles=pair, link_params=links, policy="dynamic_int", rng_seed=0, bin_width_s=width)
 
 
+def test_sim_config_bounds_the_rounds_of_a_leg():
+    # no round is shorter than the round trip at its start sample: at most step_s / t_rt + 1 rounds per
+    # visible sample; over 10 samples, t_rt 1e-5 s allows 1,000,010 rounds and 1.1e-5 s allows 909,100
+    for t_rt, refused in ((1e-5, True), (1.1e-5, False), (1e-300, True)):
+        profile = constant_profile(10, 0.5, t_rt)
+        if refused:
+            with pytest.raises(ConfigError, match="leg const could run .* rounds, more than 1000000") as info:
+                SimConfig(profiles=(profile,), link_params=(link(m_sat=1),), policy="single", rng_seed=0)
+            assert info.value.field == "link_params"
+        else:
+            SimConfig(profiles=(profile,), link_params=(link(m_sat=1),), policy="single", rng_seed=0)
+
+
 def dual_config(policy="dynamic_int", seed=5, m_sat=10, retain=False, capture=False,
                 split=None, n=40):
     rng = np.random.default_rng(seed + 1000)
