@@ -33,16 +33,16 @@ functions wrap them, so the two agree bit for bit.  Float expressions keep
 one evaluation order: p * m * eta / t_rt for a dual leg, p * eta * N / t_rt
 for a single link.  All operations here are pure and deterministic.
 
-Known gap: the model takes a round to last t_rt, while the simulator's
-rounds last (N - 1) * T_em + t_rt, so the closed form overstates the
-engine's mean rate by a margin that grows with N; on the demo pass under
-the dynamic split, 1.3 % at m_S = 100 and 7.7 % at m_S = 1000.  The exact
-per-bin moments of :mod:`satqlink.validation` follow the engine instead.
+Known gap: the closed form takes a round to last t_rt and a train to hold
+the unfloored cap, while the engine's rounds last ``_round_duration``,
+(N - 1) * T_em + t_rt, and latch at most ``_eligible`` photons; so it
+overstates the engine's mean rate by a margin that grows with N, on the
+demo pass under the dynamic split 1.3 % at m_S = 100 and 7.7 % at 1000.
+The exact per-bin moments of :mod:`satqlink.validation` follow the engine.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterable
 
@@ -146,6 +146,20 @@ def _capped_train(v_r_mps, params: LinkParams):
     return np.minimum(float(params.m_sat), _drift_bound(v_r_mps, params))
 
 
+def _eligible(v_r_mps, n, params: LinkParams, drift: bool):
+    """Photons of an n-photon train that can latch: min(floor(w * c / (|v_r| * T_em)) + 1, m_sat, n), as int64.
+
+    Photon k (0-based; the first is re-synchronized each round) stays in the window while k * |v_r| * T_em <= w * c.
+    """
+    bound = np.where(drift, _drift_bound(v_r_mps, params), np.inf)
+    return np.minimum(np.minimum(np.floor(bound) + 1.0, float(params.m_sat)), n).astype(np.int64)
+
+
+def _round_duration(n, t_rt, params: LinkParams):
+    """Time from a round's first emission to its confirmation: (n - 1) * T_em + t_rt."""
+    return (n - 1) * params.emission_period_s + t_rt
+
+
 def _single_rate(eta, t_rt, n_train, params: LinkParams):
     """Pair rate of one link: p * eta * N / t_rt."""
     return params.p_bsm * eta * n_train / t_rt
@@ -192,8 +206,7 @@ def max_train_length(v_r_mps: float, params: LinkParams) -> float:
 
     Returns ``math.inf`` for v_r = 0 (no drift, unbounded train).
     """
-    bound = float(_drift_bound(v_r_mps, params))
-    return math.inf if bound == math.inf else float(math.floor(bound))
+    return float(np.floor(_drift_bound(v_r_mps, params)))
 
 
 def single_link_rate(state: LinkState, n_train: float, params: LinkParams) -> float:

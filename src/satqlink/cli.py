@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -156,28 +157,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     seeds = exp.seed_list
     plan = _plan(config)  # no seed changes it: every run shares it
     configs = [replace(config, rng_seed=seed) for seed in seeds]
-    if args.workers > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=min(args.workers, len(seeds))) as pool:
-            results = list(pool.map(partial(run, plan=plan), configs))
-    else:
-        results = [run(c, plan=plan) for c in configs]
+    workers = min(args.workers, len(seeds))
     totals = {}
     # a run that fails partway leaves no manifest, so its files never pool with an earlier run's
     (out_dir / "simulate.json").unlink(missing_ok=True)
-    for seed, result in zip(seeds, results):
-        path = out_dir / f"sim_seed{seed}.csv"
-        write_sim_csv(result, path)
-        if exp.capture_rounds:
-            write_round_log(result, out_dir / f"rounds_seed{seed}.ndjson")
-        totals[str(seed)] = result.summary_dict()
-        print(path)
+    # write each seed's files as its run completes, rather than hold every seed's result
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for seed, result in zip(seeds, (pool.map if pool else map)(partial(run, plan=plan), configs)):
+            path = out_dir / f"sim_seed{seed}.csv"
+            write_sim_csv(result, path)
+            if exp.capture_rounds:
+                write_round_log(result, out_dir / f"rounds_seed{seed}.ndjson")
+            totals[str(seed)] = result.summary_dict()
+            print(path)
     manifest = {
         "engine_version": ENGINE_VERSION,
         "name": exp.name,
         "policy": exp.policy,
         "seeds": seeds,
         "bin_width_s": exp.bin_width_s,
-        "config": results[0].config_echo,
+        "config": configs[0].echo_dict(),
         "runs": totals,
     }
     _write_json(out_dir / "simulate.json", manifest)

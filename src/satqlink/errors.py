@@ -47,8 +47,8 @@ class NoVisibilityError(SatLinkError):
     """An operation needs at least one visible sample and found none."""
 
 
-class NoOverlapError(SatLinkError):
-    """Two pass profiles share no co-visible samples."""
+class NoOverlapError(ConfigError):
+    """Two pass profiles share no co-visible samples: the stations and orbit of the spec never meet."""
 
 
 class GridMismatchError(SatLinkError):

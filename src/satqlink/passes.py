@@ -187,7 +187,7 @@ class PassSample:
     not visible.
     """
 
-    t_s: float
+    t_s: float = field(metadata=_within("[0, inf)"))
     distance_m: float = field(metadata=_within("(0, inf)"))
     elevation_deg: float
     radial_velocity_mps: float
@@ -477,7 +477,8 @@ def _text_io(target, mode: str) -> Iterator[tuple[TextIO, str]]:
     """Yield a text handle for ``target`` and the name that error messages cite.
 
     Every file the package reads or writes is opened here.  A path (``str``,
-    ``bytes`` or ``os.PathLike``) is opened as UTF-8 and closed on exit.  A
+    ``bytes`` or ``os.PathLike``) is opened as UTF-8 and closed on exit; bytes
+    that are not UTF-8 raise DataFormatError.  A
     write goes to ``<path>.tmp``, with LF line ends, and is renamed over the
     path when the block exits cleanly; on an exception the temporary file is
     removed, so the path keeps its previous bytes.  An open handle is used
@@ -489,7 +490,10 @@ def _text_io(target, mode: str) -> Iterator[tuple[TextIO, str]]:
     name = os.fsdecode(target)
     if "w" not in mode:
         with open(name, mode, encoding="utf-8") as fh:
-            yield fh, name
+            try:
+                yield fh, name
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"{name}: not UTF-8 text: {exc}") from None
         return
     tmp = name + ".tmp"
     try:

@@ -72,7 +72,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .analytics import LinkParams, _drift_bound, _round_trip, allocation_series
+from .analytics import LinkParams, _check_aligned, _eligible, _round_duration, _round_trip, allocation_series
 from .errors import ConfigError, DataFormatError, ReplayError
 from .passes import _MAX_GRID, PassProfile, _check_fields, _read_csv, _text_io, _write_csv
 
@@ -121,7 +121,7 @@ def _check_run(policy: str, n_legs: int, m_s: int, static_split: tuple[int, int]
         raise ConfigError("retain_until_swap applies to dual runs only", "retain_until_swap")
     if bin_width_s <= 0.0:
         raise ConfigError(f"bin_width_s must be > 0: {bin_width_s}", "bin_width_s")
-    end = pass_end_s + max((m_s - 1) * lk.emission_period_s + _round_trip(d_max, lk) for lk, d_max in legs)
+    end = pass_end_s + max(_round_duration(m_s, _round_trip(d_max, lk), lk) for lk, d_max in legs)
     if end / bin_width_s > _MAX_GRID:
         raise ConfigError(f"bin_width_s {bin_width_s} makes more than {_MAX_GRID} bins up to {end:g} s, "
                           "the last confirmation time the pass allows", "bin_width_s")
@@ -171,8 +171,6 @@ class SimConfig:
         if not 0 <= int(self.rng_seed) < 2**64:
             raise ConfigError(f"rng_seed must fit in 64 bits: {self.rng_seed}")
         if self.n_legs == 2:
-            from .analytics import _check_aligned
-
             _check_aligned(self.profiles[0], self.profiles[1])
             if self.link_params[0].m_sat != self.link_params[1].m_sat:
                 raise ConfigError("dual legs must share one satellite memory size m_sat")
@@ -352,20 +350,6 @@ def _table_columns(tables: Sequence[_RoundTable]) -> tuple:
     return (*(np.concatenate(c) for c in zip(*parts)), [o for t in tables for o in t.outcomes])
 
 
-def _eligible_cap(profile: PassProfile, params: LinkParams, drift: bool) -> np.ndarray:
-    """Drift-eligible photons of an m_sat train at each sample.
-
-    Photon indices are 0-based and the first photon is re-synchronized each
-    round, so photon k stays in the window while k * |v_r| * T_em <= w c:
-    floor(bound) + 1 photons, capped at m_sat (also where the bound is inf).
-    A train of n photons has min(cap, n) eligible.
-    """
-    if not drift:
-        return np.full(profile.n_samples, params.m_sat, dtype=np.int64)
-    bound = _drift_bound(profile.radial_velocity_mps, params)
-    return np.minimum(np.floor(bound) + 1.0, float(params.m_sat)).astype(np.int64)
-
-
 def _next_true(mask: np.ndarray) -> np.ndarray:
     """Index of the first true entry at or after each position (size + 1 entries, size if none)."""
     n = mask.size
@@ -425,7 +409,6 @@ def _leg_schedule(profile: PassProfile, params: LinkParams, capacity: np.ndarray
     t_end = t_grid0 + n_samples * step - 1e-12
     t_rt = _round_trip(profile.distance_m, params)
     eligible_sample = profile.visible & (capacity >= 1)
-    t_em = params.emission_period_s
 
     nxt = _next_true(eligible_sample)
     starts: list[np.ndarray] = []
@@ -443,16 +426,16 @@ def _leg_schedule(profile: PassProfile, params: LinkParams, capacity: np.ndarray
             t = _sample_start(j, t_grid0, step)
             continue
         n = min(int(capacity[i]), int(params.m_ground))
-        dt = (n - 1) * t_em + float(t_rt[i])
+        dt = _round_duration(n, float(t_rt[i]), params)
         block, t = _block_starts(t, dt, i, t_grid0, step, t_end)
         starts.append(block)
         blocks.append((i, n, block.size))
         dts.append(dt)
     sample, n_col, k = np.asarray(blocks, dtype=np.int64).reshape(-1, 3).T
     start = np.concatenate(starts) if starts else np.empty(0)
-    eligible = np.minimum(_eligible_cap(profile, params, drift)[sample], n_col)
+    v_r = profile.radial_velocity_mps[sample]
     confirm = start + np.repeat(np.asarray(dts, dtype=float), k)
-    return _RoundTable(start, confirm, None, k, sample, n_col, eligible, profile.radial_velocity_mps[sample])
+    return _RoundTable(start, confirm, None, k, sample, n_col, _eligible(v_r, n_col, params, drift), v_r)
 
 
 def _leg_rng(seed: int, leg: int) -> np.random.Generator:
@@ -671,7 +654,8 @@ def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
     t_rt = [_round_trip(p.distance_m, lk).tolist() for p, lk in zip(profiles, links)]
     next_vis = [_next_true(np.asarray(p.visible, dtype=bool)).tolist() for p in profiles]
     alloc = [c.tolist() for c in plan.caps]
-    cap_e = [_eligible_cap(p, lk, config.drift).tolist() for p, lk in zip(profiles, links)]
+    cap_e = [_eligible(p.radial_velocity_mps, lk.m_sat, lk, config.drift).tolist()
+             for p, lk in zip(profiles, links)]
 
     streams = [_PhotonStream(_leg_rng(config.rng_seed, leg), config.m_s, capture) for leg in range(2)]
 
@@ -746,7 +730,9 @@ def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
             if capture:
                 out_l.append(stream.text[off : off + eligible] + "D" * (n - eligible))
             off += n
-            conf_t = t + ((n - 1) * t_em + rt_l[i])  # _leg_schedule's t + dt
+            # analytics._round_duration written out for speed: test_dual_fast_and_event_paths_agree
+            # checks these confirm times bitwise against the schedule's, which calls the kernel
+            conf_t = t + ((n - 1) * t_em + rt_l[i])
             # a leg's rounds confirm in the order they start
             start_l.append(t)
             conf_l.append(conf_t)
@@ -765,13 +751,12 @@ def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
         held[leg] = hits, h, w_sample, off, size, block_i, block_n
 
     tables = []
-    for leg, p in enumerate(profiles):
+    for leg, (p, lk) in enumerate(zip(profiles, links)):
         first, sample, n_col = np.asarray(blocks[leg], dtype=np.int64).reshape(-1, 3).T
-        start = np.asarray(starts[leg])
+        start, v_r = np.asarray(starts[leg]), p.radial_velocity_mps[sample]
         tables.append(_RoundTable(
-            start, np.asarray(confirms[leg]), np.asarray(successes[leg]),
-            np.diff(first, append=start.size), sample, n_col, np.minimum(np.take(cap_e[leg], sample), n_col),
-            p.radial_velocity_mps[sample], outcomes[leg] if capture else None,
+            start, np.asarray(confirms[leg]), np.asarray(successes[leg]), np.diff(first, append=start.size),
+            sample, n_col, _eligible(v_r, n_col, lk, config.drift), v_r, outcomes[leg] if capture else None,
         ))
     return _result(config, tables)
 
@@ -810,7 +795,8 @@ def replay(config: SimConfig, log: RoundLog | Sequence[Round]) -> SimResult:
     buffer modes exactly.  The result's rounds run leg by leg, numbered in
     that order, as a run's do; so a log in any row order, such as an older
     retained log's (confirm, leg, index), rewrites to the run's own log.
-    A log from another engine version is refused, and so is a round that no log can hold.
+    A log from another engine version is refused, and so is a round that no log can hold or that
+    confirms before t = 0 or past the ``_MAX_GRID`` bins every run stays within.
     """
     if log is None:
         raise ReplayError("no rounds to replay; run with capture_rounds=True")
@@ -828,6 +814,11 @@ def replay(config: SimConfig, log: RoundLog | Sequence[Round]) -> SimResult:
     stray = np.flatnonzero(leg >= config.n_legs)
     if stray.size:
         raise ReplayError(f"round references leg {leg[stray[0]]} of a {config.n_legs}-leg config")
+    late = np.flatnonzero(~((conf >= 0.0) & (conf <= _MAX_GRID * config.bin_width_s)))
+    if late.size:
+        j = late[0]
+        raise ReplayError(f"leg {leg[j]} round {index[j]} confirms at {conf[j]} s, outside the "
+                          f"{_MAX_GRID} bins of {config.bin_width_s} s from t = 0")
     tables = []
     for i in range(config.n_legs):
         mine = np.flatnonzero(leg == i)

@@ -114,6 +114,28 @@ def test_json_integer_past_the_digit_limit_exit_3(tmp_path, capsys):
     assert "huge.json: Exceeds the limit" in capsys.readouterr().err
 
 
+def test_seed_count_past_the_grid_exit_2_before_any_output(tmp_path, capsys):
+    # a seed count is bounded like a grid: the manifest keeps a summary of each seed
+    doc = json.loads(DEMO_SPEC.read_text(encoding="utf-8"))
+    out = tmp_path / "out"
+    for seeds in (10**19, 10**6 + 1):
+        doc["run"]["seeds"] = seeds
+        assert main(["simulate", "--spec", write_spec(tmp_path, doc), "--out", str(out)]) == 2
+        assert f"seeds out of [1, 10**6]: {seeds}" in capsys.readouterr().err
+    assert main(["simulate", "--spec", write_spec(tmp_path, SINGLE), "--out", str(out), "--seeds", "0"]) == 2
+    assert not out.exists()
+
+
+def test_never_covisible_stations_exit_2(tmp_path, capsys):
+    # the spec's stations and orbit never meet: a usage error, not a bad data file
+    doc = json.loads(DEMO_SPEC.read_text(encoding="utf-8"))
+    doc["satellite"]["raan_deg"] = 0
+    spec = write_spec(tmp_path, doc)
+    for command in ("rate", "allocate", "simulate", "report"):
+        assert main([command, "--spec", spec, "--out", str(tmp_path / "out")]) == 2, command
+        assert "stations nice and paris are never co-visible" in capsys.readouterr().err, command
+
+
 def test_missing_spec_file_exit_3(tmp_path):
     assert main(["rate", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 3
 

@@ -233,8 +233,8 @@ RUN_RULE_SPECS = [
         (lambda d: d["satellite"].update(memory_slots=10**6 + 1),
          "spec.satellite: memory_slots out of [1, 10**6]: 1000001"),
         (lambda d: d.update(link={"m_ground": 10**6 + 1}), "spec.link: m_ground out of [1, 10**6]: 1000001"),
-        (lambda d: d.update(run={"seeds": 10**30}), "spec.run: seeds out of [1, 2**64]: 1" + "0" * 30),
-        (lambda d: d.update(run={"seeds": 0}), "spec.run: seeds out of [1, 2**64]: 0"),
+        (lambda d: d.update(run={"seeds": 10**30}), "spec.run: seeds out of [1, 10**6]: 1" + "0" * 30),
+        (lambda d: d.update(run={"seeds": 0}), "spec.run: seeds out of [1, 10**6]: 0"),
     ],
 )
 @pytest.mark.parametrize("command", ["rate", "simulate"])

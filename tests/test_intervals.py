@@ -77,6 +77,7 @@ BOUNDARY = [
     ("OpticalParams.wavelength_m", 1e-12, MAX, "-++++-"),
     ("OpticalParams.zenith_atmospheric_transmission", 0.0, 1.0, "--+++-"),
     ("OpticalParams.system_efficiency", 0.0, 1.0, "--+++-"),
+    ("PassSample.t_s", 0.0, MAX, "-++++-"),  # declared later: a time before 0 was accepted
     ("PassSample.distance_m", 0.0, MAX, "--+++-"),
     ("PassSample.eta", 0.0, 1.0, "-++++-"),
     ("PassProfile.step_s", 0.0, MAX, "--+++-"),
@@ -93,11 +94,12 @@ BOUNDARY = [
     ("LinkParams.light_speed_mps", 1.0, MAX, "-++++-"),
     ("LinkState.eta", 0.0, 1.0, "-++++-"),
     ("LinkState.t_rt_s", 0.0, MAX, "--+++-"),
-    ("Experiment.seeds", 1, 2**64, "-++++-"),
+    ("Experiment.seeds", 1, 10**6, "-+++++"),
 ]
 
-# refusals added with the declared intervals: no memory holds more than 10^6 slots
-NEW_REFUSALS = {"SatelliteConfig.memory_slots", "LinkParams.m_sat", "LinkParams.m_ground"}
+# refusals added with the declared intervals: no memory holds more than 10^6 slots, and no run more than
+# 10^6 seeds
+NEW_REFUSALS = {"SatelliteConfig.memory_slots", "LinkParams.m_sat", "LinkParams.m_ground", "Experiment.seeds"}
 
 
 def _points(low, high) -> list:
@@ -142,7 +144,6 @@ UNDECLARED = {
     "SatelliteConfig.orbit_inclination_deg": "any finite angle: the orbit plane turns by it",
     "SatelliteConfig.raan_deg": "any finite angle: the orbit plane turns by it",
     "SatelliteConfig.phase_at_epoch_deg": "any finite angle: the satellite's phase in its orbit",
-    "PassSample.t_s": "the profile rule that times increase",
     "PassSample.elevation_deg": "visibility, not the angle, gates the link",
     "PassSample.radial_velocity_mps": "signed: any finite range rate",
     "LinkState.v_r_mps": "signed: any finite range rate",

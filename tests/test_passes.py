@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -275,6 +276,22 @@ def test_profile_grid_validation():
                     station=p.station, epoch=p.epoch, step_s=p.step_s,
                     **{**columns, name: column}, visible=p.visible,
                 )
+
+
+def test_profile_times_start_at_zero_or_later():
+    # bins start at t = 0: a round confirming before it would fold into the last bins
+    p = make_profile(np.full(20, 0.5))
+    with pytest.raises(ConfigError, match=re.escape("profile column t_s out of [0, inf) at sample 0: -10.0")):
+        replace(p, t_s=p.t_s - 10.0)
+    with pytest.raises(ConfigError, match=re.escape("t_s out of [0, inf): -1e-300")):
+        replace(p.sample(0), t_s=-1e-300)
+    buf = io.StringIO()
+    write_profile(p, buf)
+    text = buf.getvalue().replace("\n0,", "\n-10,", 1)
+    with pytest.raises(DataFormatError, match="row 3, column t_s: out of"):
+        read_profile(io.StringIO(text))
+    shifted = replace(p, t_s=p.t_s + 10.0)  # a later start stays valid
+    assert shifted.t_s[0] == 10.0
 
 
 def test_csv_round_trip_100_random_profiles():

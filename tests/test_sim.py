@@ -278,6 +278,14 @@ def test_fractional_step_grid_terminates():
             assert 5 in samples and not samples & {3, 4}, (policy, retain)
 
 
+def _reference_eligible(v_r, n, params, drift):
+    """Photons of n-photon trains that can latch: min(floor(w * c / (|v_r| * T_em)) + 1, m_sat, n), or min(m_sat, n)."""
+    with np.errstate(divide="ignore", over="ignore"):
+        bound = params.acceptance_window_s * params.light_speed_mps / (np.abs(v_r) * params.emission_period_s)
+    cap = np.minimum(np.floor(bound) + 1.0, float(params.m_sat)) if drift else np.full(np.shape(v_r), params.m_sat)
+    return np.minimum(cap, n).astype(np.int64)
+
+
 def _reference_schedule(profile, params, capacity, drift):
     """The walk of ``sim._leg_schedule`` one round at a time: start, confirm and per-block columns."""
     t_grid0, step, n_samples = float(profile.t_s[0]), profile.step_s, profile.n_samples
@@ -308,7 +316,7 @@ def _reference_schedule(profile, params, capacity, drift):
         confirms += [s + dt for s in starts[first:]]
         blocks.append((len(starts) - first, i, n))
     k, sample, n_col = np.asarray(blocks, dtype=np.int64).reshape(-1, 3).T
-    eligible = np.minimum(sim_mod._eligible_cap(profile, params, drift)[sample], n_col)
+    eligible = _reference_eligible(profile.radial_velocity_mps[sample], n_col, params, drift)
     return dict(start=np.asarray(starts, dtype=float), confirm=np.asarray(confirms, dtype=float),
                 k=k, sample=sample, n=n_col, eligible=eligible)
 
@@ -513,7 +521,8 @@ def _reference_event_tables(config):
     t_rt = [sim_mod._round_trip(p.distance_m, lk).tolist() for p, lk in zip(profiles, links)]
     next_vis = [sim_mod._next_true(np.asarray(p.visible, dtype=bool)).tolist() for p in profiles]
     alloc = [c.tolist() for c in caps]
-    cap_e = [sim_mod._eligible_cap(p, lk, config.drift).tolist() for p, lk in zip(profiles, links)]
+    cap_e = [_reference_eligible(p.radial_velocity_mps, lk.m_sat, lk, config.drift).tolist()
+             for p, lk in zip(profiles, links)]
     streams = [_PrefixStream(sim_mod._leg_rng(config.rng_seed, leg), config.m_s, config.capture_rounds)
                for leg in range(2)]
     ev, confirming, done, buffered = [cover_end, cover_end], [False, False], [False, False], [0, 0]
@@ -849,6 +858,33 @@ def test_replay_rejects_rounds_that_overflow_a_column():
     huge = dataclasses.replace(rounds[0], start_time_s=10**400)
     with pytest.raises(ReplayError, match=r"rounds\[0\]\.start_time_s"):
         replay(config, [huge, *rounds[1:]])
+
+
+def test_replay_refuses_confirm_times_off_the_bin_grid():
+    # bins start at t = 0 and a run never needs more than _MAX_GRID of them: a time
+    # before 0 would fold into the last bins, a huge one ask for a huge array
+    config = dual_config(capture=True)
+    result = run(config)
+    text = _log_of(result)
+    header, *records = text.splitlines(keepends=True)
+    j = next(j for j, r in enumerate(map(json.loads, records)) if r["leg"] == 1 and r["n_success"])
+    limit = sim_mod._MAX_GRID * config.bin_width_s
+    for value in (-5.0, -5e-324, math.nextafter(limit, math.inf), 1e9, 1e300, 1.7e308):
+        rec = json.loads(records[j])
+        rec["confirm_time_s"] = value
+        bad = header + "".join(records[:j]) + json.dumps(rec) + "\n" + "".join(records[j + 1 :])
+        want = re.escape(f"leg 1 round {rec['index']} confirms at {value} s, outside the")
+        with pytest.raises(ReplayError, match=want):
+            replay(config, read_round_log(io.StringIO(bad)))
+        rounds = result.rounds
+        rounds[j] = dataclasses.replace(rounds[j], confirm_time_s=value)
+        with pytest.raises(ReplayError, match=want):
+            replay(config, rounds)
+    # the grid's ends are inside it
+    for value in (0.0, limit):
+        rounds = result.rounds
+        rounds[j] = dataclasses.replace(rounds[j], confirm_time_s=value)
+        assert replay(config, rounds).totals_per_leg == result.totals_per_leg
 
 
 def test_replayed_rounds_write_a_readable_log():

@@ -58,6 +58,15 @@ def test_only_the_text_io_helper_opens_files():
     assert {(module, where) for module, where, _ in openers} == {("passes.py", "_text_io")}, sorted(openers)
 
 
+def test_only_analytics_applies_the_drift_bound():
+    # the engine's round model lives in analytics' kernels: the simulator reads _eligible, not the bound
+    callers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_drift_bound":
+                callers.add((path.name, node.lineno))
+    assert {module for module, _ in callers} == {"analytics.py"}, sorted(callers)
+
 
 def test_frozen_fields_are_set_only_in_post_init():
     # a frozen config changes through replace(), never behind its back: object.__setattr__ only builds one
