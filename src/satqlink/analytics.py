@@ -375,7 +375,7 @@ def best_static_split(
     return m_a, m_s - m_a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AllocationResult:
     """Per-sample memory splits and the rates they achieve over a pass pair.
 

@@ -29,7 +29,7 @@ import numpy as np
 from .analytics import _dual_rate_series, allocation_series, max_train_length, rate_series, write_rate_csv
 from .errors import ConfigError, DataFormatError, SatLinkError
 from .experiment import Experiment, load_experiment
-from .passes import _text_io, _write_csv, propagate_pass, write_profile
+from .passes import _json_object, _text_io, _write_csv, propagate_pass, write_profile
 from .sim import (
     ENGINE_VERSION,
     _capacity_series,
@@ -192,11 +192,11 @@ def _sim_files(out_dir: Path) -> list[Path] | None:
     manifest = out_dir / "simulate.json"
     if not manifest.is_file():
         return None
+    with _text_io(manifest, "r") as (fh, where):
+        seeds = _json_object(fh.read(), where, keys=("seeds",))["seeds"]
     try:
-        with _text_io(manifest, "r") as (fh, _):
-            seeds = json.load(fh)["seeds"]
         names = [f"sim_seed{int(s)}.csv" for s in seeds]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{manifest}: bad manifest: {exc}") from exc
     for name in names:
         if not (out_dir / name).is_file():
@@ -251,6 +251,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     exp = _experiment(args)
     out_dir = _out_dir(args, exp)
     profiles = exp.profiles()
+    sim_files = _sim_files(out_dir)  # read before the first write, so bad counts leave every report file as it was
+    means = sim_files and {key: col / len(sim_files) for key, col in _pooled_counts(sim_files).items()}
     summary: dict = {"name": exp.name, "policy": exp.policy, "stations": {}}
     for profile in profiles:
         uncapped = rate_series(profile, exp.link, use_drift_correction=False)
@@ -294,8 +296,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         }
         print(dual_path)
 
-    sim_files = _sim_files(out_dir)
-    means = sim_files and {key: col / len(sim_files) for key, col in _pooled_counts(sim_files).items()}
     if means and not exp.retain_until_swap:
         config = exp.sim_config(exp.seed0, profiles)
         # under the dynamic policy, the shares written to report_dual.csv

@@ -17,7 +17,6 @@ echoed into every output for provenance.
 
 from __future__ import annotations
 
-import json
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
@@ -35,6 +34,7 @@ from .passes import (
     SatelliteConfig,
     _check_fields,
     _check_grid,
+    _json_object,
     _text_io,
     _within,
     propagate_pass,
@@ -230,12 +230,4 @@ def load_experiment(path: str | Path) -> Experiment:
             raw = fh.read()
     except OSError as exc:
         raise DataFormatError(f"{p}: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{p}: line {exc.lineno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal past int()'s digit limit
-        raise DataFormatError(f"{p}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{p}: experiment file must hold a JSON object")
-    return _section(Experiment, {"name": p.stem, **doc}, "spec")
+    return _section(Experiment, {"name": p.stem, **_json_object(raw, str(p))}, "spec")

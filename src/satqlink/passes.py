@@ -21,6 +21,7 @@ Conventions: SI units, angles in degrees in all public fields (suffix
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 import os
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime
 from itertools import repeat
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -227,7 +228,7 @@ def _check_epoch(epoch: str) -> None:
         raise ConfigError(f"epoch is not ISO-8601: {epoch!r}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PassProfile:
     """Uniformly sampled time series of link state for one station.
 
@@ -504,6 +505,24 @@ def _text_io(target, mode: str) -> Iterator[tuple[TextIO, str]]:
         with suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def _json_object(text: str, where: str, row: int | None = None, keys: Iterable[str] = ()) -> dict:
+    """The JSON object of ``text`` holding ``keys``, by the package's one JSON reader.
+
+    Bad syntax, an integer past int()'s digit limit, nesting past the recursion limit, a value that is
+    no object or a missing key raises DataFormatError citing ``where``, and ``row <row>`` if given.
+    """
+    at = where if row is None else f"{where}: row {row}"
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError, as is the digit limit
+        raise DataFormatError(f"{at}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DataFormatError(f"{at}: expected a JSON object, got {text.strip()[:40]}")
+    if missing := [key for key in keys if key not in obj]:
+        raise DataFormatError(f"{at}: missing {missing[0]!r}")
+    return obj
 
 
 def _write_csv(destination, header: str, columns: Sequence, comment: str | None = None) -> None:

@@ -74,7 +74,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .analytics import LinkParams, _check_aligned, _eligible, _round_duration, _round_trip, allocation_series
 from .errors import ConfigError, DataFormatError, ReplayError
-from .passes import _MAX_GRID, PassProfile, _check_fields, _read_csv, _text_io, _write_csv
+from .passes import _MAX_GRID, PassProfile, _check_fields, _json_object, _read_csv, _text_io, _write_csv
 
 __all__ = [
     "ENGINE_VERSION",
@@ -166,8 +166,8 @@ class SimConfig:
                                   "link_params")
         if self.policy == "static" and self.static_split is None:  # an experiment may leave it to the search
             raise ConfigError("static policy needs static_split", "static_split")
-        if not isinstance(self.rng_seed, numbers.Integral):
-            raise ConfigError(f"rng_seed must be an integer: {self.rng_seed!r}")
+        if not isinstance(self.rng_seed, numbers.Integral) or isinstance(self.rng_seed, bool):
+            raise ConfigError(f"rng_seed must be an integer: {self.rng_seed!r}", "rng_seed")
         if not 0 <= int(self.rng_seed) < 2**64:
             raise ConfigError(f"rng_seed must fit in 64 bits: {self.rng_seed}")
         if self.n_legs == 2:
@@ -219,7 +219,7 @@ class Round:
     outcomes: str | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class SimResult:
     """Per-bin confirmed-pair counts of one run.
 
@@ -236,7 +236,7 @@ class SimResult:
     policy: str
     config_echo: dict
     engine_version: str = ENGINE_VERSION
-    _tables: tuple[_RoundTable, ...] | None = field(default=None, repr=False, compare=False)
+    _tables: tuple[_RoundTable, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         n = self.pairs_end_to_end.size
@@ -795,7 +795,8 @@ def replay(config: SimConfig, log: RoundLog | Sequence[Round]) -> SimResult:
     buffer modes exactly.  The result's rounds run leg by leg, numbered in
     that order, as a run's do; so a log in any row order, such as an older
     retained log's (confirm, leg, index), rewrites to the run's own log.
-    A log from another engine version is refused, and so is a round that no log can hold or that
+    A log from another engine version, or whose header names another seed, policy or bin width than
+    ``config``, is refused, and so is a round that no log can hold or that
     confirms before t = 0 or past the ``_MAX_GRID`` bins every run stays within.
     """
     if log is None:
@@ -803,6 +804,10 @@ def replay(config: SimConfig, log: RoundLog | Sequence[Round]) -> SimResult:
     if isinstance(log, RoundLog):
         if log.engine_version != ENGINE_VERSION:
             raise ReplayError(f"log from engine {log.engine_version!r}, this is {ENGINE_VERSION!r}")
+        for name, logged, wanted in (("rng_seed", log.seed, config.rng_seed), ("policy", log.policy, config.policy),
+                                     ("bin_width_s", log.bin_width_s, config.bin_width_s)):
+            if logged != wanted:
+                raise ReplayError(f"log header has {name} {logged!r}, config has {wanted!r}")
         columns = log._columns
     else:
         for pos, r in enumerate(log):  # a value no round log holds
@@ -999,20 +1004,6 @@ def _layout_columns(text: str, n: int) -> tuple | None:
     return (*map(nums.get, _LOG_FIELDS), outcomes)
 
 
-def _log_object(line: str, where: str, row: int, keys: Iterable[str]) -> dict:
-    """One NDJSON line of a round log as a JSON object holding ``keys``; errors cite the row."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{where}: row {row}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise DataFormatError(f"{where}: row {row}: expected a JSON object, got {line.strip()[:40]}")
-    for key in keys:
-        if key not in obj:
-            raise DataFormatError(f"{where}: row {row}: missing {key!r}")
-    return obj
-
-
 def _log_round(rec: dict, where: str, row: int) -> Round:
     """The round of one log record: integers in [0, 2**63), finite numbers, string outcomes."""
     fields = {}
@@ -1026,7 +1017,7 @@ def _log_round(rec: dict, where: str, row: int) -> Round:
 
 def _log_rows(lines: Sequence[str], where: str, row: int) -> list[Round]:
     """The rounds of record lines read one by one as JSON, the first at ``row``; blank lines skip."""
-    return [_log_round(_log_object(line, where, r, _LOG_FIELDS), where, r)
+    return [_log_round(_json_object(line, where, r, _LOG_FIELDS), where, r)
             for r, line in enumerate(lines, start=row) if line.strip()]
 
 
@@ -1042,7 +1033,7 @@ def read_round_log(source: str | Path | TextIO) -> RoundLog:
         first = fh.readline()
         if not first.strip():
             raise DataFormatError(f"{where}: empty round log")
-        header = _log_object(first, where, 1, ("engine_version", "seed", "policy", "bin_width_s"))
+        header = _json_object(first, where, 1, ("engine_version", "seed", "policy", "bin_width_s"))
         try:
             seed, bin_width_s = int(header["seed"]), float(header["bin_width_s"])
         except (TypeError, ValueError, OverflowError) as exc:

@@ -19,6 +19,7 @@ sides carry no information and are excluded.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
@@ -40,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinMoments:
     """Analytic per-bin mean and standard deviation of one leg's counts."""
 
@@ -76,8 +77,8 @@ def predict_bin_moments(config: SimConfig, n_runs: int = 1, *, plan: _Plan | Non
     """
     if config.retain_until_swap:
         raise ConfigError("bin moments are undefined when pairs retain slots until swap")
-    if n_runs < 1:
-        raise ConfigError(f"n_runs must be >= 1: {n_runs}")
+    if not isinstance(n_runs, numbers.Integral) or isinstance(n_runs, bool) or n_runs < 1:
+        raise ConfigError(f"n_runs must be an integer >= 1: {n_runs!r}", "n_runs")
     width = config.bin_width_s
     out = []
     for leg, table in enumerate((_plan(config) if plan is None else plan).schedules):
@@ -91,7 +92,7 @@ def predict_bin_moments(config: SimConfig, n_runs: int = 1, *, plan: _Plan | Non
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValidationReport:
     """Per-bin z-scores of simulated counts against analytic moments.
 
@@ -190,6 +191,8 @@ def pool_counts(results: Sequence[SimResult], leg: int = 0) -> np.ndarray:
     width = results[0].bin_width_s
     if any(abs(r.bin_width_s - width) > 1e-12 for r in results):
         raise GridMismatchError("pooled results must share one bin width")
+    if not all(0 <= leg < len(r.pairs_per_leg) for r in results):
+        raise ConfigError(f"a result has no leg {leg}", "leg")
     return _pad_sum([r.pairs_per_leg[leg] for r in results])
 
 

@@ -12,6 +12,10 @@ from satqlink import LinkParams, PassProfile, load_experiment
 # the calibrated two-station pass: 500 km, Nice and Paris, m_S = 100
 DEMO_SPEC = Path(__file__).resolve().parents[1] / "demos/specs/two_station.json"
 
+# JSON texts that only the reader's guards stop: nesting past the parser's depth limit (1,000 levels already pass it
+# on Python 3.11; 100,000 pass it on every version, whose C recursion limits differ), an integer past int()'s digit limit
+JSON_PAST_LIMITS = {"nested": "[" * 100_000 + "]" * 100_000, "digits": "9" * 5000}
+
 C_LIGHT = 299792458.0
 EPOCH = "2026-01-01T00:00:00Z"
 

@@ -114,6 +114,16 @@ def test_json_integer_past_the_digit_limit_exit_3(tmp_path, capsys):
     assert "huge.json: Exceeds the limit" in capsys.readouterr().err
 
 
+def test_spec_that_is_not_a_json_object_exit_3(tmp_path, capsys):
+    # a malformed spec file like any other: exit 3, however the JSON reads
+    for text in ("[1, 2]", "null", '"spec"', "7"):
+        path = tmp_path / "list.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["rate", "--spec", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert f"list.json: expected a JSON object, got {text}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_seed_count_past_the_grid_exit_2_before_any_output(tmp_path, capsys):
     # a seed count is bounded like a grid: the manifest keeps a summary of each seed
     doc = json.loads(DEMO_SPEC.read_text(encoding="utf-8"))
@@ -346,6 +356,24 @@ def test_report_outputs(dual_spec, tmp_path):
         assert (out / name).exists(), name
     header = (out / "report_dual.csv").read_text().splitlines()[0]
     assert header == "t_s,rate_real,rate_int,rate_static,m_A_int,m_B_int"
+
+
+def test_failing_report_leaves_every_report_file_as_it_was(dual_spec, tmp_path, capsys):
+    # the count files are read before the first write: a report that fails on them rewrites nothing
+    out = tmp_path / "out"
+    assert main(["simulate", "--spec", dual_spec, "--out", str(out)]) == 0
+    assert main(["report", "--spec", dual_spec, "--out", str(out)]) == 0
+
+    def digests():
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.glob("report_*")}
+
+    before = digests()
+    assert len(before) == 5
+    (out / "sim_seed0.csv").unlink()
+    capsys.readouterr()
+    assert main(["report", "--spec", dual_spec, "--out", str(out), "--m-sat", "5"]) == 3
+    assert "sim_seed0.csv: listed in" in capsys.readouterr().err
+    assert digests() == before
 
 
 def test_static_report_searches_the_split_once(dual_spec, tmp_path, monkeypatch):

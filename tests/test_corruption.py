@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from satqlink import LinkParams, ReplayError, SatLinkError, SimConfig, read_round_log, replay, run, write_round_log
+from satqlink import (DataFormatError, LinkParams, ReplayError, SatLinkError, SimConfig, read_round_log, replay, run,
+                      write_round_log)
 from satqlink.cli import main
 
-from conftest import DEMO_SPEC, constant_profile
+from conftest import DEMO_SPEC, JSON_PAST_LIMITS, constant_profile
 
 # texts that break a number, a string or a line of JSON
 INSERTS = ["1e999", "-1e999", "1e300", "-5.0", "NaN", "\\", '"', "\n", "\r", ",", "{", "}", "[", "-", "0", "9" * 30,
@@ -108,3 +110,34 @@ def test_corrupted_counts_and_manifest_exit_with_a_code(tmp_path, capsys):
     for command in ("validate", "report"):
         assert main([command, "--spec", str(spec), "--out", str(out)]) == 3
         assert "sim_seed0.csv: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", JSON_PAST_LIMITS.values(), ids=JSON_PAST_LIMITS.keys())
+def test_json_past_the_parser_limits_is_a_data_format_error(tmp_path, capsys, text):
+    # in a round log's header and in one of its records: DataFormatError citing the row
+    config = _retained_config()
+    buf = io.StringIO()
+    write_round_log(run(config), buf)
+    header, first, *rest = buf.getvalue().splitlines(keepends=True)
+    bad_header = re.sub(r'"seed": \d+', f'"seed": {text}', header)
+    bad_record = re.sub(r'"leg": \d+', f'"leg": {text}', first)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for row, lines in ((1, [bad_header, first, *rest]), (2, [header, bad_record, *rest])):
+            with pytest.raises(DataFormatError, match=f"^<stream>: row {row}: "):
+                read_round_log(io.StringIO("".join(lines)))
+    # in simulate.json, over a small demo run: validate and report exit 3 and name the manifest
+    doc = json.loads(DEMO_SPEC.read_text(encoding="utf-8"))
+    doc["pass"]["duration_s"], doc["satellite"]["memory_slots"], doc["run"]["seeds"] = 400, 10, 2
+    spec, out = tmp_path / "spec.json", tmp_path / "out"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 0
+    manifest = json.loads((out / "simulate.json").read_text(encoding="utf-8"))
+    manifest["seeds"] = "@@"
+    (out / "simulate.json").write_text(json.dumps(manifest).replace('"@@"', text), encoding="utf-8")
+    capsys.readouterr()
+    for command in ("validate", "report"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--spec", str(spec), "--out", str(out)]) == 3
+        assert f"error: {out / 'simulate.json'}: " in capsys.readouterr().err

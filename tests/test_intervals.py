@@ -31,7 +31,7 @@ from satqlink import (
 )
 from satqlink.cli import main
 
-from conftest import DEMO_SPEC
+from conftest import DEMO_SPEC, JSON_PAST_LIMITS
 
 MAX = sys.float_info.max
 SAMPLE = dict(t_s=0.0, distance_m=5e5, elevation_deg=30.0, radial_velocity_mps=0.0, eta=0.5, visible=True)
@@ -204,3 +204,24 @@ def test_load_fuzz_never_escapes(tmp_path, capsys):
                 code = main(["rate", "--spec", str(spec), "--out", str(out)])
             assert code in (0, 2, 3), (where, key, value)
             assert (code == 0) == ("error: " not in capsys.readouterr().err), (where, key, value)
+
+
+@pytest.mark.parametrize("text", JSON_PAST_LIMITS.values(), ids=JSON_PAST_LIMITS.keys())
+def test_load_fuzz_json_past_the_parser_limits_exits_3(tmp_path, capsys, text):
+    # the same keys, each holding a text the JSON parser refuses: a malformed spec file, exit 3
+    base = json.loads(DEMO_SPEC.read_text(encoding="utf-8"))
+    spec, out = tmp_path / "spec.json", tmp_path / "out"
+    for i, (*where, key) in enumerate(FUZZ_KEYS):
+        doc = copy.deepcopy(base)
+        section = doc
+        for part in where:
+            section = section[part] if isinstance(part, int) else section.setdefault(part, {})
+        section[key] = "@@"
+        spec.write_text(json.dumps(doc).replace('"@@"', text), encoding="utf-8")
+        # every command that reads the spec, on the first key
+        for command in ("rate", "simulate", "validate", "report") if i == 0 else ("rate",):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([command, "--spec", str(spec), "--out", str(out)]) == 3, (command, where, key)
+            assert f"error: {spec}: " in capsys.readouterr().err
+    assert not out.exists()

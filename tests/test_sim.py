@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import io
@@ -22,6 +23,9 @@ from satqlink import (
     ReplayError,
     Round,
     SimConfig,
+    allocation_series,
+    compare,
+    predict_bin_moments,
     read_round_log,
     read_sim_csv,
     replay,
@@ -151,6 +155,14 @@ def test_sim_config_validation():
         with pytest.raises(ConfigError, match=re.escape(f"bin_width_s {width} makes more than 1000000 bins "
                                                         f"up to {end} s")):
             SimConfig(profiles=pair, link_params=links, policy="dynamic_int", rng_seed=0, bin_width_s=width)
+
+
+def test_sim_config_refuses_a_bool_seed():
+    profile = constant_profile(5, 0.5, T_RT)
+    for seed in (True, False):
+        with pytest.raises(ConfigError, match="rng_seed must be an integer") as got:
+            SimConfig(profiles=(profile,), link_params=(link(),), policy="single", rng_seed=seed)
+        assert got.value.field == "rng_seed"
 
 
 def test_sim_config_bounds_the_rounds_of_a_leg():
@@ -847,6 +859,39 @@ def test_replayed_log_rewrites_the_run_log(config):
         old = replay(config, read_round_log(io.StringIO(by_confirm)))
         _assert_same_counts(result, old, config)
         assert _log_of(old) == text
+
+
+def test_replay_refuses_a_config_its_log_header_contradicts():
+    # a log replays only under the seed, policy and bin width its header names; hand-built rounds have no header
+    config = dual_config(capture=True)
+    result = run(config)
+    log = read_round_log(io.StringIO(_log_of(result)))
+    for name, value, logged in (("rng_seed", 7, "5"), ("policy", "static", "'dynamic_int'"),
+                                ("bin_width_s", 2.0, "1.0")):
+        other = dataclasses.replace(config, **{name: value, "static_split": (4, 6) if value == "static" else None})
+        with pytest.raises(ReplayError, match=re.escape(f"log header has {name} {logged}, config has {value!r}")):
+            replay(other, log)
+        _assert_same_counts(run(other), replay(other, run(other).rounds), name)
+    _assert_same_counts(result, replay(config, log), "matching header")
+
+
+def test_array_holding_records_compare_by_identity_and_configs_hash():
+    # no generated == compares numpy arrays: each comparison is a bool, and a config hashes
+    config = dual_config(capture=True)
+    same = dataclasses.replace(config)
+    result = run(config)
+    moments = predict_bin_moments(config)[0]
+    alloc = allocation_series(*config.profiles, config.m_s, config.link_params[0])
+    for record in (result, config.profiles[0], moments, compare(result, moments), alloc):
+        assert (record == record) is True
+        assert (record == copy.copy(record)) is False
+        assert isinstance(hash(record), int)
+    assert (run(config) == run(config)) is False
+    assert (same == config) is True and hash(same) == hash(config)
+    assert (dataclasses.replace(config, rng_seed=6) == config) is False
+    assert (dataclasses.replace(config, profiles=tuple(map(copy.copy, config.profiles))) == config) is False
+    log = read_round_log(io.StringIO(_log_of(result)))  # a round log keeps its value equality
+    assert (log == read_round_log(io.StringIO(_log_of(result)))) is True
 
 
 def test_replay_rejects_rounds_that_overflow_a_column():

@@ -1,4 +1,4 @@
-"""Invariants of the package source, read with ``ast``: Python version, reachability, one file opener."""
+"""Invariants of the package source, read with ``ast``: Python version, reachability, one opener, one JSON reader."""
 
 from __future__ import annotations
 
@@ -56,6 +56,17 @@ def test_only_the_text_io_helper_opens_files():
                     if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in FILE_CALLS:
                         openers.add((path.name, getattr(top, "name", None), node.lineno))
     assert {(module, where) for module, where, _ in openers} == {("passes.py", "_text_io")}, sorted(openers)
+
+
+def test_only_the_json_object_helper_parses_json():
+    # one reader cites every JSON error: the spec, the manifest and the round log all go through it
+    parsers = set()
+    for path in SRC.glob("*.py"):
+        for top in _tree(path).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("loads", "load"):
+                    parsers.add((path.name, getattr(top, "name", None), node.lineno))
+    assert {(module, where) for module, where, _ in parsers} == {("passes.py", "_json_object")}, sorted(parsers)
 
 
 def test_only_analytics_applies_the_drift_bound():

@@ -182,6 +182,21 @@ def test_pool_counts_pads_and_sums():
         pool_counts([])
 
 
+def test_pool_counts_and_moments_refuse_arguments_they_cannot_use():
+    # compare's leg rule for pool_counts; a whole number of runs, not a bool, for the moments
+    config = config_for(eta=0.5, p=1.0, n_s=4, seed=1)
+    results = [run(config)]
+    for leg in (5, 1, -1):
+        with pytest.raises(ConfigError, match=f"a result has no leg {leg}") as got:
+            pool_counts(results, leg=leg)
+        assert got.value.field == "leg"
+    for n_runs in (1.5, True, 0, -2):
+        with pytest.raises(ConfigError, match="n_runs must be an integer >= 1") as got:
+            predict_bin_moments(config, n_runs=n_runs)
+        assert got.value.field == "n_runs"
+    assert predict_bin_moments(config, n_runs=np.int64(2))[0].mu.sum() == 2 * predict_bin_moments(config)[0].mu.sum()
+
+
 def test_validation_csv_format():
     moments = BinMoments(bin_width_s=1.0, mu=np.array([4.0, 0.0]), sigma=np.array([2.0, 0.0]))
     report = compare_counts(np.array([5, 0]), moments)
