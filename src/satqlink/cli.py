@@ -194,10 +194,9 @@ def _sim_files(out_dir: Path) -> list[Path] | None:
         return None
     with _text_io(manifest, "r") as (fh, where):
         seeds = _json_object(fh.read(), where, keys=("seeds",))["seeds"]
-    try:
-        names = [f"sim_seed{int(s)}.csv" for s in seeds]
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{manifest}: bad manifest: {exc}") from exc
+    if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):  # no bool, float or string
+        raise DataFormatError(f"{manifest}: bad manifest: seeds must be a list of integers, got {seeds!r:.80}")
+    names = [f"sim_seed{s}.csv" for s in seeds]
     for name in names:
         if not (out_dir / name).is_file():
             raise DataFormatError(f"{out_dir / name}: listed in {manifest} but missing")

@@ -462,15 +462,16 @@ def _draw(table: _RoundTable, eta: np.ndarray, p_bsm: float, rng: np.random.Gene
     """A scheduled table's successes, and outcomes when capturing, drawn a block at a time.
 
     A drifted photon cannot succeed, so only the first ``eligible`` photons
-    of a round are compared; where a round's drifted tail is long and no
-    outcome strings are built, its uniforms are skipped with an advance.
+    of a round are compared; where a round's drifted tail is long, its
+    uniforms are skipped with an advance.  Outcome strings pad every round
+    with ``D`` past its eligible photons, so capturing changes neither.
     The table itself is only read.
     """
     successes = np.empty(table.start.size, dtype=np.int64)
     outcomes = [] if capture else None
     lo = 0
     for k, i, n, e in zip(*(c.tolist() for c in (table.k, table.sample, table.n, table.eligible))):
-        if capture or 2 * (n - e) < _ADVANCE_MIN:
+        if 2 * (n - e) < _ADVANCE_MIN:
             u = rng.random((k, n, 2))
         else:
             u = np.empty((k, e, 2))
@@ -581,17 +582,19 @@ class _PhotonStream:
     capturing, ``text[k]`` is ``S`` or ``L`` for its photon k, else ``text`` is None.
     """
 
-    __slots__ = ("rng", "u", "pos", "text", "passed")
+    __slots__ = ("rng", "u", "pos", "text", "passed", "limits")
 
-    def __init__(self, rng: np.random.Generator, max_n: int, capture: bool) -> None:
+    def __init__(self, rng: np.random.Generator, max_n: int, capture: bool, p_bsm: float) -> None:
         self.rng = rng
         self.u = np.empty((_CHUNK_ROWS + max_n, 2))  # row = (loss, latch) uniforms
         self.pos = self.u.shape[0]  # row of the window's first photon; nothing drawn yet
         self.text = "" if capture else None
-        # per-window mask buffers, reused: temporaries raised a run's peak RSS by about 1 MiB
+        # per-window buffers, reused: temporaries raised a run's peak RSS by about 1 MiB, and
+        # converting the thresholds to an array took a third of a window's time
         self.passed = np.empty((2, max(_WINDOW_ROWS, max_n)), dtype=bool)
+        self.limits = np.array([[0.0], [p_bsm]])  # (channel, latch) thresholds
 
-    def window(self, used: int, n: int, eta: float, p_bsm: float) -> list[int]:
+    def window(self, used: int, n: int, eta: float) -> list[int]:
         """Pass the ``used`` photons of the last window; open one of at least ``n``.
 
         Returns its successful photons' offsets in ascending order, then its size.
@@ -603,12 +606,15 @@ class _PhotonStream:
             self.rng.random(out=self.u[left:])
             self.pos = 0
         u = self.u[self.pos : self.pos + min(max(_WINDOW_ROWS, n), self.u.shape[0] - self.pos)]
-        passed = np.less(u.T, ((eta,), (p_bsm,)), out=self.passed[:, : len(u)])  # channel, latch
+        self.limits[0, 0] = eta
+        passed = np.less(u.T, self.limits, out=self.passed[:, : len(u)])  # channel, latch
         ok = passed[0]
         ok &= passed[1]
         if self.text is not None:
             self.text = _outcome_chars(ok, ok.size)
-        return [*np.flatnonzero(ok).tolist(), ok.size]
+        hits = ok.nonzero()[0].tolist()
+        hits.append(ok.size)
+        return hits
 
 
 def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
@@ -634,6 +640,16 @@ def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
     and then its next start unless the partner confirms at that instant.
     Each leg so runs the rounds of the strict order.
 
+    Most rounds have no success, and one start sets up a run of them: while
+    the sample, and so n and eligible, stay fixed, the rounds at offsets
+    o, o + n, ... of the window are cut alike, so the first hit h with
+    ``(h - o) % n < eligible`` (else the window's end) is preceded by
+    ``(h - o) // n`` rounds without a success.  They run in one tight loop,
+    each starting at the last one's confirmation, until one is left, the
+    next start leaves the sample or reaches the pass end, or, while the leg
+    holds pairs, a confirmation reaches the partner's next event; the round
+    holding the hit then runs as a single round.
+
     Photons are drawn a chunk at a time; one draw of k rows consumes the
     leg's stream exactly as k single-photon draws do.  While a leg stays in
     one profile sample its photons share one ``eta``, so a window's
@@ -648,24 +664,21 @@ def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
     retain = config.retain_until_swap
     capture = config.capture_rounds
 
-    # per-leg constants and per-sample lookups as plain lists (hot loop)
     links = config.link_params
-    eta = [p.eta.tolist() for p in profiles]
-    t_rt = [_round_trip(p.distance_m, lk).tolist() for p, lk in zip(profiles, links)]
-    next_vis = [_next_true(np.asarray(p.visible, dtype=bool)).tolist() for p in profiles]
-    alloc = [c.tolist() for c in plan.caps]
-    cap_e = [_eligible(p.radial_velocity_mps, lk.m_sat, lk, config.drift).tolist()
-             for p, lk in zip(profiles, links)]
-
-    streams = [_PhotonStream(_leg_rng(config.rng_seed, leg), config.m_s, capture) for leg in range(2)]
+    # per leg, the round table as the loop builds it: start, confirm and
+    # successes (and outcomes) per round, (first round, sample, n) per block
+    tables = [(array("d"), array("d"), array("q"), [], [] if capture else None) for _ in range(2)]
+    # per leg, its constants and per-sample lookups as plain lists (hot loop), its stream and its table
+    lanes = [
+        (p.eta.tolist(), _round_trip(p.distance_m, lk).tolist(), _next_true(np.asarray(p.visible, dtype=bool)).tolist(),
+         cap.tolist(), _eligible(p.radial_velocity_mps, lk.m_sat, lk, config.drift).tolist(), lk.emission_period_s,
+         _PhotonStream(_leg_rng(config.rng_seed, leg), config.m_s, capture, lk.p_bsm), *table)
+        for leg, (p, lk, cap, table) in enumerate(zip(profiles, links, plan.caps, tables))
+    ]
 
     # leg state: next event time, whether it is a confirmation, finished,
     # confirmed pairs awaiting a swap
     ev, confirming, done, buffered = [t_grid0] * 2, [False] * 2, [False] * 2, [0, 0]
-    # per leg, the round table as the loop builds it: start, confirm and
-    # successes (and outcomes) per round, (first round, sample, n) per block
-    starts, confirms, successes = ([array(kind), array(kind)] for kind in "ddq")
-    blocks, outcomes = [[], []], [[], []]
     # per leg, kept while the other runs: its window's hits, the pointer past
     # those before offset off, sample, photons emitted and size; its block's sample and n
     held = [([0], 0, -1, 0, 0, -1, -1)] * 2
@@ -676,11 +689,8 @@ def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
         ahead0 = ev[0] < ev[1] or (ev[0] == ev[1] and (confirming[0] or not confirming[1]))
         leg = 0 if not done[0] and (done[1] or ahead0) else 1
         other = 1 - leg
-        # the leg's lookups and its stream's window, held in locals while it runs
-        eta_l, rt_l, vis_l, alloc_l, cap_l = eta[leg], t_rt[leg], next_vis[leg], alloc[leg], cap_e[leg]
-        t_em, p_bsm = links[leg].emission_period_s, links[leg].p_bsm
-        start_l, conf_l, succ_l, out_l = starts[leg], confirms[leg], successes[leg], outcomes[leg]
-        stream = streams[leg]
+        # the leg's lookups, table and stream's window, held in locals while it runs
+        eta_l, rt_l, vis_l, alloc_l, cap_l, t_em, stream, start_l, conf_l, succ_l, block_l, out_l = lanes[leg]
         hits, h, w_sample, off, size, block_i, block_n = held[leg]
         t = ev[leg]
         while True:
@@ -718,46 +728,72 @@ def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
                 break
             eligible = cap_l[i] if cap_l[i] < n else n
             if w_sample != i or off + n > size:
-                hits = stream.window(off, n, eta_l[i], p_bsm)
+                hits = stream.window(off, n, eta_l[i])
                 h, w_sample, off, size = 0, i, 0, hits[-1]
             while hits[h] < off:  # pass the hits of the last round's drifted tail
                 h += 1
-            h0 = h
+            # analytics._round_duration written out for speed: test_dual_fast_and_event_paths_agree
+            # checks these confirm times bitwise against the schedule's, which calls the kernel
+            dt = (n - 1) * t_em + rt_l[i]
+            if i != block_i or n != block_n:
+                block_i, block_n = i, n
+                block_l.append((len(start_l), i, n))
+            g = h  # the first hit in some round's eligible prefix, else the window's end
+            while hits[g] < size and (hits[g] - off) % n >= eligible:
+                g += 1
+            q = (hits[g] - off) // n  # rounds before it: none has a success
+            if q:
+                # a leg holding pairs takes its confirmation as an event once the partner acts first
+                lim = ev[other] if buffered[leg] and not done[other] else math.inf
+                stop = lim if lim < t_end else t_end
+                first, fits = len(start_l), False
+                for _ in range(q):
+                    start_l.append(t)
+                    t += dt
+                    if t >= stop or (t - t_grid0) // step != i:  # the start test above, without int()
+                        break
+                else:
+                    fits = off + (q + 1) * n <= size  # the hit's round starts next, inside the window
+                ran = len(start_l) - first  # each confirms at the next one's start
+                conf_l.extend(start_l[first + 1 :])
+                conf_l.append(t)
+                succ_l.extend([0] * ran)
+                if capture:
+                    out_l += ["L" * eligible + "D" * (n - eligible)] * ran
+                off += ran * n
+                if t >= lim:
+                    confirming[leg] = True
+                    ev[leg] = t
+                    break
+                if not fits:
+                    continue  # the next start leaves the sample or the window, or ends the pass: from the top
+            # the round holding hit g, which succeeds
+            h = g + 1
             end = off + eligible
-            while hits[h] < end:  # the round's successes
+            while hits[h] < end:
                 h += 1
-            n_success = h - h0
             if capture:
                 out_l.append(stream.text[off : off + eligible] + "D" * (n - eligible))
             off += n
-            # analytics._round_duration written out for speed: test_dual_fast_and_event_paths_agree
-            # checks these confirm times bitwise against the schedule's, which calls the kernel
-            conf_t = t + ((n - 1) * t_em + rt_l[i])
             # a leg's rounds confirm in the order they start
             start_l.append(t)
-            conf_l.append(conf_t)
-            succ_l.append(n_success)
-            if i != block_i or n != block_n:
-                block_i, block_n = i, n
-                blocks[leg].append((len(start_l) - 1, i, n))
-            t = conf_t
-            if n_success == 0 and buffered[leg] == 0:
-                continue  # the confirmation adds no pair and cannot swap: start again at once
+            t += dt
+            conf_l.append(t)
+            succ_l.append(h - g)
             confirming[leg] = True
-            ev[leg] = conf_t
+            ev[leg] = t
             # run ahead while the confirmation is next in event order anyway
-            if not (done[other] or conf_t < ev[other]):
+            if not (done[other] or t < ev[other]):
                 break
         held[leg] = hits, h, w_sample, off, size, block_i, block_n
 
-    tables = []
-    for leg, (p, lk) in enumerate(zip(profiles, links)):
-        first, sample, n_col = np.asarray(blocks[leg], dtype=np.int64).reshape(-1, 3).T
-        start, v_r = np.asarray(starts[leg]), p.radial_velocity_mps[sample]
-        tables.append(_RoundTable(
-            start, np.asarray(confirms[leg]), np.asarray(successes[leg]), np.diff(first, append=start.size),
-            sample, n_col, _eligible(v_r, n_col, lk, config.drift), v_r, outcomes[leg] if capture else None,
-        ))
+    for leg, (p, lk, (start, confirm, succ, block_l, out_l)) in enumerate(zip(profiles, links, tables)):
+        first, sample, n_col = np.asarray(block_l, dtype=np.int64).reshape(-1, 3).T
+        start, v_r = np.asarray(start), p.radial_velocity_mps[sample]
+        tables[leg] = _RoundTable(
+            start, np.asarray(confirm), np.asarray(succ), np.diff(first, append=start.size),
+            sample, n_col, _eligible(v_r, n_col, lk, config.drift), v_r, out_l,
+        )
     return _result(config, tables)
 
 
@@ -897,18 +933,18 @@ _LOG_FIELDS = dict(leg=int, index=int, start_time_s=float, train_length=int,
 _ROUND_FIELDS = {**_LOG_FIELDS, "outcomes": str}
 
 
-def _field_fault(kind: type, value) -> str | None:
+def _field_fault(kind: type, value, top: int = 2**63) -> str | None:
     """What keeps ``value`` out of a round log's ``kind`` column, or None.
 
-    An ``int`` value is an int (not a bool) in [0, 2**63), a ``float`` value a finite int or
-    float, and a ``str`` value (the outcomes) a str or None.
+    An ``int`` value is an int (not a bool) in [0, top), a ``float`` value a finite int or
+    float, and a ``str`` value (the outcomes) a str or None.  Nothing is coerced.
     """
     if kind is str:
         return None if isinstance(value, (str, type(None))) else "is not a string"
     if type(value) not in (int, kind):
         return "is not an integer" if kind is int else "is not a number"
     if kind is int:
-        return "is negative" if value < 0 else None if value < 2**63 else "does not fit a 64-bit column"
+        return "is negative" if value < 0 else None if value < top else "does not fit a 64-bit column"
     try:
         return None if math.isfinite(value) else "is not finite"
     except OverflowError:
@@ -1004,13 +1040,17 @@ def _layout_columns(text: str, n: int) -> tuple | None:
     return (*map(nums.get, _LOG_FIELDS), outcomes)
 
 
+_WANTS = {int: "an integer >= 0", float: "a finite number", str: "a string"}
+# a log header's keys and value kinds; its seed may be any rng_seed, below 2**64
+_HEADER_FIELDS = {"engine_version": str, "seed": int, "policy": str, "bin_width_s": float}
+
+
 def _log_round(rec: dict, where: str, row: int) -> Round:
     """The round of one log record: integers in [0, 2**63), finite numbers, string outcomes."""
     fields = {}
     for key, kind in _ROUND_FIELDS.items():
         if _field_fault(kind, value := rec.get(key)):
-            want = {int: "an integer >= 0", float: "a finite number", str: "a string"}[kind]
-            raise DataFormatError(f"{where}: row {row}: {key} must be {want}, got {value!r}")
+            raise DataFormatError(f"{where}: row {row}: {key} must be {_WANTS[kind]}, got {value!r}")
         fields[key] = float(value) if kind is float else value
     return Round(**fields)
 
@@ -1033,16 +1073,15 @@ def read_round_log(source: str | Path | TextIO) -> RoundLog:
         first = fh.readline()
         if not first.strip():
             raise DataFormatError(f"{where}: empty round log")
-        header = _json_object(first, where, 1, ("engine_version", "seed", "policy", "bin_width_s"))
-        try:
-            seed, bin_width_s = int(header["seed"]), float(header["bin_width_s"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DataFormatError(f"{where}: row 1: {exc}") from exc
+        header = _json_object(first, where, 1, _HEADER_FIELDS)
+        for key, kind in _HEADER_FIELDS.items():
+            if (value := header[key]) is None or _field_fault(kind, value, 2**64):
+                raise DataFormatError(f"{where}: row 1: {key} must be {_WANTS[kind]}, got {value!r}")
         chunks = [_round_columns(())]
         row = 2
         while lines := list(islice(fh, _ROWS)):
             chunks.append(_log_chunk(lines, where, row))
             row += len(lines)
     *nums, outcomes = zip(*chunks)
-    return RoundLog(str(header["engine_version"]), seed, str(header["policy"]), bin_width_s,
+    return RoundLog(header["engine_version"], header["seed"], header["policy"], float(header["bin_width_s"]),
                     (*map(np.concatenate, nums), [o for part in outcomes for o in part]))

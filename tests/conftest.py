@@ -16,6 +16,10 @@ DEMO_SPEC = Path(__file__).resolve().parents[1] / "demos/specs/two_station.json"
 # on Python 3.11; 100,000 pass it on every version, whose C recursion limits differ), an integer past int()'s digit limit
 JSON_PAST_LIMITS = {"nested": "[" * 100_000 + "]" * 100_000, "digits": "9" * 5000}
 
+# round-log header values a reader must refuse rather than coerce: (key, JSON text)
+LOG_HEADER_COERCIONS = [("seed", "1.9"), ("seed", "true"), ("seed", '"7"'), ("seed", "-1"), ("bin_width_s", '"2.5"'),
+                        ("policy", "7"), ("policy", "null"), ("engine_version", "1")]
+
 C_LIGHT = 299792458.0
 EPOCH = "2026-01-01T00:00:00Z"
 
@@ -111,6 +115,11 @@ def random_profile(rng: np.random.Generator, n: int | None = None) -> PassProfil
 def _calibrated(m_sat: int) -> tuple[tuple[PassProfile, PassProfile], LinkParams]:
     exp = load_experiment(DEMO_SPEC).with_overrides(m_sat=m_sat)
     return exp.profiles(), exp.link
+
+
+@pytest.fixture(scope="session")
+def calibrated_m1000() -> tuple[tuple[PassProfile, PassProfile], LinkParams]:
+    return _calibrated(1000)
 
 
 @pytest.fixture(scope="session")

@@ -428,6 +428,19 @@ def test_validate_pools_only_manifest_seeds(dual_spec, tmp_path, capsys):
     assert "sim_seed1.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds", ["[1.9]", "[true]", '"10"', '["1"]', "[null]", "{}"])
+def test_manifest_seeds_that_are_not_integers_exit_3(single_spec, tmp_path, capsys, seeds):
+    # [1.9] and [true] used to pool sim_seed1.csv, and "10" sim_seed1.csv and sim_seed0.csv
+    out = tmp_path / "out"
+    out.mkdir()
+    for seed in (0, 1):
+        (out / f"sim_seed{seed}.csv").write_text("bin_start_s,pairs_legA,pairs_end_to_end\n0,1,1\n")
+    (out / "simulate.json").write_text(f'{{"seeds": {seeds}}}')
+    for command in ("validate", "report"):
+        assert main([command, "--spec", single_spec, "--out", str(out)]) == 3
+        assert f"{out / 'simulate.json'}: bad manifest: seeds must be a list of integers" in capsys.readouterr().err
+
+
 # sha256 of every file the closed-form commands write for DUAL, recorded
 # before the series were evaluated on whole profile columns.
 CLOSED_FORM_SHA256 = {

@@ -14,7 +14,7 @@ from satqlink import (DataFormatError, LinkParams, ReplayError, SatLinkError, Si
                       write_round_log)
 from satqlink.cli import main
 
-from conftest import DEMO_SPEC, JSON_PAST_LIMITS, constant_profile
+from conftest import DEMO_SPEC, JSON_PAST_LIMITS, LOG_HEADER_COERCIONS, constant_profile
 
 # texts that break a number, a string or a line of JSON
 INSERTS = ["1e999", "-1e999", "1e300", "-5.0", "NaN", "\\", '"', "\n", "\r", ",", "{", "}", "[", "-", "0", "9" * 30,
@@ -81,6 +81,22 @@ def test_corrupted_round_logs_raise_only_satlink_errors(tmp_path):
         bad = text.replace(row, json.dumps(rec, sort_keys=True) + "\n")
         with pytest.raises(ReplayError, match=f"leg {rec['leg']} round {rec['index']} confirms at"):
             replay(config, read_round_log(io.StringIO(bad)))
+
+
+def test_log_header_values_of_another_kind_are_data_format_errors():
+    # the header is checked as records are, without coercion: a seed of 1.9 or true used to replay under seed 1
+    config = _retained_config()
+    buf = io.StringIO()
+    write_round_log(run(config), buf)
+    header, *records = buf.getvalue().splitlines(keepends=True)
+    for key, text in LOG_HEADER_COERCIONS:
+        doc = json.loads(header)
+        doc[key] = "@@"
+        bad = json.dumps(doc).replace('"@@"', text) + "\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match=f"^<stream>: row 1: {key} must be "):
+                replay(config, read_round_log(io.StringIO("".join([bad, *records]))))
 
 
 def test_corrupted_counts_and_manifest_exit_with_a_code(tmp_path, capsys):

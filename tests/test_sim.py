@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import copy
 import dataclasses
 import hashlib
@@ -36,7 +37,7 @@ from satqlink import (
 from satqlink import sim as sim_mod
 from satqlink.experiment import load_experiment
 
-from conftest import DEMO_SPEC, constant_profile, make_profile, unimodal_pair
+from conftest import DEMO_SPEC, LOG_HEADER_COERCIONS, constant_profile, make_profile, unimodal_pair
 
 T_RT = 0.004  # realized by the constant profile's distance
 
@@ -518,11 +519,16 @@ class _PrefixStream:
         self.sample, self.off, self.size = sample, 0, m
 
 
-def _reference_event_tables(config):
+def _reference_event_tables(config, ends=None):
     """Round tables of the dual event loop taken strictly in (time, confirmation first, leg) order.
 
     The loop as it was before legs ran ahead and counted from hit lists;
     each leg's rows are in start order, its blocks rebuilt from them.
+    ``ends``, a Counter, counts how runs of rounds without a success end:
+    at the next start, off the sample (``sample``), at the pass end
+    (``t_end``) or past the window in the same sample (``window``); or,
+    while the leg holds pairs, at a confirmation at or past the partner's
+    next event (``partner``).
     """
     caps = sim_mod._capacity_series(config)
     profiles, links = config.profiles, config.link_params
@@ -553,6 +559,8 @@ def _reference_event_tables(config):
         else:
             leg = 1
         other, t = 1 - leg, ev[leg]
+        last = rows[leg][-1] if rows[leg] else None
+        quiet = ends is not None and not confirming[leg] and last is not None and last[2] == 0 and last[1] == t
         if confirming[leg]:
             confirming[leg] = False
             buffered[leg] += rows[leg][-1][2]
@@ -563,6 +571,10 @@ def _reference_event_tables(config):
                     ev[other] = t
             continue
         i = int((t - t_grid0) // step)
+        if quiet and i != last[3]:
+            ends["sample"] += 1
+        elif quiet and t >= t_end:
+            ends["t_end"] += 1
         if t >= t_end or i >= n_samples:
             done[leg] = True
             continue
@@ -583,12 +595,16 @@ def _reference_event_tables(config):
         eligible = min(cap_e[leg][i], n)
         stream = streams[leg]
         if stream.sample != i or stream.off + n > stream.size:
+            if quiet and stream.sample == i:
+                ends["window"] += 1
             stream.window(i, n, eta[leg][i], links[leg].p_bsm)
         off = stream.off
         stream.off = off + n
         conf_t = t + ((n - 1) * links[leg].emission_period_s + t_rt[leg][i])
         text = None if stream.text is None else stream.text[off : off + eligible] + "D" * (n - eligible)
         succ = stream.prefix[off + eligible] - stream.prefix[off]
+        if ends is not None and succ == 0 and buffered[leg] and not done[other] and conf_t >= ev[other]:
+            ends["partner"] += 1
         rows[leg].append((t, conf_t, succ, i, n, eligible, text))
         confirming[leg], ev[leg] = True, conf_t
     tables = []
@@ -650,6 +666,22 @@ def _tied_legs_case(retain):
                      static_split=(5, 5), retain_until_swap=retain, capture_rounds=True)
 
 
+def _assert_event_loop_matches_reference(config, ends=None) -> list:
+    """The event loop's counts, and with capture its tables, equal the strict-order reference's; returns those."""
+    want = _reference_event_tables(config, ends)
+    result = sim_mod._run_dual_event(config, sim_mod._plan(config))
+    _assert_same_counts(sim_mod._result(config, want), result, config)
+    if config.capture_rounds:
+        order = [(r.leg, r.index) for r in result.rounds]  # leg by leg, each leg in round order
+        assert all(a < b for a, b in zip(order, order[1:])), config
+        for leg, (got, ref) in enumerate(zip(result._tables, want)):
+            for key in ("start", "confirm", "successes", "k", "sample", "n", "eligible", "v_r"):
+                a, b = getattr(got, key), getattr(ref, key)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (leg, key, config)
+            assert got.outcomes == ref.outcomes, (leg, config)
+    return want
+
+
 def test_event_loop_matches_strict_order_reference():
     quiet = []
 
@@ -658,22 +690,47 @@ def test_event_loop_matches_strict_order_reference():
     @example(config=_tied_legs_case(True))
     @example(config=_tied_legs_case(False))
     def agree(config):
-        want = _reference_event_tables(config)
-        result = sim_mod._run_dual_event(config, sim_mod._plan(config))
-        _assert_same_counts(sim_mod._result(config, want), result, config)
-        if config.capture_rounds:
-            order = [(r.leg, r.index) for r in result.rounds]  # leg by leg, each leg in round order
-            assert all(a < b for a, b in zip(order, order[1:])), config
-            for leg, (got, ref) in enumerate(zip(result._tables, want)):
-                for key in ("start", "confirm", "successes", "k", "sample", "n", "eligible", "v_r"):
-                    a, b = getattr(got, key), getattr(ref, key)
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (leg, key, config)
-                assert got.outcomes == ref.outcomes, (leg, config)
-        quiet.append(_quiet_confirmations(want))
+        quiet.append(_quiet_confirmations(_assert_event_loop_matches_reference(config)))
 
     agree()
     # the cases exercise the run-ahead: some leg started many rounds without a confirmation event
     assert max(quiet) > 100
+
+
+def _zero_success_run_cases():
+    """Dual runs whose runs of rounds without a success end in every way the event loop can end them.
+
+    - ``t_end``: one-photon trains on 3 one-second samples whose 12th confirmation falls
+      in the last 1e-12 s of the pass, still in its last sample;
+    - ``window``: 20-photon trains, about 5,000 photons a sample, past one draw of uniforms;
+    - ``partner``: legs of unequal eta, the likelier one holding pairs for the other,
+      with drifted tails, so that a swap regrows a train and moves its eligible prefixes;
+    - ``sample``: every case.
+    """
+    t_end_rt = (3.0 - 0.5e-12) / 12
+    # (retain, m_sat, eta per leg, round trip per leg, radial velocity): with the 15 ps acceptance
+    # window, 5 photons of a train are eligible at 1 km/s
+    cases = ((False, 2, (1e-6, 1e-6), (t_end_rt, t_end_rt), 0.0), (True, 2, (0.9, 0.9), (t_end_rt, t_end_rt), 0.0),
+             (False, 40, (2e-3, 1e-3), (4e-3, 4e-3), 0.0), (True, 40, (0.02, 2e-3), (4e-3, 4e-3), 1e3),
+             (True, 10, (0.05, 0.01), (4e-3, 6e-3), 0.0), (True, 200, (0.05, 0.01), (4e-3, 6e-3), 1e3))
+    for retain, m, etas, t_rts, v_r in cases:
+        legs = tuple(constant_profile(3, eta, t_rt, v_r, station=s) for eta, t_rt, s in zip(etas, t_rts, "ab"))
+        for seed in range(3):
+            for capture in (False, True):
+                yield SimConfig(profiles=legs, link_params=(link(m_sat=m, p=0.5, w=1.5e-11),) * 2, policy="static",
+                                rng_seed=seed, static_split=(m // 2, m // 2), retain_until_swap=retain,
+                                capture_rounds=capture)
+
+
+def test_zero_success_runs_end_as_the_reference_does():
+    ends, photons = collections.Counter(), []
+    for config in _zero_success_run_cases():
+        want = _assert_event_loop_matches_reference(config, ends)
+        photons.append(max(int(np.dot(t.k, t.n)) for t in want))
+    # each way ended some run (t_end only where the sample test alone would go on); some leg drew
+    # past one chunk of uniforms
+    assert min(ends[way] for way in ("sample", "t_end", "window", "partner")) > 0, ends
+    assert max(photons) > sim_mod._CHUNK_ROWS + 200
 
 
 # sha256 of the int64 per-leg and end-to-end bins of retained runs, as
@@ -683,6 +740,14 @@ RETAINED_DIGESTS = {
     ("dual", "static"): "42dac3dbabf65a0d338c097a0d34d53ed5dee39c93fa3a7596baa5029bc0c347",
     ("calibrated", "dynamic_int"): "b86f5549ade7dba073ff49962817abf22c4fb4e231c25e93e6a3d441929c141d",
     ("calibrated", "static"): "11425dd24739d163d85e32d3851e25d276f6339e7bd63b4bd882b8371d27c6a7",
+}
+
+
+# the same, for retained runs on the demo pass at m_S = 1000 (seed 0, static split 500/500), where 85 %
+# of the photons drift out, recorded before the event loop ran rounds without a success in one loop
+DRIFT_HEAVY_DIGESTS = {
+    "dynamic_int": "d2d0cca49b308148b236cf5fd2d2a3d769e64a41f9b4e98b2248f5816bf03680",
+    "static": "0640e40110557c1436e375e18f25c0c99ca4f09297f93f6776a006d23414d35a",
 }
 
 
@@ -707,6 +772,14 @@ def test_retained_counts_are_pinned(calibrated_m100):
             for seed in range(2)
         ]
         assert _counts_digest(calibrated) == RETAINED_DIGESTS[("calibrated", policy)]
+
+
+def test_drift_heavy_retained_counts_are_pinned(calibrated_m1000):
+    (pa, pb), lk = calibrated_m1000
+    for policy, split in (("dynamic_int", None), ("static", (500, 500))):
+        config = SimConfig(profiles=(pa, pb), link_params=(lk, lk), policy=policy, rng_seed=0,
+                           static_split=split, retain_until_swap=True)
+        assert _counts_digest([run(config)]) == DRIFT_HEAVY_DIGESTS[policy]
 
 
 def test_static_policy_respects_split():
@@ -1034,6 +1107,26 @@ def test_read_round_log_errors_cite_rows():
     # the first row of the second chunk
     with pytest.raises(DataFormatError, match=f"row {sim_mod._ROWS + 2}: leg must be"):
         read(header, *[good] * sim_mod._ROWS, good.replace('"leg": 0', '"leg": -1'))
+
+
+@pytest.mark.parametrize("key, text", LOG_HEADER_COERCIONS)
+def test_read_round_log_refuses_header_values_it_would_coerce(key, text):
+    buf = io.StringIO()
+    write_round_log(run(single_config(n_s=2, eta=0.5, p=0.5, capture=True)), buf)
+    header, *records = buf.getvalue().splitlines(keepends=True)
+    bad = re.sub(f'"{key}": [^,}}]*', f'"{key}": {text}', header)
+    assert bad != header
+    with pytest.raises(DataFormatError, match=f"^<stream>: row 1: {key} must be "):
+        read_round_log(io.StringIO("".join([bad, *records])))
+
+
+def test_read_round_log_keeps_any_run_seed():
+    config = single_config(n_s=2, eta=0.5, p=0.5, capture=True, seed=2**64 - 1)
+    buf = io.StringIO()
+    write_round_log(run(config), buf)
+    log = read_round_log(io.StringIO(buf.getvalue()))
+    assert (log.seed, log.policy, log.bin_width_s) == (2**64 - 1, "single", 1.0)
+    assert type(log.bin_width_s) is float
 
 
 _INT_FIELDS = ("leg", "index", "train_length", "n_success")
