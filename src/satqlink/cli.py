@@ -194,8 +194,10 @@ def _sim_files(out_dir: Path) -> list[Path] | None:
         return None
     with _text_io(manifest, "r") as (fh, where):
         seeds = _json_object(fh.read(), where, keys=("seeds",))["seeds"]
-    if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):  # no bool, float or string
-        raise DataFormatError(f"{manifest}: bad manifest: seeds must be a list of integers, got {seeds!r:.80}")
+    # no bool, float or string; at least one, and none twice, which would pool its file twice
+    if not isinstance(seeds, list) or not all(type(s) is int for s in seeds) or not 0 < len(set(seeds)) == len(seeds):
+        raise DataFormatError(f"{manifest}: bad manifest: seeds must be a list of integers, "
+                              f"non-empty and without repeats, got {seeds!r:.80}")
     names = [f"sim_seed{s}.csv" for s in seeds]
     for name in names:
         if not (out_dir / name).is_file():

@@ -68,7 +68,7 @@ class Experiment:
     optics: OpticalParams = field(default_factory=OpticalParams)
     policy: str | None = field(default=None, metadata=_RUN)
     static_split: tuple[int, int] | None = field(default=None, metadata=_RUN)
-    seeds: int = field(default=1, metadata=_RUN | _within("[1, 10**6]"))  # _MAX_GRID: a manifest keeps ~1 KB a seed
+    seeds: int = field(default=1, metadata=_RUN | _within("[1, 10**6]"))  # _MAX_GRID: a manifest keeps ~160 B a seed
     seed0: int = field(default=0, metadata=_RUN)
     bin_width_s: float = field(default=1.0, metadata=_RUN)
     drift: bool = field(default=True, metadata=_RUN)

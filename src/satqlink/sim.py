@@ -44,12 +44,15 @@ the strict order.
 Both paths record a run in one round table per leg: start time, confirm
 time and successes per round, and per block (a maximal run of consecutive
 rounds with one profile sample and one train length) the sample, the train
-length and the drift-eligible count; outcome strings only when capturing.
-The vectorized path draws the successes a block at a time onto a schedule
-that one plan per command builds once and every seed shares; the event loop
-appends to its table round by round.  Binning, ``SimResult.rounds``, the
-round log, :func:`replay` and the validator's exact moments all read these
-tables, and the moments read the very schedule the runs draw on.
+length and the drift-eligible count.  The vectorized path draws the
+successes a block at a time onto a schedule that one plan per command
+builds once and every seed shares; the event loop only counts, appending
+to its table round by round.  When a run captures, :func:`_draw` alone
+writes the outcome strings on both paths, over each leg's finished table
+from a fresh stream of the same seed: under the contract, the photons the
+run used.  Binning, ``SimResult.rounds``, the round log, :func:`replay` and
+the validator's exact moments all read these tables, and the moments read
+the very schedule the runs draw on.
 
 The round log is read back into columns, which :func:`replay` uses; a
 :class:`Round` is built only when ``SimResult.rounds`` or ``RoundLog.rounds`` is read.
@@ -234,8 +237,6 @@ class SimResult:
     pairs_end_to_end: np.ndarray
     seed: int
     policy: str
-    config_echo: dict
-    engine_version: str = ENGINE_VERSION
     _tables: tuple[_RoundTable, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -276,15 +277,12 @@ class SimResult:
         return int(self.pairs_end_to_end.sum())
 
     def summary_dict(self) -> dict:
+        """The run's entry in a manifest, whose top level holds the engine version, policy, bin width and config."""
         return {
-            "engine_version": self.engine_version,
             "seed": int(self.seed),
-            "policy": self.policy,
-            "bin_width_s": self.bin_width_s,
             "n_bins": self.n_bins,
             "totals_per_leg": list(self.totals_per_leg),
             "total_end_to_end": self.total_end_to_end,
-            "config": self.config_echo,
         }
 
 
@@ -555,7 +553,6 @@ def _result(config: SimConfig, tables: Sequence[_RoundTable]) -> SimResult:
         pairs_end_to_end=_bin_counts(swaps, np.ones(swaps.size, dtype=np.int64), width, n_bins),
         seed=config.rng_seed,
         policy=config.policy,
-        config_echo=config.echo_dict(),
         _tables=tuple(tables) if tables[0].outcomes is not None else None,
     )
 
@@ -576,19 +573,14 @@ _WINDOW_ROWS = 2048
 
 
 class _PhotonStream:
-    """One leg's photons: uniforms drawn a chunk ahead, read a window at a time.
+    """One leg's photons: uniforms drawn a chunk ahead, read a window of at least ``_WINDOW_ROWS`` at one ``eta``."""
 
-    A window holds at least ``_WINDOW_ROWS`` photons at one ``eta``; when
-    capturing, ``text[k]`` is ``S`` or ``L`` for its photon k, else ``text`` is None.
-    """
+    __slots__ = ("rng", "u", "pos", "passed", "limits")
 
-    __slots__ = ("rng", "u", "pos", "text", "passed", "limits")
-
-    def __init__(self, rng: np.random.Generator, max_n: int, capture: bool, p_bsm: float) -> None:
+    def __init__(self, rng: np.random.Generator, max_n: int, p_bsm: float) -> None:
         self.rng = rng
         self.u = np.empty((_CHUNK_ROWS + max_n, 2))  # row = (loss, latch) uniforms
         self.pos = self.u.shape[0]  # row of the window's first photon; nothing drawn yet
-        self.text = "" if capture else None
         # per-window buffers, reused: temporaries raised a run's peak RSS by about 1 MiB, and
         # converting the thresholds to an array took a third of a window's time
         self.passed = np.empty((2, max(_WINDOW_ROWS, max_n)), dtype=bool)
@@ -610,8 +602,6 @@ class _PhotonStream:
         passed = np.less(u.T, self.limits, out=self.passed[:, : len(u)])  # channel, latch
         ok = passed[0]
         ok &= passed[1]
-        if self.text is not None:
-            self.text = _outcome_chars(ok, ok.size)
         hits = ok.nonzero()[0].tolist()
         hits.append(ok.size)
         return hits
@@ -629,7 +619,9 @@ def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
     allocation minus its buffered pairs (retained) or the allocation itself
     (unbounded); an allocation never exceeds m_sat <= m_ground, so that is
     the train length.  Swaps are consumed here for slot accounting only;
-    their times follow from the confirmations.
+    their times follow from the confirmations.  :func:`run` takes the
+    unbounded mode to :func:`_run_scheduled`; here it runs only as the tests'
+    cross-check of that path.
 
     A picked leg runs ahead of that order while its partner cannot change
     what it does.  After every confirmation one leg holds no pair, and no
@@ -662,17 +654,16 @@ def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
     n_samples = profiles[0].n_samples
     t_end = t_grid0 + n_samples * step - 1e-12
     retain = config.retain_until_swap
-    capture = config.capture_rounds
 
     links = config.link_params
     # per leg, the round table as the loop builds it: start, confirm and
-    # successes (and outcomes) per round, (first round, sample, n) per block
-    tables = [(array("d"), array("d"), array("q"), [], [] if capture else None) for _ in range(2)]
+    # successes per round, (first round, sample, n) per block
+    tables = [(array("d"), array("d"), array("q"), []) for _ in range(2)]
     # per leg, its constants and per-sample lookups as plain lists (hot loop), its stream and its table
     lanes = [
         (p.eta.tolist(), _round_trip(p.distance_m, lk).tolist(), _next_true(np.asarray(p.visible, dtype=bool)).tolist(),
          cap.tolist(), _eligible(p.radial_velocity_mps, lk.m_sat, lk, config.drift).tolist(), lk.emission_period_s,
-         _PhotonStream(_leg_rng(config.rng_seed, leg), config.m_s, capture, lk.p_bsm), *table)
+         _PhotonStream(_leg_rng(config.rng_seed, leg), config.m_s, lk.p_bsm), *table)
         for leg, (p, lk, cap, table) in enumerate(zip(profiles, links, plan.caps, tables))
     ]
 
@@ -690,7 +681,7 @@ def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
         leg = 0 if not done[0] and (done[1] or ahead0) else 1
         other = 1 - leg
         # the leg's lookups, table and stream's window, held in locals while it runs
-        eta_l, rt_l, vis_l, alloc_l, cap_l, t_em, stream, start_l, conf_l, succ_l, block_l, out_l = lanes[leg]
+        eta_l, rt_l, vis_l, alloc_l, cap_l, t_em, stream, start_l, conf_l, succ_l, block_l = lanes[leg]
         hits, h, w_sample, off, size, block_i, block_n = held[leg]
         t = ev[leg]
         while True:
@@ -758,8 +749,6 @@ def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
                 conf_l.extend(start_l[first + 1 :])
                 conf_l.append(t)
                 succ_l.extend([0] * ran)
-                if capture:
-                    out_l += ["L" * eligible + "D" * (n - eligible)] * ran
                 off += ran * n
                 if t >= lim:
                     confirming[leg] = True
@@ -772,8 +761,6 @@ def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
             end = off + eligible
             while hits[h] < end:
                 h += 1
-            if capture:
-                out_l.append(stream.text[off : off + eligible] + "D" * (n - eligible))
             off += n
             # a leg's rounds confirm in the order they start
             start_l.append(t)
@@ -787,13 +774,15 @@ def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
                 break
         held[leg] = hits, h, w_sample, off, size, block_i, block_n
 
-    for leg, (p, lk, (start, confirm, succ, block_l, out_l)) in enumerate(zip(profiles, links, tables)):
+    for leg, (p, lk, (start, confirm, succ, block_l)) in enumerate(zip(profiles, links, tables)):
         first, sample, n_col = np.asarray(block_l, dtype=np.int64).reshape(-1, 3).T
         start, v_r = np.asarray(start), p.radial_velocity_mps[sample]
-        tables[leg] = _RoundTable(
+        table = tables[leg] = _RoundTable(
             start, np.asarray(confirm), np.asarray(succ), np.diff(first, append=start.size),
-            sample, n_col, _eligible(v_r, n_col, lk, config.drift), v_r, out_l,
+            sample, n_col, _eligible(v_r, n_col, lk, config.drift), v_r,
         )
+        if config.capture_rounds:  # the leg's stream drawn again over its finished table: the photons it used
+            _, table.outcomes = _draw(table, p.eta, lk.p_bsm, _leg_rng(config.rng_seed, leg), True)
     return _result(config, tables)
 
 
@@ -915,7 +904,7 @@ def write_round_log(result: SimResult, destination: str | Path | TextIO) -> None
     if result._tables is None:
         raise ConfigError("result has no round log; run with capture_rounds=True")
     with _text_io(destination, "w") as (fh, _):
-        header = dict(engine_version=result.engine_version, seed=int(result.seed),
+        header = dict(engine_version=ENGINE_VERSION, seed=int(result.seed),
                       policy=result.policy, bin_width_s=result.bin_width_s)
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         *nums, outcomes = _table_columns(result._tables)

@@ -428,9 +428,10 @@ def test_validate_pools_only_manifest_seeds(dual_spec, tmp_path, capsys):
     assert "sim_seed1.csv" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("seeds", ["[1.9]", "[true]", '"10"', '["1"]', "[null]", "{}"])
+@pytest.mark.parametrize("seeds", ["[1.9]", "[true]", '"10"', '["1"]', "[null]", "{}", "[]", "[0, 0]"])
 def test_manifest_seeds_that_are_not_integers_exit_3(single_spec, tmp_path, capsys, seeds):
-    # [1.9] and [true] used to pool sim_seed1.csv, and "10" sim_seed1.csv and sim_seed0.csv
+    # [1.9] and [true] used to pool sim_seed1.csv, "10" sim_seed1.csv and sim_seed0.csv, and [0, 0]
+    # sim_seed0.csv twice; [] used to pool nothing: report left its simulation section out
     out = tmp_path / "out"
     out.mkdir()
     for seed in (0, 1):

@@ -782,6 +782,21 @@ def test_drift_heavy_retained_counts_are_pinned(calibrated_m1000):
         assert _counts_digest([run(config)]) == DRIFT_HEAVY_DIGESTS[policy]
 
 
+def test_drift_heavy_retained_capture_draws_the_photons_the_run_used(calibrated_m1000):
+    # drifted tails here reach _draw's advance branch, which the small retained cases never do
+    (pa, pb), lk = calibrated_m1000
+    result = run(SimConfig(profiles=(pa, pb), link_params=(lk, lk), policy="dynamic_int", rng_seed=0,
+                           retain_until_swap=True, capture_rounds=True))
+    assert _counts_digest([result]) == DRIFT_HEAVY_DIGESTS["dynamic_int"]
+    for leg, (table, profile) in enumerate(zip(result._tables, (pa, pb))):
+        assert (2 * (table.n - table.eligible) >= sim_mod._ADVANCE_MIN).any()
+        successes, outcomes = _reference_draw(table, profile.eta, lk.p_bsm, sim_mod._leg_rng(0, leg))
+        assert table.successes.tolist() == successes
+        assert table.outcomes == outcomes
+    for r in result.rounds:
+        assert r.outcomes.count("S") == r.n_success and len(r.outcomes) == r.train_length
+
+
 def test_static_policy_respects_split():
     config = dual_config(policy="static", split=(3, 7), capture=True)
     result = run(config)
@@ -1186,7 +1201,7 @@ def _log_text(legs) -> str:
         ))
     empty = np.zeros(0, dtype=np.int64)
     result = sim_mod.SimResult(bin_width_s=1.0, pairs_per_leg=(empty, empty), pairs_end_to_end=empty, seed=3,
-                               policy="static", config_echo={}, _tables=tuple(tables))
+                               policy="static", _tables=tuple(tables))
     buf = io.StringIO()
     write_round_log(result, buf)
     return buf.getvalue()
@@ -1250,7 +1265,7 @@ def test_read_round_log_matches_json_reference(text):
 
 def _reference_round_log(result) -> str:
     """write_round_log's bytes built one row at a time with %r from the tables: the writer's contract."""
-    header = dict(engine_version=result.engine_version, seed=result.seed, policy=result.policy,
+    header = dict(engine_version=sim_mod.ENGINE_VERSION, seed=result.seed, policy=result.policy,
                   bin_width_s=result.bin_width_s)
     rows = []
     for leg, t in enumerate(result._tables):
@@ -1287,7 +1302,7 @@ def _writer_results(draw):
         ))
     empty = np.zeros(0, dtype=np.int64)
     return sim_mod.SimResult(bin_width_s=0.5, pairs_per_leg=(empty, empty), pairs_end_to_end=empty, seed=7,
-                             policy="dynamic_int", config_echo={}, _tables=tuple(tables))
+                             policy="dynamic_int", _tables=tuple(tables))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

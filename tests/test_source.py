@@ -1,4 +1,5 @@
-"""Invariants of the package source, read with ``ast``: Python version, reachability, one opener, one JSON reader."""
+"""Invariants of the package source, read with ``ast``: Python version, reachability, one opener, one JSON reader,
+one producer of outcome strings."""
 
 from __future__ import annotations
 
@@ -90,3 +91,14 @@ def test_frozen_fields_are_set_only_in_post_init():
             if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
                 setters.add((path.name, scope.get(node), node.lineno))
     assert {where for _, where, _ in setters} == {"__post_init__"}, sorted(setters)
+
+
+def test_only_draw_builds_outcome_strings():
+    # one producer of outcome strings: both run paths capture through _draw, the event loop only counts
+    callers = set()
+    for path in SRC.glob("*.py"):
+        for top in _tree(path).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_outcome_chars":
+                    callers.add((path.name, getattr(top, "name", None), node.lineno))
+    assert {(module, where) for module, where, _ in callers} == {("sim.py", "_draw")}, sorted(callers)
