@@ -99,9 +99,6 @@ class LinkParams:
         _check_fields(self)
         if self.m_ground is None:
             object.__setattr__(self, "m_ground", int(self.m_sat))
-        for name in ("m_sat", "m_ground"):
-            if int(value := getattr(self, name)) != value:
-                raise ConfigError(f"{name} must be an integer: {value}", name)
         if self.m_sat > self.m_ground:
             raise ConfigError(
                 f"m_sat ({self.m_sat}) must not exceed m_ground ({self.m_ground})"

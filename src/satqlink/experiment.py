@@ -17,7 +17,6 @@ echoed into every output for provenance.
 
 from __future__ import annotations
 
-import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cache
@@ -34,7 +33,9 @@ from .passes import (
     SatelliteConfig,
     _check_fields,
     _check_grid,
+    _hints,
     _json_object,
+    _kind_fault,
     _text_io,
     _within,
     propagate_pass,
@@ -143,24 +144,16 @@ class Experiment:
         return exp
 
 
-# JSON value kinds of the scalar field types: (what the message asks for, accepted types)
-_SCALARS = {
-    float: ("a number", (int, float)),
-    int: ("an integer", int),
-    bool: ("true or false", bool),
-    str: ("a string", str),
-}
-
-
 @cache
 def _schema(cls: type) -> dict[str | None, dict[str, tuple[Any, bool, bool]]]:
-    """Per key group (None: the object itself), each field's (type, required, nullable)."""
-    hints = typing.get_type_hints(cls)
+    """Per key group (None: the object itself), each field's (type, required, nullable); X | None reads as X."""
+    hints = _hints(cls)
     groups: dict = {None: {}}
     for f in fields(cls):
         required = f.default is MISSING and f.default_factory is MISSING
         group = groups.setdefault(f.metadata.get("group"), {})
-        group[f.name] = (hints[f.name], required, f.default is None)
+        hint, nullable = hints[f.name], f.default is None
+        group[f.name] = (typing.get_args(hint)[0] if nullable else hint, required, nullable)
     return groups
 
 
@@ -198,8 +191,6 @@ def _section(cls: type, obj: Any, path: str, **fixed: Any) -> Any:
 
 def _value(hint: Any, value: Any, path: str) -> Any:
     """Check one JSON value against a field type and convert it."""
-    if isinstance(hint, types.UnionType):  # X | None: null was handled by the caller
-        hint = next(arg for arg in typing.get_args(hint) if arg is not type(None))
     if is_dataclass(hint):
         return _section(hint, value, path)
     if typing.get_origin(hint) is tuple:
@@ -211,9 +202,8 @@ def _value(hint: Any, value: Any, path: str) -> Any:
         elif not isinstance(value, list) or len(value) != len(items):
             raise ConfigError(f"{path} must be an array of {len(items)}")
         return tuple(_value(h, v, f"{path}[{i}]") for i, (h, v) in enumerate(zip(items, value)))
-    what, accepted = _SCALARS[hint]
-    if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
-        raise ConfigError(f"{path} must be {what}, got {type(value).__name__}")
+    if fault := _kind_fault(hint, value):
+        raise ConfigError(f"{path}{fault}")
     if hint is not float:
         return value
     try:

@@ -23,12 +23,16 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import os
 import re
+import types
+import typing
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from datetime import datetime
+from functools import cache
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -68,12 +72,41 @@ def _within(interval: str) -> dict:
     return {"within": interval, "inside": lambda value: above(lo, value) & below(value, hi)}
 
 
+# each scalar field type, in code and in a spec: what a message asks for, and its test; other types admit any value
+_KINDS = {
+    int: ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+    bool: ("true or false", lambda v: isinstance(v, (bool, np.bool_))),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+_hints = cache(typing.get_type_hints)  # a class's field types, evaluated once
+
+
+def _kind_fault(hint, value) -> str | None:
+    """Why ``value`` is not of ``hint``'s kind, the message after the name, or None; a list counts as a tuple."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):  # X | None
+        return None if value is None else _kind_fault(args[0], value)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (tuple, list)) or args[-1] is not Ellipsis and len(value) != len(args):
+            return f" must be {hint}, got {value!r:.80}"
+        items = repeat(args[0]) if args[-1] is Ellipsis else args
+        return next((f"[{i}]{f}" for i, (h, v) in enumerate(zip(items, value)) if (f := _kind_fault(h, v))), None)
+    if hint in _KINDS and not _KINDS[hint][1](value):
+        return f" must be {_KINDS[hint][0]}, got {type(value).__name__}"
+    return None
+
+
 def _check_fields(config) -> None:
-    """Refuse NaN and +-inf in every float field of a dataclass, and a value outside its field's interval."""
+    """Refuse in each field of a dataclass NaN and +-inf, a value not of its type, and one outside its interval."""
+    hints = _hints(type(config))
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{f.name} is not finite: {value}", f.name)
+        if fault := _kind_fault(hints[f.name], value):
+            raise ConfigError(f"{f.name}{fault}", f.name)
         if "within" in f.metadata and value is not None and not f.metadata["inside"](value):
             raise ConfigError(f"{f.name} out of {f.metadata['within']}: {value}", f.name)
 
@@ -146,8 +179,6 @@ class SatelliteConfig:
     def __post_init__(self) -> None:
         _check_fields(self)
         _orbit_radius(self.orbit_altitude_m, "orbit_altitude_m")
-        if int(self.memory_slots) != self.memory_slots:
-            raise ConfigError(f"memory_slots must be an integer: {self.memory_slots}", "memory_slots")
 
     @property
     def semi_major_axis_m(self) -> float:

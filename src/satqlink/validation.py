@@ -19,7 +19,6 @@ sides carry no information and are excluded.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
@@ -27,7 +26,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
-from .passes import _write_csv
+from .passes import _kind_fault, _write_csv
 from .sim import SimConfig, SimResult, _bin_counts, _Plan, _plan
 
 __all__ = [
@@ -77,7 +76,7 @@ def predict_bin_moments(config: SimConfig, n_runs: int = 1, *, plan: _Plan | Non
     """
     if config.retain_until_swap:
         raise ConfigError("bin moments are undefined when pairs retain slots until swap")
-    if not isinstance(n_runs, numbers.Integral) or isinstance(n_runs, bool) or n_runs < 1:
+    if _kind_fault(int, n_runs) or n_runs < 1:
         raise ConfigError(f"n_runs must be an integer >= 1: {n_runs!r}", "n_runs")
     width = config.bin_width_s
     out = []
@@ -179,9 +178,7 @@ def compare(sim: SimResult, moments: BinMoments, leg: int = 0) -> ValidationRepo
         raise GridMismatchError(
             f"bin widths differ: sim {sim.bin_width_s} vs moments {moments.bin_width_s}"
         )
-    if not 0 <= leg < len(sim.pairs_per_leg):
-        raise ConfigError(f"result has no leg {leg}")
-    return compare_counts(sim.pairs_per_leg[leg], moments)
+    return compare_counts(pool_counts([sim], leg), moments)
 
 
 def pool_counts(results: Sequence[SimResult], leg: int = 0) -> np.ndarray:
@@ -191,6 +188,8 @@ def pool_counts(results: Sequence[SimResult], leg: int = 0) -> np.ndarray:
     width = results[0].bin_width_s
     if any(abs(r.bin_width_s - width) > 1e-12 for r in results):
         raise GridMismatchError("pooled results must share one bin width")
+    if fault := _kind_fault(int, leg):
+        raise ConfigError(f"leg{fault}", "leg")
     if not all(0 <= leg < len(r.pairs_per_leg) for r in results):
         raise ConfigError(f"a result has no leg {leg}", "leg")
     return _pad_sum([r.pairs_per_leg[leg] for r in results])

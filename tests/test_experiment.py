@@ -325,8 +325,8 @@ def test_overrides_drop_a_declared_split_in_one_step(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--spec", str(spec), "--out", str(out), "--policy", "dynamic"]) == 0
     capsys.readouterr()
-    config = json.loads((out / "simulate.json").read_text(encoding="utf-8"))["config"]
-    assert (config["policy"], config["static_split"]) == ("dynamic_int", None)
+    manifest = json.loads((out / "simulate.json").read_text(encoding="utf-8"))
+    assert (manifest["policy"], manifest["config"]["static_split"]) == ("dynamic_int", None)
 
 
 def test_readme_spec_example_loads(tmp_path):

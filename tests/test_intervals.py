@@ -1,4 +1,4 @@
-"""Declared field intervals: one range check for the configs, the profile columns and the profile CSV."""
+"""Declared field intervals and types: one check for the configs, the profile columns and the profile CSV."""
 
 from __future__ import annotations
 
@@ -26,8 +26,11 @@ from satqlink import (
     PassProfile,
     PassSample,
     SatelliteConfig,
+    SimConfig,
     load_experiment,
+    pool_counts,
     read_profile,
+    run,
 )
 from satqlink.cli import main
 
@@ -38,10 +41,16 @@ SAMPLE = dict(t_s=0.0, distance_m=5e5, elevation_deg=30.0, radial_velocity_mps=0
 CSV_HEAD = "# station=x epoch=2026-01-01T00:00:00Z step_s=1\nt_s,distance_m,elevation_deg,radial_velocity_mps,eta,visible\n"
 
 
-def _profile(step_s=1.0, distance_m=5e5, eta=0.5):
+def _profile(step_s=1.0, distance_m=5e5, eta=0.5, station="x", epoch="2026-01-01T00:00:00Z"):
     """A two-sample visible profile whose second sample holds the given values."""
-    return PassProfile("x", "2026-01-01T00:00:00Z", step_s, np.array([0.0, abs(step_s)]), np.array([5e5, distance_m]),
+    return PassProfile(station, epoch, step_s, abs(np.array([0.0, step_s], dtype=float)), np.array([5e5, distance_m]),
                        np.full(2, 30.0), np.zeros(2), np.array([0.5, eta]), np.ones(2, dtype=bool))
+
+
+def _sim_config(**fields):
+    """A valid single-leg run on :func:`_profile`, with the given fields."""
+    return SimConfig(**{"profiles": (_profile(),), "link_params": (LinkParams(m_sat=1),), "policy": "single",
+                        "rng_seed": 0, **fields})
 
 
 def _csv_profile(distance_m=5e5, eta=0.5):
@@ -51,8 +60,9 @@ def _csv_profile(distance_m=5e5, eta=0.5):
 
 # how each converted field is set, the others valid
 BUILD = {
-    "GroundStation": lambda name, v: GroundStation("g", **{"latitude_deg": 45.0, "longitude_deg": 7.0, name: v}),
-    "SatelliteConfig": lambda name, v: SatelliteConfig(500e3, **{name: v}),
+    "GroundStation": lambda name, v: GroundStation(**{"name": "g", "latitude_deg": 45.0, "longitude_deg": 7.0,
+                                                      name: v}),
+    "SatelliteConfig": lambda name, v: SatelliteConfig(**{"orbit_altitude_m": 500e3, name: v}),
     "OpticalParams": lambda name, v: OpticalParams(**{name: v}),
     "PassSample": lambda name, v: PassSample(**{**SAMPLE, name: v}),
     "PassProfile": lambda name, v: _profile(**{name: v}),
@@ -60,6 +70,7 @@ BUILD = {
     "LinkParams": lambda name, v: LinkParams(**{"m_sat": 1, name: v}),
     "LinkState": lambda name, v: LinkState(**{"eta": 0.5, "t_rt_s": 1e-3, name: v}),
     "Experiment": lambda name, v: replace(load_experiment(DEMO_SPEC), **{name: v}),
+    "SimConfig": lambda name, v: _sim_config(**{name: v}),
 }
 
 # Each converted field at six points: one step below its low end, the end, one step above; the same at its
@@ -169,6 +180,63 @@ def test_every_numeric_field_declares_an_interval_or_names_its_rule():
     assert undeclared == UNDECLARED.keys()
     # every declared field is probed at its ends above
     assert declared <= {row[0] for row in BOUNDARY}
+
+
+# for each scalar field type, values of another kind: a str for a number or a bool, a bool for a number, a float
+# for an int, an int for a bool or a str
+OTHER_KINDS = {int: ["1", True, 1.5], float: ["1.0", False], bool: ["true", 1], str: [1]}
+
+
+def _scalar_fields() -> list[tuple[str, type]]:
+    """Each field of the config classes whose type is a scalar, or a scalar or None, with that scalar."""
+    found = []
+    for name, cls in _config_classes().items():
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            kind = next((k for k in typing.get_args(hints[f.name]) or [hints[f.name]] if k in OTHER_KINDS), None)
+            if kind is not None:
+                found.append((f"{name}.{f.name}", kind))
+    return found
+
+
+def test_every_scalar_field_refuses_a_value_of_another_kind():
+    cases = _scalar_fields()
+    assert len(cases) == 52  # as the nine classes declare them; a new field joins the enumeration
+    for field, kind in cases:
+        owner, name = field.split(".")
+        for value in OTHER_KINDS[kind]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConfigError, match=f"^{name} must be ") as got:
+                    BUILD[owner](name, value)
+            assert got.value.field == name, (field, value)
+
+
+def _dual(**fields):
+    """A valid two-leg dynamic run of 100 slots on two copies of :func:`_profile`."""
+    return _sim_config(**{"profiles": (_profile(), _profile(station="y")), "link_params": (LinkParams(m_sat=100),) * 2,
+                          "policy": "dynamic_int", **fields})
+
+
+# values that ran as another value, escaped as a bare TypeError or AttributeError, or were refused without naming
+# their field
+NAMED_REFUSALS = {
+    "static_split_of_floats": ("static_split", lambda: _dual(policy="static", static_split=(4.5, 95.5))),
+    "drift_as_a_string": ("drift", lambda: _dual(drift="off")),
+    "station_name_as_an_int": ("name", lambda: BUILD["GroundStation"]("name", 5)),
+    "epoch_as_an_int": ("epoch", lambda: _profile(epoch=5)),
+    "pooled_leg_as_a_bool": ("leg", lambda: pool_counts([run(_dual())], leg=True)),
+    "seed_past_64_bits": ("rng_seed", lambda: _sim_config(rng_seed=2**64)),
+}
+
+
+@pytest.mark.parametrize("field, build", NAMED_REFUSALS.values(), ids=NAMED_REFUSALS.keys())
+def test_bad_values_are_refused_naming_their_field(field, build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as got:
+            build()
+    assert got.value.field == field
 
 
 # one spec key at a time, set to each value below, through `rate`: the load fuzz

@@ -1,5 +1,5 @@
 """Invariants of the package source, read with ``ast``: Python version, reachability, one opener, one JSON reader,
-one producer of outcome strings."""
+one producer of outcome strings, one kind table."""
 
 from __future__ import annotations
 
@@ -102,3 +102,15 @@ def test_only_draw_builds_outcome_strings():
                 if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_outcome_chars":
                     callers.add((path.name, getattr(top, "name", None), node.lineno))
     assert {(module, where) for module, where, _ in callers} == {("sim.py", "_draw")}, sorted(callers)
+
+
+def test_only_passes_imports_numbers():
+    # one kind table: every field's declared type is checked by passes._kind_fault, which alone needs numbers
+    importers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [node.module] if isinstance(node, ast.ImportFrom) else [alias.name for alias in node.names]
+                if "numbers" in names:
+                    importers.add((path.name, node.lineno))
+    assert {module for module, _ in importers} == {"passes.py"}, sorted(importers)
