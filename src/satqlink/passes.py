@@ -252,11 +252,11 @@ _EPOCH_RE = re.compile(r"^\S+$")
 
 def _check_epoch(epoch: str) -> None:
     if not _EPOCH_RE.match(epoch):
-        raise ConfigError(f"epoch must be a whitespace-free ISO-8601 string: {epoch!r}")
+        raise ConfigError(f"epoch must be a whitespace-free ISO-8601 string: {epoch!r}", "epoch")
     try:
         datetime.fromisoformat(epoch.replace("Z", "+00:00"))
     except ValueError as exc:
-        raise ConfigError(f"epoch is not ISO-8601: {epoch!r}") from exc
+        raise ConfigError(f"epoch is not ISO-8601: {epoch!r}", "epoch") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,19 +288,19 @@ class PassProfile:
                   for name in _CSV_HEADER.split(",")}
         n = arrays["t_s"].size
         if n < 2:
-            raise ConfigError("a pass profile needs at least 2 samples")
+            raise ConfigError("a pass profile needs at least 2 samples", "t_s")
         for name, arr in arrays.items():
             if arr.shape != (n,):
-                raise ConfigError(f"profile column {name} has shape {arr.shape}, want ({n},)")
+                raise ConfigError(f"profile column {name} has shape {arr.shape}, want ({n},)", name)
             if name != "visible" and not np.all(np.isfinite(arr)):
                 row = int(np.argmin(np.isfinite(arr)))
-                raise ConfigError(f"profile column {name} is not finite at sample {row}: {arr[row]}")
+                raise ConfigError(f"profile column {name} is not finite at sample {row}: {arr[row]}", name)
             object.__setattr__(self, name, arr)
         if fault := _profile_fault(arrays):
             i, name, why = fault
             raise ConfigError(f"profile column {name} {why} at sample {i}: {arrays[name][i]}", name)
         if np.any(np.abs(np.diff(arrays["t_s"]) - self.step_s) > self.GRID_TOL_S):
-            raise ConfigError("t_s spacing deviates from step_s by more than 1 us")
+            raise ConfigError("t_s spacing deviates from step_s by more than 1 us", "step_s")
 
     @property
     def n_samples(self) -> int:

@@ -60,19 +60,19 @@ The round log is read back into columns, which :func:`replay` uses; a
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
 from array import array
 from dataclasses import asdict, dataclass, field, replace
-from itertools import islice
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .analytics import LinkParams, _check_aligned, _eligible, _round_duration, _round_trip, allocation_series
 from .errors import ConfigError, DataFormatError, ReplayError
@@ -314,7 +314,7 @@ class _RoundTable:
     outcomes: list[str | None] | None = None
 
 
-_ROWS = 8192  # rows per conversion to Python scalars and per chunk of a log write or read
+_ROWS = 8192  # rows per conversion to Python scalars and per chunk of a round log write
 
 
 def _round_columns(rounds: Sequence[Round]) -> tuple:
@@ -879,20 +879,52 @@ _LOG_RECORD = (
     '"start_time_s": %s, "train_length": %s, "v_r_at_start_mps": %s}\n'
 )
 _LOG_OUTCOMES = '"outcomes": %s, '  # the outcomes member; %s takes the JSON-escaped string
+_LOG_TEXTS = _LOG_RECORD.split("%s")  # the fixed texts around the record's slots
+_LOG_QUOTES = (_LOG_OUTCOMES % '"%s"').split("%s")  # and around a string that needs no escaping
 
 
-def _float_texts(*columns: np.ndarray) -> list[list[str]]:
-    """``repr`` of each float of equal-sized columns, once per distinct bit pattern: -0.0 and 0.0 stay apart."""
-    bits, inverse = np.unique(np.concatenate(columns).view(np.int64), return_inverse=True)
-    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[inverse]
-    return [part.tolist() for part in np.split(texts, len(columns))]
+def _plain(texts: list) -> bool:
+    """Whether ``texts`` are ASCII strings that JSON writes as they are, between quotes."""
+    if None in texts or not (text := "".join(texts)).isascii():
+        return False
+    return '"' not in text and "\\" not in text and not (np.frombuffer(text.encode(), np.uint8) < 32).any()
+
+
+def _record_text(leg: int, t: _RoundTable, ends: np.ndarray, lo: int, hi: int) -> str:
+    """Records ``lo:hi`` of leg ``leg``, whose blocks of ``t`` end at ``ends``, as the log's text, in one join.
+
+    ``repr`` runs once per start time; a confirm time bitwise equal to the next start reuses its text, and
+    a block's train length and v_r make one fixed tail.  The outcomes' quotes join the fixed text unless
+    one is None or needs escaping.
+    """
+    head, to_index, to_leg, to_succ, to_member, to_start, to_n, to_v_r, end = _LOG_TEXTS
+    s, conf = t.start[lo : hi + 1], t.confirm[lo:hi]  # one start past the chunk, the last confirm time's next
+    starts = list(map(repr, s.tolist()))
+    confs = starts[1:] + [""]  # the last entry is past the chunk or filled below
+    fresh = np.append(conf[: s.size - 1].view(np.int64) != s[1:].view(np.int64), True)[: hi - lo]
+    for i, x in zip(np.flatnonzero(fresh).tolist(), conf[fresh].tolist()):
+        confs[i] = repr(x)
+    b0, b1 = np.searchsorted(ends, [lo, hi - 1], side="right").tolist()
+    tails = [f"{to_n}{n}{to_v_r}{v!r}{end}" for n, v in zip(t.n[b0 : b1 + 1].tolist(), t.v_r[b0 : b1 + 1].tolist())]
+    counts = np.diff(np.clip(ends[b0 : b1 + 1], lo, hi), prepend=lo).tolist()
+    outs = t.outcomes[lo:hi]
+    if _plain(outs):
+        before, after = to_member + _LOG_QUOTES[0], _LOG_QUOTES[1] + to_start
+    else:
+        before, after = to_member, to_start
+        outs = ["" if o is None else _LOG_OUTCOMES % encode_basestring(o) for o in outs]
+    return "".join(chain.from_iterable(zip(
+        repeat(head), confs, repeat(to_index), map(str, range(lo, hi)), repeat(f"{to_leg}{leg}{to_succ}"),
+        map(str, t.successes[lo:hi].tolist()), repeat(before), outs, repeat(after), starts,
+        chain.from_iterable(map(repeat, tails, counts)),
+    )))
 
 
 def write_round_log(result: SimResult, destination: str | Path | TextIO) -> None:
     """Write the round log as newline-delimited JSON, one header then one record per round.
 
     Records follow the order of ``result.rounds`` and list their keys sorted, numbers as ``repr``
-    writes them and outcomes JSON-escaped; they are formatted ``_ROWS`` rounds at a time.
+    writes them and outcomes JSON-escaped; they are formatted leg by leg, ``_ROWS`` rounds at a time.
     """
     if result._tables is None:
         raise ConfigError("result has no round log; run with capture_rounds=True")
@@ -900,13 +932,10 @@ def write_round_log(result: SimResult, destination: str | Path | TextIO) -> None
         header = dict(engine_version=ENGINE_VERSION, seed=int(result.seed),
                       policy=result.policy, bin_width_s=result.bin_width_s)
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        *nums, outcomes = _table_columns(result._tables)
-        for lo in range(0, len(outcomes), _ROWS):
-            leg, index, start, n, v_r, conf, succ = (c[lo : lo + _ROWS] for c in nums)
-            start, conf, v_r = _float_texts(start, conf, v_r)  # a confirm time is mostly the next start
-            out = ["" if o is None else _LOG_OUTCOMES % encode_basestring(o) for o in outcomes[lo : lo + _ROWS]]
-            fh.write("".join(map(_LOG_RECORD.__mod__, zip(
-                conf, index.tolist(), leg.tolist(), succ.tolist(), out, start, n.tolist(), v_r))))
+        for leg, t in enumerate(result._tables):
+            ends = np.cumsum(t.k)
+            for lo in range(0, t.start.size, _ROWS):
+                fh.write(_record_text(leg, t, ends, lo, min(lo + _ROWS, t.start.size)))
 
 
 # the keys of a round log record and the types of their Round fields
@@ -951,11 +980,15 @@ def _record_layout() -> tuple:
 
 
 _LOG_KEYS, _LOG_PIECES, _LOG_DELIMS = _record_layout()
-_LOG_PAD = 64  # spaces after a chunk's bytes, so that every window gathered from them fits
+_LOG_PAD = 64  # spaces after a block's bytes, so that every window gathered from them fits
 _FLOAT_WIDTH = 32  # the widest float text the byte path reads; repr writes at most 24 characters
 _POW10 = 10 ** np.arange(17, -1, -1)  # place values of an integer of at most 18 digits, which fits an int64
-# float texts one per line, each a JSON number but "-0", which JSON reads as the integer 0
-_FLOAT_LINES = re.compile(rb"(?:(?!-0\n)-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?\n)*")
+_BLOCK = 2**19  # characters per read of a round log, which then reads on to the end of the line
+
+
+def _windows(b: np.ndarray, width: int) -> np.ndarray:
+    """Every ``width``-byte window of ``b``, the i-th starting at byte i, as one read-only view."""
+    return np.ndarray((b.size - width + 1, width), np.uint8, b, 0, (1, 1))
 
 
 def _int_values(b: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray | None:
@@ -965,32 +998,34 @@ def _int_values(b: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray | Non
         return None
     width = int(w.max())
     # each text right-aligned in a row of digit values, zeros before it; uint8 wraps below "0"
-    digits = (sliding_window_view(b, width)[e - width] - 48) * (np.arange(width) >= width - w[:, None])
+    digits = (_windows(b, width)[e - width] - 48) * (np.arange(width) >= width - w[:, None])
     return None if (digits >= 10).any() else digits @ _POW10[-width:]
 
 
-def _layout_columns(text: str, n: int) -> tuple | None:
-    """:func:`_round_columns` columns of ``n`` record lines in the writer's layout, else None.
+def _layout_columns(text: str) -> tuple | None:
+    """:func:`_round_columns` columns of record lines in the writer's layout, else None.
 
     The lines must be ASCII without a backslash, and each must hold outcomes.  Their quotes
-    and newlines locate every fixed piece, and one compare per piece checks it; no other byte
-    is a control character.  Value texts are gathered into rows of one width and checked
-    against JSON's number grammar: integers of at most 18 digits are parsed exactly, floats by
-    numpy's cast and must be finite.  A start time equal to the previous row's confirm time,
-    or a v_r equal to the previous row's, is parsed once.
+    and control characters locate every fixed piece, and one compare per piece checks it, so
+    the only control characters are the newlines.  Integers of at most 18 digits are parsed
+    exactly.  Float texts are gathered into rows of one width; if all are of number characters,
+    the JSON scanner parses them in one call, checking JSON's number grammar, and each must read
+    as one finite number.  A start time equal to the previous row's confirm time, or a v_r equal
+    to the previous row's, is parsed once.
     """
     if not text.isascii() or "\\" in text:
         return None
     b = np.frombuffer((text if text.endswith("\n") else text + "\n").encode() + b" " * _LOG_PAD, np.uint8)
-    delims = np.flatnonzero((b == 34) | (b == 10))
-    if delims.size != n * _LOG_DELIMS or np.count_nonzero(b < 32) != n:
+    delims = np.flatnonzero((b == 34) | (b < 32))  # a control character other than a newline fails a compare
+    n = delims.size // _LOG_DELIMS
+    if delims.size != n * _LOG_DELIMS:
         return None
     pos = delims.reshape(n, _LOG_DELIMS)
     starts = [pos[:, k] - off for _, k, off in _LOG_PIECES]
     if not (starts[0] == np.r_[0, pos[:-1, -1] + 1]).all():  # the first piece starts its line
         return None
     for (piece, _, _), s in zip(_LOG_PIECES, starts):
-        if not (sliding_window_view(b, piece.size)[s] == piece).all():
+        if not (_windows(b, piece.size)[s] == piece).all():
             return None
     slots = {key: (s + piece.size, e)
              for key, (piece, _, _), s, e in zip(_LOG_KEYS, _LOG_PIECES, starts, starts[1:])}
@@ -1005,15 +1040,19 @@ def _layout_columns(text: str, n: int) -> tuple | None:
     if not 0 < width <= _FLOAT_WIDTH:
         return None
     # each text left-aligned in a row of bytes, zeros after it
-    conf, start, v_r = (sliding_window_view(b, width)[s] * (np.arange(width) < (e - s)[:, None])
+    conf, start, v_r = (_windows(b, width)[s] * (np.arange(width) < (e - s)[:, None])
                         for s, e in (conf, start, v_r))
     new_start = np.r_[True, (start[1:] != conf[:-1]).any(1)]
     new_v_r = np.r_[True, (v_r[1:] != v_r[:-1]).any(1)]
     texts = np.concatenate((conf, start[new_start], v_r[new_v_r])).view(f"S{width}")[:, 0]
-    if not _FLOAT_LINES.fullmatch(b"\n".join(texts.tolist()) + b"\n"):
+    joined = b",".join(texts.tolist())
+    if joined.translate(None, b"0123456789.eE+-,"):  # a character no JSON number holds
         return None
-    values = texts.astype(np.float64)
-    if not np.isfinite(values).all():
+    try:  # JSON reads "-0" as the integer 0, as the per-row path does
+        values = np.array(_json_object(f'{{"v": [{joined.decode()}]}}', "float texts")["v"], dtype=np.float64)
+    except DataFormatError:
+        return None
+    if values.size != texts.size or not np.isfinite(values).all():  # a comma in a text adds a value
         return None
     nums["confirm_time_s"] = values[:n]
     nums["start_time_s"] = values[np.where(new_start, n + np.cumsum(new_start) - 1, np.arange(n) - 1)]
@@ -1043,14 +1082,14 @@ def _log_rows(lines: Sequence[str], where: str, row: int) -> list[Round]:
             for r, line in enumerate(lines, start=row) if line.strip()]
 
 
-def _log_chunk(lines: Sequence[str], where: str, row: int) -> tuple:
+def _log_chunk(text: str, where: str, row: int) -> tuple:
     """Columns of record lines, the first at ``row``: by :func:`_layout_columns`, else by :func:`_log_rows`."""
-    columns = _layout_columns("".join(lines), len(lines))
-    return _round_columns(_log_rows(lines, where, row)) if columns is None else columns
+    columns = _layout_columns(text)  # the per-row path splits at "\n" only, as a file is iterated
+    return _round_columns(_log_rows(io.StringIO(text).readlines(), where, row)) if columns is None else columns
 
 
 def read_round_log(source: str | Path | TextIO) -> RoundLog:
-    """Read a round log, ``_ROWS`` lines at a time; a bad row raises DataFormatError citing it."""
+    """Read a round log in blocks of ``_BLOCK`` characters; a bad row raises DataFormatError citing it."""
     with _text_io(source, "r") as (fh, where):
         first = fh.readline()
         if not first.strip():
@@ -1059,11 +1098,11 @@ def read_round_log(source: str | Path | TextIO) -> RoundLog:
         for key, kind in _HEADER_FIELDS.items():
             if (value := header[key]) is None or _field_fault(kind, value, 2**64):
                 raise DataFormatError(f"{where}: row 1: {key} must be {_WANTS[kind]}, got {value!r}")
-        chunks = [_round_columns(())]
-        row = 2
-        while lines := list(islice(fh, _ROWS)):
-            chunks.append(_log_chunk(lines, where, row))
-            row += len(lines)
+        chunks, row = [_round_columns(())], 2
+        while text := fh.read(_BLOCK):
+            text += fh.readline()  # the rest of the block's last line
+            chunks.append(_log_chunk(text, where, row))
+            row += text.count("\n")
     *nums, outcomes = zip(*chunks)
     return RoundLog(header["engine_version"], header["seed"], header["policy"], float(header["bin_width_s"]),
-                    (*map(np.concatenate, nums), [o for part in outcomes for o in part]))
+                    (*map(np.concatenate, nums), list(chain.from_iterable(outcomes))))

@@ -556,10 +556,10 @@ def test_cli_write_failing_midway_keeps_the_previous_file(dual_spec, tmp_path, m
     log = out / "rounds_seed0.ndjson"
     before = log.read_bytes()
 
-    def disk_full(*columns):  # the round log's header line is written by now
+    def disk_full(*chunk):  # the round log's header line is written by now
         raise OSError("No space left on device")
 
-    monkeypatch.setattr(sim, "_float_texts", disk_full)
+    monkeypatch.setattr(sim, "_record_text", disk_full)
     assert main([*args, "--m-sat", "20"]) == 3
     assert "No space left on device" in capsys.readouterr().err
     assert log.read_bytes() == before

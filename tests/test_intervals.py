@@ -239,6 +239,33 @@ def test_bad_values_are_refused_naming_their_field(field, build):
     assert got.value.field == field
 
 
+def _profile_with(**arguments):
+    """A PassProfile of two visible samples 1 s apart, with the given arguments in place of the defaults."""
+    defaults = dict(station="x", epoch="2026-01-01T00:00:00Z", step_s=1.0, t_s=[0.0, 1.0], distance_m=[5e5, 5e5],
+                    elevation_deg=[30.0, 30.0], radial_velocity_mps=[0.0, 0.0], eta=[0.5, 0.5], visible=[1, 1])
+    return PassProfile(**{**defaults, **arguments})
+
+
+ONE_SAMPLE = dict(t_s=[0.0], distance_m=[5e5], elevation_deg=[30.0], radial_velocity_mps=[0.0], eta=[0.5], visible=[1])
+# PassProfile's own refusals, which raise outside the loader's sections: the field each names, and its message
+PROFILE_REFUSALS = {
+    "epoch_with_a_space": ("epoch", "epoch must be a whitespace-free ISO-8601 string", dict(epoch="2026-01-01 00:00")),
+    "epoch_not_a_date": ("epoch", "epoch is not ISO-8601: 'not-a-date'", dict(epoch="not-a-date")),
+    "one_sample": ("t_s", "a pass profile needs at least 2 samples", ONE_SAMPLE),
+    "column_of_another_length": ("eta", r"profile column eta has shape \(3,\), want \(2,\)", dict(eta=[0.5] * 3)),
+    "column_not_finite": ("distance_m", "profile column distance_m is not finite at sample 1: inf",
+                          dict(distance_m=[5e5, math.inf])),
+    "t_s_off_the_step": ("step_s", "t_s spacing deviates from step_s by more than 1 us", dict(t_s=[0.0, 2.0])),
+}
+
+
+@pytest.mark.parametrize("field, message, arguments", PROFILE_REFUSALS.values(), ids=PROFILE_REFUSALS.keys())
+def test_profile_refusals_name_their_field(field, message, arguments):
+    with pytest.raises(ConfigError, match=f"^{message}") as got:
+        _profile_with(**arguments)
+    assert got.value.field == field
+
+
 # one spec key at a time, set to each value below, through `rate`: the load fuzz
 FUZZ_KEYS = [
     *(("stations", 0, key) for key in ("latitude_deg", "longitude_deg", "altitude_m", "rx_telescope_diameter_m",

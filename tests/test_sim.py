@@ -1119,7 +1119,7 @@ def test_read_round_log_errors_cite_rows():
                              ("confirm_time_s", "-1e400", finite)):
         with pytest.raises(DataFormatError, match=f"row 3: {key} must be {want}"):
             read(header, good, re.sub(f'"{key}": [^,]*', f'"{key}": {value}', second))
-    # the first row of the second chunk
+    # a row past the first _ROWS
     with pytest.raises(DataFormatError, match=f"row {sim_mod._ROWS + 2}: leg must be"):
         read(header, *[good] * sim_mod._ROWS, good.replace('"leg": 0', '"leg": -1'))
 
@@ -1282,21 +1282,34 @@ def _reference_round_log(result) -> str:
 
 @st.composite
 def _writer_results(draw):
-    """A captured result over hand-made tables: repeated values, -0.0 beside 0.0, sometimes past one chunk."""
+    """A captured result over hand-made tables: repeated values, -0.0 beside 0.0, sometimes past one chunk.
+
+    Confirm times may mostly be the next start, as in a run, with a 0.0 start after a -0.0
+    confirm time or the other way round; blocks may be long; outcomes may all be plain or
+    mix plain, escaped and None ones in one chunk.
+    """
     floats = [-0.0, 0.0, *draw(st.lists(_log_floats | st.sampled_from([5e-324, 2.2e-308, -1e-310]), max_size=6))]
     ints = [0, 10**18 - 1, *draw(st.lists(_log_ints, max_size=4))]
-    outcomes = [None, "", *draw(st.lists(st.text(max_size=6), max_size=4))]
+    others = draw(st.lists(st.sampled_from([None, 'S"L', "L\\D", "\x01\n", "\u00e9"]), unique=True))
+    outcomes = ["", "SL", "LLD", "S" * 40, *others, *draw(st.lists(st.text(max_size=6), max_size=2))]
+    chained, block_edge = draw(st.booleans()), draw(st.sampled_from([0.5, 0.02]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     tables = []
     for _ in range(2):
         k = draw(st.sampled_from([0, 1, 2, 5, 9, sim_mod._ROWS - 1, sim_mod._ROWS + 3]))
-        edge = rng.random(k + 1) < 0.5
+        edge = rng.random(k + 1) < block_edge
         edge[0] = edge[-1] = True
         sizes = np.diff(np.flatnonzero(edge))  # blocks of one (sample, n), summing to k
         pick = lambda pool, size: np.asarray(pool)[rng.integers(len(pool), size=size)]  # noqa: E731
+        start, confirm = pick(floats, k), pick(floats, k)
+        if chained and k:
+            follow = np.append(rng.random(k - 1) < 0.9, False)  # the confirm times that are the next start
+            confirm[follow] = start[1:][follow[:-1]]
+            flip = follow & (confirm == 0.0) & (rng.random(k) < 0.5)
+            confirm[flip] = -confirm[flip]  # equal to the next start, but not bitwise
         unknown = np.full(sizes.size, -1)
         tables.append(sim_mod._RoundTable(
-            pick(floats, k), pick(floats, k), pick(ints, k).astype(np.int64), sizes, unknown,
+            start, confirm, pick(ints, k).astype(np.int64), sizes, unknown,
             pick(ints, sizes.size).astype(np.int64), unknown, pick(floats, sizes.size),
             [outcomes[i] for i in rng.integers(len(outcomes), size=k).tolist()],
         ))
@@ -1409,6 +1422,62 @@ def test_round_log_number_texts_in_place(monkeypatch, key, value):
 def test_round_log_fixed_text_in_place(old, new):
     # edits of the writer's fixed text or of an outcome, most keeping the line's length
     _read_like_reference(_edited_log(old, new))
+
+
+@pytest.mark.parametrize("key", ["confirm_time_s", "start_time_s", "v_r_at_start_mps"])
+def test_round_log_float_text_holding_a_comma_is_refused(key):
+    # "1,2" passes every fixed-piece compare and is two JSON numbers: the per-row reader refuses the line
+    _read_like_reference(_edited_log(f'"{key}": [^,}}]*', f'"{key}": 1,2'))
+
+
+def _chained_log(rows: int) -> str:
+    """A writer-made log of ``rows`` rounds on one leg, each starting at the previous one's confirm time."""
+    t = np.arange(rows + 1) * 0.125
+    return _log_text([(t[:-1], t[1:], np.arange(rows) % 3, [4] * rows, [7.5] * rows, ["SLLS"] * rows)])
+
+
+def test_read_round_log_reads_a_line_longer_than_a_block():
+    long = "L" * (sim_mod._BLOCK + 5)
+    text = _log_text([([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [0, 1, 0], [2, 2, 2], [7.5] * 3, ["SL", long, "SS"])])
+    assert _read_like_reference(text).rounds[1].outcomes == long
+
+
+def test_read_round_log_reads_crlf_line_ends_from_a_path(tmp_path, monkeypatch):
+    monkeypatch.setattr(sim_mod, "_BLOCK", 997)  # blocks end all over the lines, between "\r" and "\n" too
+    text = _chained_log(300)
+    path = tmp_path / "rounds.ndjson"
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    want = _reference_rounds(text)
+    got = read_round_log(path)
+    assert got.rounds == want
+    assert _float_bits(got._columns) == _float_bits(sim_mod._round_columns(want))
+
+
+@pytest.mark.parametrize("last", ["good", "bad"])
+def test_read_round_log_reads_a_last_line_without_newline(last):
+    text = _chained_log(5).rstrip("\n")
+    _read_like_reference(text if last == "good" else text[:-1])
+
+
+def test_read_round_log_cites_a_bad_row_just_after_a_block_boundary(monkeypatch):
+    text = _chained_log(sim_mod._BLOCK // 150)
+    chunk_rows, log_chunk = [], sim_mod._log_chunk
+
+    def spied(text, where, row):
+        chunk_rows.append(row)
+        return log_chunk(text, where, row)
+
+    monkeypatch.setattr(sim_mod, "_log_chunk", spied)
+    read_round_log(io.StringIO(text))
+    row = chunk_rows[1]  # the first row of the second block; an edit of it keeps the first block as it is
+    lines = text.splitlines(keepends=True)
+    for bad in (lines[row - 1].replace('"leg": 0', '"leg": -1'), "{not json\n"):
+        edited = "".join([*lines[: row - 1], bad, *lines[row:]])
+        chunk_rows.clear()
+        with pytest.raises(DataFormatError, match=f"^<stream>: row {row}: "):
+            read_round_log(io.StringIO(edited))
+        assert chunk_rows[1] == row
+        _read_like_reference(edited)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

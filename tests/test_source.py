@@ -1,5 +1,5 @@
 """Invariants of the package source, read with ``ast``: Python version, reachability, one opener, one JSON reader,
-one producer of outcome strings, one kind table."""
+one producer of outcome strings, one kind table, one round log record."""
 
 from __future__ import annotations
 
@@ -68,6 +68,19 @@ def test_only_the_json_object_helper_parses_json():
                 if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("loads", "load"):
                     parsers.add((path.name, getattr(top, "name", None), node.lineno))
     assert {(module, where) for module, where, _ in parsers} == {("passes.py", "_json_object")}, sorted(parsers)
+
+
+def test_one_string_constant_spells_the_round_log_record():
+    # the writer formats and the reader parses the layout of _LOG_RECORD: no second copy of it may drift apart
+    holders = set()
+    for path in SRC.glob("*.py"):
+        for top in _tree(path).body:
+            name = ast.unparse(top.targets[0]) if isinstance(top, ast.Assign) else getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Constant) and '"confirm_time_s": ' in str(node.value):
+                    holders.add((path.name, name, node.lineno))
+    assert len(holders) == 1 and {(module, where) for module, where, _ in holders} == {("sim.py", "_LOG_RECORD")}, \
+        sorted(holders)
 
 
 def test_only_analytics_applies_the_drift_bound():
