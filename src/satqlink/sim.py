@@ -27,19 +27,21 @@ memory end to end.
 Determinism: every run is a pure function of (config, seed).  Each leg
 draws from its own PCG64 stream derived from the seed and the leg index,
 and every emitted photon consumes exactly two uniforms, loss first, latch
-second, drifted or not, so counts are reproducible across platforms and
-across the vectorized and event-driven code paths.  Under that contract a
-block draw of k photons equals k single-photon draws, which lets both paths
-draw ahead: the vectorized path a block of rounds at a time, the event loop
-a chunk of photons at a time.  Each uniform takes one 64-bit output of the
-stream, so advancing it by 2j outputs equals drawing j photons and
-discarding them; the vectorized path skips long drifted tails that way.
-Within one profile sample every photon of a leg sees the same channel, so
-the event loop finds a window's successful photons once, as a sorted list
-of offsets, and counts a round's successes by walking it.  The event loop
-also lets a leg run ahead of the strict event order through rounds its
-partner cannot affect; each leg's rounds, and so the counts, are those of
-the strict order.
+second, drifted or not, so counts are reproducible across platforms.  Each
+buffer mode runs on one code path, unbounded buffers on the vectorized one
+and ``retain_until_swap`` on the event loop; the tests hold both to one
+strict-order event reference.  Under that contract a block draw of k
+photons equals k single-photon draws, which lets both paths draw ahead: the
+vectorized path a block of rounds at a time, the event loop a chunk of
+photons at a time.
+Each uniform takes one 64-bit output of the stream, so advancing it by 2j
+outputs equals drawing j photons and discarding them; the vectorized path
+skips long drifted tails that way.  Within one profile sample every photon
+of a leg sees the same channel, so the event loop finds a window's
+successful photons once, as a sorted list of offsets, and counts a round's
+successes by walking it.  The event loop also lets a leg run ahead of the
+strict event order through rounds its partner cannot affect; each leg's
+rounds, and so the counts, are those of the strict order.
 
 Both paths record a run in one round table per leg: start time, confirm
 time and successes per round, and per block (a maximal run of consecutive
@@ -299,7 +301,7 @@ class _RoundTable:
     ``k``, the profile ``sample``, the train length ``n``, the drift-eligible
     count ``eligible`` and the sample's radial velocity ``v_r``.  When the
     run captures, ``outcomes`` holds one string per round.  A table rebuilt
-    from rounds by :func:`replay` has one block per round, with ``sample``
+    from a round log by :func:`replay` has one block per round, with ``sample``
     and ``eligible`` -1.
     """
 
@@ -609,12 +611,9 @@ def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
     confirmation-before-start, leg) order; a leg blocked on slots wakes at
     the partner's next confirmation or the next sample boundary.  A leg has
     at most one round in flight, so at a start its free slots are its
-    allocation minus its buffered pairs (retained) or the allocation itself
-    (unbounded); an allocation never exceeds m_sat <= m_ground, so that is
-    the train length.  Swaps are consumed here for slot accounting only;
-    their times follow from the confirmations.  :func:`run` takes the
-    unbounded mode to :func:`_run_scheduled`; here it runs only as the tests'
-    cross-check of that path.
+    allocation minus its buffered pairs; an allocation never exceeds
+    m_sat <= m_ground, so that is the train length.  Swaps are consumed here
+    for slot accounting only; their times follow from the confirmations.
 
     A picked leg runs ahead of that order while its partner cannot change
     what it does.  After every confirmation one leg holds no pair, and no
@@ -646,7 +645,6 @@ def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
     t_grid0 = float(profiles[0].t_s[0])
     n_samples = profiles[0].n_samples
     t_end = t_grid0 + n_samples * step - 1e-12
-    retain = config.retain_until_swap
 
     links = config.link_params
     # per leg, the round table as the loop builds it: start, confirm and
@@ -701,7 +699,7 @@ def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
                 if j != i:  # not visible: wait for the next visible sample
                     ev[leg] = _sample_start(j, t_grid0, step)
                     break
-            n = alloc_l[i] - buffered[leg] if retain else alloc_l[i]
+            n = alloc_l[i] - buffered[leg]
             if n < 1:
                 # wake at the partner's confirmation (a swap may free slots) or
                 # at the next sample boundary (the allocation may grow)
@@ -716,8 +714,8 @@ def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
                 h, w_sample, off, size = 0, i, 0, hits[-1]
             while hits[h] < off:  # pass the hits of the last round's drifted tail
                 h += 1
-            # analytics._round_duration written out for speed: test_dual_fast_and_event_paths_agree
-            # checks these confirm times bitwise against the schedule's, which calls the kernel
+            # analytics._round_duration written out for speed: test_event_loop_matches_strict_order_reference
+            # holds these confirm times, and the schedule's, which calls the kernel, bitwise to one reference
             dt = (n - 1) * t_em + rt_l[i]
             if i != block_i or n != block_n:
                 block_i, block_n = i, n
@@ -805,8 +803,8 @@ class RoundLog:
                 and all(map(np.array_equal, self._columns[:-1], other._columns[:-1])))
 
 
-def replay(config: SimConfig, log: RoundLog | Sequence[Round]) -> SimResult:
-    """Rebuild per-bin counts from a round log without re-simulating.
+def replay(config: SimConfig, log: RoundLog) -> SimResult:
+    """Rebuild per-bin counts from a round log, as :func:`read_round_log` returns it, without re-simulating.
 
     Each leg's rounds are taken in (confirm, index) order and swaps are
     rebuilt with the engine's first-in-first-out rule, which reproduces both
@@ -814,26 +812,18 @@ def replay(config: SimConfig, log: RoundLog | Sequence[Round]) -> SimResult:
     that order, as a run's do; so a log in any row order, such as an older
     retained log's (confirm, leg, index), rewrites to the run's own log.
     A log from another engine version, or whose header names another seed, policy or bin width than
-    ``config``, is refused, and so is a round that no log can hold or that
-    confirms before t = 0 or past the ``_MAX_GRID`` bins every run stays within.
+    ``config``, is refused, and so is a round that confirms before t = 0 or past the ``_MAX_GRID``
+    bins every run stays within.
     """
-    if log is None:
-        raise ReplayError("no rounds to replay; run with capture_rounds=True")
-    if isinstance(log, RoundLog):
-        if log.engine_version != ENGINE_VERSION:
-            raise ReplayError(f"log from engine {log.engine_version!r}, this is {ENGINE_VERSION!r}")
-        for name, logged, wanted in (("rng_seed", log.seed, config.rng_seed), ("policy", log.policy, config.policy),
-                                     ("bin_width_s", log.bin_width_s, config.bin_width_s)):
-            if logged != wanted:
-                raise ReplayError(f"log header has {name} {logged!r}, config has {wanted!r}")
-        columns = log._columns
-    else:
-        for pos, r in enumerate(log):  # a value no round log holds
-            for key, kind in _ROUND_FIELDS.items():
-                if fault := _field_fault(kind, value := getattr(r, key)):
-                    raise ReplayError(f"rounds[{pos}].{key} {fault}: {value!r}")
-        columns = _round_columns(log)
-    leg, index, start, n, v_r, conf, succ, outcomes = columns
+    if not isinstance(log, RoundLog):
+        raise ReplayError(f"replay takes a RoundLog from read_round_log, got {type(log).__name__}")
+    if log.engine_version != ENGINE_VERSION:
+        raise ReplayError(f"log from engine {log.engine_version!r}, this is {ENGINE_VERSION!r}")
+    for name, logged, wanted in (("rng_seed", log.seed, config.rng_seed), ("policy", log.policy, config.policy),
+                                 ("bin_width_s", log.bin_width_s, config.bin_width_s)):
+        if logged != wanted:
+            raise ReplayError(f"log header has {name} {logged!r}, config has {wanted!r}")
+    leg, index, start, n, v_r, conf, succ, outcomes = log._columns
     stray = np.flatnonzero(leg >= config.n_legs)
     if stray.size:
         raise ReplayError(f"round references leg {leg[stray[0]]} of a {config.n_legs}-leg config")

@@ -203,72 +203,19 @@ def _assert_same_counts(a, b, case):
     assert np.array_equal(a.pairs_end_to_end, b.pairs_end_to_end), case
 
 
-def _assert_same_rounds(a, b, case):
-    assert a.rounds == b.rounds, case
-
-
-@st.composite
-def _unbounded_dual_configs(draw):
-    """Two legs on one grid: random eta, visibility gaps, distances, drift, m_sat, m_ground."""
-    n = draw(st.integers(8, 60))
-    m_sat = draw(st.integers(2, 40))
-    lk = LinkParams(
-        m_sat=m_sat,
-        m_ground=m_sat + draw(st.integers(0, 20)),
-        emission_period_s=1e-6,
-        acceptance_window_s=draw(st.floats(1e-11, 1.5e-9)),
-        p_bsm=draw(st.floats(0.05, 1.0)),
-    )
-
-    def column(lo, hi):
-        return draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
-
-    profiles = []
-    for station in ("a", "b"):
-        visible = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        visible[0] = True  # one co-visible sample, so the dynamic split exists
-        profiles.append(make_profile(
-            column(1e-3, 1.0), visible, distance_m=column(3e5, 2e6),
-            v_r_mps=column(-8e3, 8e3), station=station, step_s=0.1,
-        ))
-    a = draw(st.integers(1, m_sat - 1))
-    policy, split = draw(st.sampled_from((("dynamic_int", None), ("static", (a, m_sat - a)))))
-    return SimConfig(profiles=tuple(profiles), link_params=(lk, lk), policy=policy,
-                     rng_seed=draw(st.integers(0, 2**32)), static_split=split)
-
-
-def test_dual_fast_and_event_paths_agree():
+def test_dual_scheduled_runs_match_strict_order_reference():
+    # unbounded dual runs take the scheduled path, which draws whole blocks of rounds; the reference
+    # draws photons in chunks and windows: equal counts, tables and rounds mean equal streams
     for seed in range(6):
         for policy, split in (("dynamic_int", None), ("static", (4, 6))):
-            config = dual_config(policy=policy, seed=seed, split=split, capture=True)
-            plan = sim_mod._plan(config)
-            fast = sim_mod._run_scheduled(config, plan)
-            event = sim_mod._run_dual_event(config, plan)
-            _assert_same_counts(fast, event, (seed, policy))
-            _assert_same_rounds(fast, event, (seed, policy))
-
-    refilled = []
+            _assert_run_matches_reference(dual_config(policy=policy, seed=seed, split=split, capture=True))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(config=_unbounded_dual_configs())
+    @given(config=_event_loop_cases(max_samples=60, retain=st.just(False), capture=st.just(True)))
     def agree(config):
-        # the event loop draws photons in chunks and windows; the fast path
-        # draws whole blocks of rounds: equal counts mean equal streams
-        config = dataclasses.replace(config, capture_rounds=True)
-        plan = sim_mod._plan(config)
-        fast, event = sim_mod._run_scheduled(config, plan), sim_mod._run_dual_event(config, plan)
-        _assert_same_counts(fast, event, config)
-        _assert_same_rounds(fast, event, config)
-        caps = sim_mod._capacity_series(config)
-        photons = max(
-            int(np.dot(t.k, t.n)) for t in (sim_mod._leg_schedule(p, lk, cap, config.drift)
-            for p, lk, cap in zip(config.profiles, config.link_params, caps))
-        )
-        refilled.append(photons > sim_mod._CHUNK_ROWS + config.m_s)
+        _assert_run_matches_reference(config)
 
     agree()
-    # some leg used more photons than one draw of uniforms holds
-    assert any(refilled)
 
 
 def test_fractional_step_grid_terminates():
@@ -635,9 +582,9 @@ def _quiet_confirmations(tables) -> int:
 
 
 @st.composite
-def _event_loop_cases(draw):
-    """Two legs on a 0.1 s grid with visibility gaps, any m_sat and m_ground, either policy and mode."""
-    n = draw(st.integers(8, 50))
+def _event_loop_cases(draw, max_samples=50, retain=st.booleans(), capture=st.booleans()):
+    """Two legs on a 0.1 s grid with visibility gaps, any m_sat and m_ground, either policy and, by default, mode."""
+    n = draw(st.integers(8, max_samples))
     m_sat = draw(st.integers(2, 40))
     lk = LinkParams(m_sat=m_sat, m_ground=m_sat + draw(st.integers(0, 20)), emission_period_s=1e-6,
                     acceptance_window_s=draw(st.floats(1e-11, 1.5e-9)), p_bsm=draw(st.floats(0.05, 1.0)))
@@ -655,7 +602,7 @@ def _event_loop_cases(draw):
     policy, split = draw(st.sampled_from((("dynamic_int", None), ("static", (a, m_sat - a)))))
     return SimConfig(profiles=tuple(profiles), link_params=(lk, lk), policy=policy,
                      rng_seed=draw(st.integers(0, 2**32)), static_split=split,
-                     retain_until_swap=draw(st.booleans()), capture_rounds=draw(st.booleans()))
+                     retain_until_swap=draw(retain), capture_rounds=draw(capture))
 
 
 def _tied_legs_case(retain):
@@ -666,14 +613,18 @@ def _tied_legs_case(retain):
                      static_split=(5, 5), retain_until_swap=retain, capture_rounds=True)
 
 
-def _assert_event_loop_matches_reference(config, ends=None) -> list:
-    """The event loop's counts, and with capture its tables, equal the strict-order reference's; returns those."""
+def _assert_run_matches_reference(config, ends=None) -> list:
+    """A run's counts, and with capture its tables and rounds, equal the strict-order reference's; returns those.
+
+    ``run`` takes a retaining config to the event loop and any other to the scheduled path.
+    """
     want = _reference_event_tables(config, ends)
-    result = sim_mod._run_dual_event(config, sim_mod._plan(config))
-    _assert_same_counts(sim_mod._result(config, want), result, config)
+    result, reference = run(config), sim_mod._result(config, want)
+    _assert_same_counts(reference, result, config)
     if config.capture_rounds:
         order = [(r.leg, r.index) for r in result.rounds]  # leg by leg, each leg in round order
         assert all(a < b for a, b in zip(order, order[1:])), config
+        assert result.rounds == reference.rounds, config
         for leg, (got, ref) in enumerate(zip(result._tables, want)):
             for key in ("start", "confirm", "successes", "k", "sample", "n", "eligible", "v_r"):
                 a, b = getattr(got, key), getattr(ref, key)
@@ -683,49 +634,54 @@ def _assert_event_loop_matches_reference(config, ends=None) -> list:
 
 
 def test_event_loop_matches_strict_order_reference():
-    quiet = []
+    quiet, refilled = [], []
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(config=_event_loop_cases())
     @example(config=_tied_legs_case(True))
     @example(config=_tied_legs_case(False))
     def agree(config):
-        quiet.append(_quiet_confirmations(_assert_event_loop_matches_reference(config)))
+        want = _assert_run_matches_reference(config)
+        if config.retain_until_swap:  # counted over the runs that reach the event loop
+            quiet.append(_quiet_confirmations(want))
+            refilled.append(max(int(np.dot(t.k, t.n)) for t in want) > sim_mod._CHUNK_ROWS + config.m_s)
 
     agree()
     # the cases exercise the run-ahead: some leg started many rounds without a confirmation event
     assert max(quiet) > 100
+    # some leg used more photons than one draw of uniforms holds
+    assert any(refilled)
 
 
 def _zero_success_run_cases():
-    """Dual runs whose runs of rounds without a success end in every way the event loop can end them.
+    """Retained dual runs whose runs of rounds without a success end in every way the event loop can end them.
 
     - ``t_end``: one-photon trains on 3 one-second samples whose 12th confirmation falls
-      in the last 1e-12 s of the pass, still in its last sample;
+      in the last 1e-12 s of the pass, still in its last sample; no pair confirms at eta 1e-6;
     - ``window``: 20-photon trains, about 5,000 photons a sample, past one draw of uniforms;
     - ``partner``: legs of unequal eta, the likelier one holding pairs for the other,
       with drifted tails, so that a swap regrows a train and moves its eligible prefixes;
     - ``sample``: every case.
     """
     t_end_rt = (3.0 - 0.5e-12) / 12
-    # (retain, m_sat, eta per leg, round trip per leg, radial velocity): with the 15 ps acceptance
+    # (m_sat, eta per leg, round trip per leg, radial velocity): with the 15 ps acceptance
     # window, 5 photons of a train are eligible at 1 km/s
-    cases = ((False, 2, (1e-6, 1e-6), (t_end_rt, t_end_rt), 0.0), (True, 2, (0.9, 0.9), (t_end_rt, t_end_rt), 0.0),
-             (False, 40, (2e-3, 1e-3), (4e-3, 4e-3), 0.0), (True, 40, (0.02, 2e-3), (4e-3, 4e-3), 1e3),
-             (True, 10, (0.05, 0.01), (4e-3, 6e-3), 0.0), (True, 200, (0.05, 0.01), (4e-3, 6e-3), 1e3))
-    for retain, m, etas, t_rts, v_r in cases:
+    cases = ((2, (1e-6, 1e-6), (t_end_rt, t_end_rt), 0.0), (2, (0.9, 0.9), (t_end_rt, t_end_rt), 0.0),
+             (40, (2e-3, 1e-3), (4e-3, 4e-3), 0.0), (40, (0.02, 2e-3), (4e-3, 4e-3), 1e3),
+             (10, (0.05, 0.01), (4e-3, 6e-3), 0.0), (200, (0.05, 0.01), (4e-3, 6e-3), 1e3))
+    for m, etas, t_rts, v_r in cases:
         legs = tuple(constant_profile(3, eta, t_rt, v_r, station=s) for eta, t_rt, s in zip(etas, t_rts, "ab"))
         for seed in range(3):
             for capture in (False, True):
                 yield SimConfig(profiles=legs, link_params=(link(m_sat=m, p=0.5, w=1.5e-11),) * 2, policy="static",
-                                rng_seed=seed, static_split=(m // 2, m // 2), retain_until_swap=retain,
+                                rng_seed=seed, static_split=(m // 2, m // 2), retain_until_swap=True,
                                 capture_rounds=capture)
 
 
 def test_zero_success_runs_end_as_the_reference_does():
     ends, photons = collections.Counter(), []
     for config in _zero_success_run_cases():
-        want = _assert_event_loop_matches_reference(config, ends)
+        want = _assert_run_matches_reference(config, ends)
         photons.append(max(int(np.dot(t.k, t.n)) for t in want))
     # each way ended some run (t_end only where the sample test alone would go on); some leg drew
     # past one chunk of uniforms
@@ -844,7 +800,7 @@ def test_replay_reproduces_counts():
                    dual_config(capture=True),
                    *retained):
         original = run(config)
-        replayed = replay(config, original.rounds)
+        replayed = replay(config, read_round_log(io.StringIO(_log_of(original))))
         for leg in range(len(original.pairs_per_leg)):
             assert np.array_equal(original.pairs_per_leg[leg], replayed.pairs_per_leg[leg])
         assert np.array_equal(original.pairs_end_to_end, replayed.pairs_end_to_end)
@@ -915,8 +871,11 @@ def test_round_log_roundtrip_and_version_guard():
     stale = dataclasses.replace(log, engine_version="other-engine-9")
     with pytest.raises(ReplayError):
         replay(config, stale)
-    with pytest.raises(ReplayError):
-        replay(config, None)
+    # the rounds replay reads are those read_round_log checked: anything else is refused by its type
+    for other, name in ((None, "NoneType"), (result.rounds, "list"), (log.rounds, "tuple"), (result, "SimResult"),
+                        (buf.getvalue(), "str")):
+        with pytest.raises(ReplayError, match=f"^replay takes a RoundLog from read_round_log, got {name}$"):
+            replay(config, other)
 
 
 def _log_of(result) -> str:
@@ -950,7 +909,7 @@ def test_replayed_log_rewrites_the_run_log(config):
 
 
 def test_replay_refuses_a_config_its_log_header_contradicts():
-    # a log replays only under the seed, policy and bin width its header names; hand-built rounds have no header
+    # a log replays only under the seed, policy and bin width its header names
     config = dual_config(capture=True)
     result = run(config)
     log = read_round_log(io.StringIO(_log_of(result)))
@@ -959,7 +918,8 @@ def test_replay_refuses_a_config_its_log_header_contradicts():
         other = dataclasses.replace(config, **{name: value, "static_split": (4, 6) if value == "static" else None})
         with pytest.raises(ReplayError, match=re.escape(f"log header has {name} {logged}, config has {value!r}")):
             replay(other, log)
-        _assert_same_counts(run(other), replay(other, run(other).rounds), name)
+        own = run(other)
+        _assert_same_counts(own, replay(other, read_round_log(io.StringIO(_log_of(own)))), name)
     _assert_same_counts(result, replay(config, log), "matching header")
 
 
@@ -982,15 +942,13 @@ def test_array_holding_records_compare_by_identity_and_configs_hash():
     assert (log == read_round_log(io.StringIO(_log_of(result)))) is True
 
 
-def test_replay_rejects_rounds_that_overflow_a_column():
-    config = dual_config(capture=True)
-    rounds = run(config).rounds
-    bad = Round(0, 2**70, 1.0, 2, 0.0, 1.5, 1, "SL")
-    with pytest.raises(ReplayError, match=r"rounds\[3\]\.index does not fit a 64-bit column"):
-        replay(config, [*rounds[:3], bad, *rounds[3:]])
-    huge = dataclasses.replace(rounds[0], start_time_s=10**400)
-    with pytest.raises(ReplayError, match=r"rounds\[0\]\.start_time_s"):
-        replay(config, [huge, *rounds[1:]])
+def _edited_record(text: str, j: int, key: str, value) -> sim_mod.RoundLog:
+    """The round log ``text`` read back with record ``j``'s ``key`` set to ``value``, as json.dumps writes it."""
+    header, *records = text.splitlines(keepends=True)
+    rec = json.loads(records[j])
+    rec[key] = value
+    records[j] = json.dumps(rec, ensure_ascii=False) + "\n"
+    return read_round_log(io.StringIO("".join([header, *records])))
 
 
 def test_replay_refuses_confirm_times_off_the_bin_grid():
@@ -999,52 +957,26 @@ def test_replay_refuses_confirm_times_off_the_bin_grid():
     config = dual_config(capture=True)
     result = run(config)
     text = _log_of(result)
-    header, *records = text.splitlines(keepends=True)
-    j = next(j for j, r in enumerate(map(json.loads, records)) if r["leg"] == 1 and r["n_success"])
+    j, index = next((j, r.index) for j, r in enumerate(result.rounds) if r.leg == 1 and r.n_success)
     limit = sim_mod._MAX_GRID * config.bin_width_s
     for value in (-5.0, -5e-324, math.nextafter(limit, math.inf), 1e9, 1e300, 1.7e308):
-        rec = json.loads(records[j])
-        rec["confirm_time_s"] = value
-        bad = header + "".join(records[:j]) + json.dumps(rec) + "\n" + "".join(records[j + 1 :])
-        want = re.escape(f"leg 1 round {rec['index']} confirms at {value} s, outside the")
-        with pytest.raises(ReplayError, match=want):
-            replay(config, read_round_log(io.StringIO(bad)))
-        rounds = result.rounds
-        rounds[j] = dataclasses.replace(rounds[j], confirm_time_s=value)
-        with pytest.raises(ReplayError, match=want):
-            replay(config, rounds)
+        with pytest.raises(ReplayError, match=re.escape(f"leg 1 round {index} confirms at {value} s, outside the")):
+            replay(config, _edited_record(text, j, "confirm_time_s", value))
     # the grid's ends are inside it
     for value in (0.0, limit):
-        rounds = result.rounds
-        rounds[j] = dataclasses.replace(rounds[j], confirm_time_s=value)
-        assert replay(config, rounds).totals_per_leg == result.totals_per_leg
+        assert replay(config, _edited_record(text, j, "confirm_time_s", value)).totals_per_leg == result.totals_per_leg
 
 
 def test_replayed_rounds_write_a_readable_log():
     config = dual_config(capture=True)
-    rounds = run(config).rounds
     # outcomes that JSON escapes read back unchanged
-    odd = dataclasses.replace(rounds[1], outcomes='S"L\\\x01\u00e9\u2028')
-    result = replay(config, [rounds[0], odd, *rounds[2:]])
+    odd = 'S"L\\\x01\u00e9\u2028'
+    result = replay(config, _edited_record(_log_of(run(config)), 1, "outcomes", odd))
+    assert result.rounds[1].outcomes == odd
     buf = io.StringIO()
     write_round_log(result, buf)
     buf.seek(0)
     assert read_round_log(buf).rounds == tuple(result.rounds)
-    # a value no round log holds is refused by name
-    for key, value, fault in (("v_r_at_start_mps", math.inf, "is not finite: inf"),
-                              ("start_time_s", -math.inf, "is not finite: -inf"),
-                              ("confirm_time_s", math.nan, "is not finite: nan"),
-                              ("index", -1, "is negative: -1"), ("n_success", -2, "is negative: -2"),
-                              ("outcomes", 7, "is not a string: 7"),
-                              # no value is coerced to its column's type
-                              ("index", 1.5, "is not an integer: 1.5"),
-                              ("train_length", "3", "is not an integer: '3'"),
-                              ("start_time_s", "1.0", "is not a number: '1.0'"),
-                              ("leg", True, "is not an integer: True"),
-                              ("n_success", 2.0, "is not an integer: 2.0")):
-        bad = dataclasses.replace(rounds[2], **{key: value})
-        with pytest.raises(ReplayError, match=re.escape(f"rounds[2].{key} {fault}")):
-            replay(config, [*rounds[:2], bad, *rounds[3:]])
 
 
 # sha256 of write_round_log bytes in unbounded mode, recorded before the
@@ -1116,9 +1048,16 @@ def test_read_round_log_errors_cite_rows():
     for key, value, want in (("n_success", "99999999999999999999", integer),
                              ("n_success", "9223372036854775808", integer), ("leg", "true", integer),
                              ("index", "1.0", integer), ("start_time_s", "1e400", finite),
-                             ("confirm_time_s", "-1e400", finite)):
-        with pytest.raises(DataFormatError, match=f"row 3: {key} must be {want}"):
-            read(header, good, re.sub(f'"{key}": [^,]*', f'"{key}": {value}', second))
+                             ("confirm_time_s", "-1e400", finite),
+                             ("index", str(2**70), integer), ("start_time_s", str(10**400), finite),
+                             ("v_r_at_start_mps", "Infinity", finite), ("start_time_s", "-Infinity", finite),
+                             ("confirm_time_s", "NaN", finite), ("index", "-1", integer),
+                             ("n_success", "-2", integer), ("outcomes", "7", "a string"),
+                             # no value is coerced to its column's type
+                             ("index", "1.5", integer), ("train_length", '"3"', integer),
+                             ("start_time_s", '"1.0"', finite), ("n_success", "2.0", integer)):
+        with pytest.raises(DataFormatError, match=re.escape(f"row 3: {key} must be {want}, got {json.loads(value)!r}")):
+            read(header, good, re.sub(f'"{key}": [^,}}]*', f'"{key}": {value}', second))
     # a row past the first _ROWS
     with pytest.raises(DataFormatError, match=f"row {sim_mod._ROWS + 2}: leg must be"):
         read(header, *[good] * sim_mod._ROWS, good.replace('"leg": 0', '"leg": -1'))
@@ -1411,7 +1350,9 @@ def _read_like_reference(text: str):
 def test_round_log_number_texts_in_place(monkeypatch, key, value):
     text = _edited_log(f'"{key}": [^,}}]*', f'"{key}": {value}')
     got = _read_like_reference(text)
-    if got is not None and value != "-0":  # JSON reads -0 as the integer 0: left to the per-row reader
+    # JSON reads -0 as the integer 0: the byte path reads it in a float slot and leaves an int slot's
+    # to the per-row reader
+    if got is not None and not (value == "-0" and sim_mod._LOG_FIELDS[key] is int):
         monkeypatch.setattr(sim_mod, "_log_rows", None)  # the byte path reads every other valid text
         assert _float_bits(read_round_log(io.StringIO(text))._columns) == _float_bits(got._columns)
 

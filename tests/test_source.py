@@ -1,5 +1,5 @@
 """Invariants of the package source, read with ``ast``: Python version, reachability, one opener, one JSON reader,
-one producer of outcome strings, one kind table, one round log record."""
+one producer of outcome strings, one kind table, one round log record, one entry into the event loop."""
 
 from __future__ import annotations
 
@@ -127,3 +127,15 @@ def test_only_passes_imports_numbers():
                 if "numbers" in names:
                     importers.add((path.name, node.lineno))
     assert {module for module, _ in importers} == {"passes.py"}, sorted(importers)
+
+
+def test_only_run_enters_the_event_loop():
+    # one decision of which path runs which buffer mode: run sends retaining configs to the event loop
+    callers = set()
+    for path in SRC.glob("*.py"):
+        for top in _tree(path).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_run_dual_event":
+                    callers.add((path.name, getattr(top, "name", None), node.lineno))
+    assert len(callers) == 1 and {(module, where) for module, where, _ in callers} == {("sim.py", "run")}, \
+        sorted(callers)
