@@ -57,7 +57,7 @@ def main() -> None:
 
     # one run at 100 slots to show the per-second scatter around the model
     link = LinkParams(m_sat=100)
-    config = SimConfig(profiles=(profile,), link_params=(link,),
+    config = SimConfig(profiles=(profile,), link=link,
                        policy="single", rng_seed=args.seed)
     result = run(config)
     counts = result.pairs_per_leg[0]

@@ -41,7 +41,7 @@ def main() -> None:
     link = LinkParams(m_sat=args.m_sat)
 
     def config(seed: int) -> SimConfig:
-        return SimConfig(profiles=(profile,), link_params=(link,),
+        return SimConfig(profiles=(profile,), link=link,
                          policy="single", rng_seed=seed)
 
     print(f"simulating {args.seeds} seeds over the {profile.station} pass, "

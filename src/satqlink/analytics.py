@@ -55,7 +55,7 @@ from .constants import (
     DEFAULT_P_BSM,
 )
 from .errors import ConfigError, GridMismatchError, NoOverlapError, NoVisibilityError
-from .passes import _SLOTS, PassProfile, _check_fields, _within, _write_csv
+from .passes import _SLOTS, PassProfile, _check_fields, _kind_fault, _within, _write_csv
 
 __all__ = [
     "LinkParams",
@@ -183,13 +183,13 @@ def _split_int(x, y, m_s):
 
 
 # --------------------------------------------------------------------------
-# scalar API
+# scalar API: each wrapper refuses the numbers its formula cannot take; the kernels check nothing
 
 
 def round_trip_time(distance_m: float, params: LinkParams) -> float:
     """Classical confirmation delay: 2 * distance / c plus processing."""
-    if distance_m <= 0.0:
-        raise ConfigError(f"distance_m must be > 0: {distance_m}")
+    if _kind_fault(float, distance_m) or not 0.0 < distance_m < np.inf:
+        raise ConfigError(f"distance_m must be a finite number > 0: {distance_m!r}", "distance_m")
     return _round_trip(distance_m, params)
 
 
@@ -208,8 +208,8 @@ def max_train_length(v_r_mps: float, params: LinkParams) -> float:
 
 def single_link_rate(state: LinkState, n_train: float, params: LinkParams) -> float:
     """Pair rate of one link running trains of ``n_train`` photons: p * eta * N / t_rt."""
-    if n_train < 1:
-        raise ConfigError(f"n_train must be >= 1: {n_train}")
+    if _kind_fault(float, n_train) or not 1.0 <= n_train < np.inf:
+        raise ConfigError(f"n_train must be a finite number >= 1: {n_train!r}", "n_train")
     return _single_rate(state.eta, state.t_rt_s, n_train, params)
 
 
@@ -241,8 +241,9 @@ def dual_rate(
     """
     if params_b is None:
         params_b = params_a
-    if m_a < 0 or m_b < 0:
-        raise ConfigError(f"slot shares must be >= 0: ({m_a}, {m_b})")
+    for name, share in (("m_a", m_a), ("m_b", m_b)):
+        if _kind_fault(float, share) or not 0.0 <= share < np.inf:
+            raise ConfigError(f"{name} must be a finite number >= 0: {share!r}", name)
     sa, sb = state_a, state_b
     return float(_dual_rate(sa.eta, sa.t_rt_s, sb.eta, sb.t_rt_s, m_a, m_b, params_a, params_b))
 
@@ -262,6 +263,8 @@ def allocate_real(state_a: LinkState, state_b: LinkState, m_s: int) -> tuple[flo
     m_B = m_S - m_A.  This maximizes the min-rate over all real splits
     summing to m_S.
     """
+    if _kind_fault(int, m_s) or m_s < 1:
+        raise ConfigError(f"m_s must be an integer >= 1: {m_s!r}", "m_s")
     m_a = _split_real(*_load_ratios(state_a, state_b), m_s)
     return m_a, m_s - m_a
 
@@ -274,8 +277,8 @@ def allocate_int(state_a: LinkState, state_b: LinkState, m_s: int) -> tuple[int,
     over integer splits confirms optimality.  Both legs always receive at
     least one slot.
     """
-    if m_s < 2:
-        raise ConfigError(f"integer allocation needs m_s >= 2: {m_s}")
+    if _kind_fault(int, m_s) or m_s < 2:
+        raise ConfigError(f"integer allocation needs an integer m_s >= 2: {m_s!r}", "m_s")
     m_a = int(_split_int(*_load_ratios(state_a, state_b), m_s))
     return m_a, m_s - m_a
 
@@ -312,31 +315,31 @@ def _transmitting(profile: PassProfile) -> np.ndarray:
     return profile.visible & (profile.eta > 0)
 
 
-def _covisible(profile_a, profile_b, params_a, params_b):
+def _covisible(profile_a, profile_b, params):
     """Mask of the samples where both legs transmit, and there each leg's eta and round trip."""
     _check_aligned(profile_a, profile_b)
     both = _transmitting(profile_a) & _transmitting(profile_b)
-    t_a = _round_trip(profile_a.distance_m[both], params_a)
-    t_b = _round_trip(profile_b.distance_m[both], params_b)
+    t_a = _round_trip(profile_a.distance_m[both], params)
+    t_b = _round_trip(profile_b.distance_m[both], params)
     return both, profile_a.eta[both], t_a, profile_b.eta[both], t_b
 
 
-def _dual_rate_series(profile_a, profile_b, m_a, m_b, params_a, params_b) -> np.ndarray:
+def _dual_rate_series(profile_a, profile_b, m_a, m_b, params) -> np.ndarray:
     """Dual rate under per-sample slot shares ``m_a``, ``m_b``; zero unless both legs transmit."""
-    both, eta_a, t_a, eta_b, t_b = _covisible(profile_a, profile_b, params_a, params_b)
+    both, eta_a, t_a, eta_b, t_b = _covisible(profile_a, profile_b, params)
     out = np.zeros(profile_a.n_samples)
-    out[both] = _dual_rate(eta_a, t_a, eta_b, t_b, m_a[both], m_b[both], params_a, params_b)
+    out[both] = _dual_rate(eta_a, t_a, eta_b, t_b, m_a[both], m_b[both], params, params)
     return out
 
 
-def _split_totals(profile_a, profile_b, m_s, params_a, params_b) -> np.ndarray:
+def _split_totals(profile_a, profile_b, m_s, params) -> np.ndarray:
     """Dual rate summed over the co-visible samples for every fixed split m_A = 0..m_S.
 
     One vector per sample is added in sample order, so each total is the
     same float as a sequential sum over samples; ``np.sum`` would add
     pairwise and can move the argmax.
     """
-    both, eta_a, t_a, eta_b, t_b = _covisible(profile_a, profile_b, params_a, params_b)
+    both, eta_a, t_a, eta_b, t_b = _covisible(profile_a, profile_b, params)
     if not both.any():
         raise NoOverlapError(
             f"stations {profile_a.station} and {profile_b.station} are never co-visible"
@@ -345,7 +348,7 @@ def _split_totals(profile_a, profile_b, m_s, params_a, params_b) -> np.ndarray:
     m_b = m_s - m_a
     totals = np.zeros(m_s + 1)
     for sample in zip(eta_a.tolist(), t_a.tolist(), eta_b.tolist(), t_b.tolist()):
-        totals += _dual_rate(*sample, m_a, m_b, params_a, params_b)
+        totals += _dual_rate(*sample, m_a, m_b, params, params)
     return totals
 
 
@@ -353,8 +356,7 @@ def best_static_split(
     profile_a: PassProfile,
     profile_b: PassProfile,
     m_s: int,
-    params_a: LinkParams,
-    params_b: LinkParams | None = None,
+    params: LinkParams,
 ) -> tuple[int, int]:
     """Fixed split with the largest integrated pair count over the pass pair.
 
@@ -365,10 +367,8 @@ def best_static_split(
     search integrates rather than sampling a peak.  Raises
     :class:`NoOverlapError` when the legs are never co-visible.
     """
-    if params_b is None:
-        params_b = params_a
     # argmax returns the first maximum, the smaller m_A on ties
-    m_a = int(np.argmax(_split_totals(profile_a, profile_b, m_s, params_a, params_b)))
+    m_a = int(np.argmax(_split_totals(profile_a, profile_b, m_s, params)))
     return m_a, m_s - m_a
 
 
@@ -416,8 +416,7 @@ def allocation_series(
     profile_a: PassProfile,
     profile_b: PassProfile,
     m_s: int,
-    params_a: LinkParams,
-    params_b: LinkParams | None = None,
+    params: LinkParams,
 ) -> AllocationResult:
     """Evaluate real, integer, and static allocations at every sample.
 
@@ -427,12 +426,10 @@ def allocation_series(
     the visible leg; fully dark samples split evenly (integer series gives
     the extra slot to leg A).
     """
-    if params_b is None:
-        params_b = params_a
     if m_s < 2:
         raise ConfigError(f"allocation needs m_s >= 2: {m_s}")
-    both, eta_a, t_a, eta_b, t_b = _covisible(profile_a, profile_b, params_a, params_b)
-    split = best_static_split(profile_a, profile_b, m_s, params_a, params_b)
+    both, eta_a, t_a, eta_b, t_b = _covisible(profile_a, profile_b, params)
+    split = best_static_split(profile_a, profile_b, m_s, params)
 
     vis_a = _transmitting(profile_a)
     dark = ~(vis_a | _transmitting(profile_b))
@@ -445,7 +442,7 @@ def allocation_series(
     m_a_int[both] = _split_int(x, y, m_s)
 
     def rate(m_a: np.ndarray, m_b: np.ndarray) -> np.ndarray:
-        return _dual_rate_series(profile_a, profile_b, m_a, m_b, params_a, params_b)
+        return _dual_rate_series(profile_a, profile_b, m_a, m_b, params)
 
     n = profile_a.n_samples
     return AllocationResult(

@@ -126,7 +126,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
         config = exp.sim_config(exp.seed0, profiles)
         m_a, m_b = _capacity_series(config)
         path = out_dir / "rate_dual.csv"
-        write_rate_csv(path, t_s, _dual_rate_series(*profiles, m_a, m_b, *config.link_params), m_a, m_b)
+        write_rate_csv(path, t_s, _dual_rate_series(*profiles, m_a, m_b, config.link), m_a, m_b)
     print(path)
     return EXIT_OK
 

@@ -83,9 +83,10 @@ class Experiment:
         policy = self.policy if self.policy is not None else ("single" if n == 1 else "dynamic_int")
         object.__setattr__(self, "policy", _POLICY_ALIASES.get(policy, policy))
         # no station is farther from the satellite than the orbit radius plus its own radius
-        legs = [(self.link, self.satellite.semi_major_axis_m + EARTH_RADIUS + st.altitude_m) for st in self.stations]
+        top = max((st.altitude_m for st in self.stations), default=0.0)
         _check_run(self.policy, n, self.satellite.memory_slots, self.static_split, self.retain_until_swap,
-                   self.bin_width_s, self.duration_s + self.step_s, legs)
+                   self.bin_width_s, self.duration_s + self.step_s, self.link,
+                   self.satellite.semi_major_axis_m + EARTH_RADIUS + top)
         names = [st.name for st in self.stations]
         if len(set(names)) < n:
             raise ConfigError(f"stations[{n - 1}].name repeats {names[-1]!r}")
@@ -113,7 +114,7 @@ class Experiment:
             split = self.static_split or best_static_split(*profiles, self.link.m_sat, self.link)
         return SimConfig(
             profiles=profiles,
-            link_params=tuple(self.link for _ in profiles),
+            link=self.link,
             policy=self.policy,
             rng_seed=seed,
             static_split=split,

@@ -30,7 +30,7 @@ import re
 import types
 import typing
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime
 from functools import cache
 from itertools import repeat
@@ -72,7 +72,8 @@ def _within(interval: str) -> dict:
     return {"within": interval, "inside": lambda value: above(lo, value) & below(value, hi)}
 
 
-# each scalar field type, in code and in a spec: what a message asks for, and its test; other types admit any value
+# each scalar field type, in code and in a spec: what a message asks for, and its test; a config class admits its
+# instances, other types any value
 _KINDS = {
     int: ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
     float: ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
@@ -95,6 +96,8 @@ def _kind_fault(hint, value) -> str | None:
         return next((f"[{i}]{f}" for i, (h, v) in enumerate(zip(items, value)) if (f := _kind_fault(h, v))), None)
     if hint in _KINDS and not _KINDS[hint][1](value):
         return f" must be {_KINDS[hint][0]}, got {type(value).__name__}"
+    if is_dataclass(hint) and not isinstance(value, hint):
+        return f" must be {hint.__name__}, got {type(value).__name__}"
     return None
 
 

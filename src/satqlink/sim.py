@@ -72,7 +72,7 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -100,11 +100,11 @@ _POLICIES = ("single", "static", "dynamic_int")
 
 
 def _check_run(policy: str, n_legs: int, m_s: int, static_split: tuple[int, int] | None, retain_until_swap: bool,
-               bin_width_s: float, pass_end_s: float, legs: Iterable[tuple[LinkParams, float]]) -> None:
+               bin_width_s: float, pass_end_s: float, link: LinkParams, d_max: float) -> None:
     """The run rules of :class:`SimConfig` and of the experiment file, which may leave the split to a search.
 
     At most ``_MAX_GRID`` bins may run to the last confirmation: at most one round, (m_sat - 1) * T_em plus
-    the round trip at a leg's largest distance (``legs`` pairs each link with it), after ``pass_end_s``.
+    the round trip at ``d_max``, the largest distance of any leg, after ``pass_end_s``.
     """
     if policy not in _POLICIES:
         raise ConfigError(f"unknown policy {policy!r}, want one of {_POLICIES}", "policy")
@@ -125,7 +125,7 @@ def _check_run(policy: str, n_legs: int, m_s: int, static_split: tuple[int, int]
         raise ConfigError("retain_until_swap applies to dual runs only", "retain_until_swap")
     if bin_width_s <= 0.0:
         raise ConfigError(f"bin_width_s must be > 0: {bin_width_s}", "bin_width_s")
-    end = pass_end_s + max(_round_duration(m_s, _round_trip(d_max, lk), lk) for lk, d_max in legs)
+    end = pass_end_s + _round_duration(m_s, _round_trip(d_max, link), link)
     if end / bin_width_s > _MAX_GRID:
         raise ConfigError(f"bin_width_s {bin_width_s} makes more than {_MAX_GRID} bins up to {end:g} s, "
                           "the last confirmation time the pass allows", "bin_width_s")
@@ -138,12 +138,10 @@ class SimConfig:
     ``policy`` is ``single`` (one profile, the whole memory), ``static``
     (two profiles, fixed ``static_split``), or ``dynamic_int`` (two
     profiles, integer-optimal split re-evaluated at every profile sample).
-    Both legs of a dual run must quote the same ``m_sat`` (the shared
-    satellite memory).
     """
 
     profiles: tuple[PassProfile, ...]
-    link_params: tuple[LinkParams, ...]
+    link: LinkParams
     policy: str
     rng_seed: int
     static_split: tuple[int, int] | None = None
@@ -155,31 +153,27 @@ class SimConfig:
     def __post_init__(self) -> None:
         _check_fields(self)
         object.__setattr__(self, "profiles", tuple(self.profiles))
-        object.__setattr__(self, "link_params", tuple(self.link_params))
-        if not self.profiles or len(self.link_params) != len(self.profiles):
-            raise ConfigError("need at least one profile, with one LinkParams each")
+        if not self.profiles:
+            raise ConfigError("need at least one profile", "profiles")
         grid = self.profiles[0]  # rounds start before the end of its last sample
         _check_run(self.policy, self.n_legs, self.m_s, self.static_split, self.retain_until_swap, self.bin_width_s,
-                   float(grid.t_s[0]) + grid.n_samples * grid.step_s,
-                   [(lk, float(p.distance_m.max())) for p, lk in zip(self.profiles, self.link_params)])
-        for p, lk in zip(self.profiles, self.link_params):  # no round is shorter than the round trip at its start
+                   float(grid.t_s[0]) + grid.n_samples * grid.step_s, self.link,
+                   max(float(p.distance_m.max()) for p in self.profiles))
+        for p in self.profiles:  # no round is shorter than the round trip at its start
             with np.errstate(divide="ignore", over="ignore"):
-                rounds = float(np.sum(p.step_s / _round_trip(p.distance_m[p.visible], lk) + 1.0))
+                rounds = float(np.sum(p.step_s / _round_trip(p.distance_m[p.visible], self.link) + 1.0))
             if rounds > _MAX_GRID:
-                raise ConfigError(f"leg {p.station} could run {rounds:.6g} rounds, more than {_MAX_GRID}",
-                                  "link_params")
+                raise ConfigError(f"leg {p.station} could run {rounds:.6g} rounds, more than {_MAX_GRID}", "link")
         if self.policy == "static" and self.static_split is None:  # an experiment may leave it to the search
             raise ConfigError("static policy needs static_split", "static_split")
         if not 0 <= int(self.rng_seed) < 2**64:
             raise ConfigError(f"rng_seed must fit in 64 bits: {self.rng_seed}", "rng_seed")
         if self.n_legs == 2:
             _check_aligned(self.profiles[0], self.profiles[1])
-            if self.link_params[0].m_sat != self.link_params[1].m_sat:
-                raise ConfigError("dual legs must share one satellite memory size m_sat")
 
     @property
     def m_s(self) -> int:
-        return int(self.link_params[0].m_sat)
+        return int(self.link.m_sat)
 
     @property
     def n_legs(self) -> int:
@@ -193,7 +187,7 @@ class SimConfig:
             "static_split": list(self.static_split) if self.static_split else None,
             "stations": [p.station for p in self.profiles],
             "epoch": self.profiles[0].epoch,
-            "legs": [asdict(pr) for pr in self.link_params],
+            "legs": [asdict(self.link)] * self.n_legs,
         }
 
 
@@ -491,7 +485,7 @@ def _bin_counts(times: np.ndarray, weights: np.ndarray, width: float, n_bins: in
 def _capacity_series(config: SimConfig) -> list[np.ndarray]:
     """Per-sample satellite slot share for each leg under the policy, as int64."""
     if config.policy == "dynamic_int":
-        alloc = allocation_series(*config.profiles, config.m_s, *config.link_params)
+        alloc = allocation_series(*config.profiles, config.m_s, config.link)
         return [alloc.m_A_int, alloc.m_B_int]
     shares = config.static_split or (config.m_s,)  # single: the whole memory
     return [np.full(config.profiles[0].n_samples, m, dtype=np.int64) for m in shares]
@@ -508,9 +502,8 @@ class _Plan:
 def _plan(config: SimConfig, caps: Sequence[np.ndarray] | None = None) -> _Plan:
     """The plan of ``config`` at any seed and capture setting; ``caps`` are shares already allocated."""
     caps = tuple(_capacity_series(config) if caps is None else caps)
-    legs = zip(config.profiles, config.link_params, caps)
     return _Plan(caps, None if config.retain_until_swap else
-                 tuple(_leg_schedule(p, lk, cap, config.drift) for p, lk, cap in legs))
+                 tuple(_leg_schedule(p, config.link, cap, config.drift) for p, cap in zip(config.profiles, caps)))
 
 
 # --------------------------------------------------------------------------
@@ -556,7 +549,7 @@ def _run_scheduled(config: SimConfig, plan: _Plan) -> SimResult:
     """Unbounded-buffer run of one or two legs: legs are independent given the plan's schedules."""
     tables = []
     for leg, table in enumerate(plan.schedules):
-        successes, outcomes = _draw(table, config.profiles[leg].eta, config.link_params[leg].p_bsm,
+        successes, outcomes = _draw(table, config.profiles[leg].eta, config.link.p_bsm,
                                     _leg_rng(config.rng_seed, leg), config.capture_rounds)
         tables.append(replace(table, successes=successes, outcomes=outcomes))  # the plan's table stays bare
     return _result(config, tables)
@@ -646,7 +639,7 @@ def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
     n_samples = profiles[0].n_samples
     t_end = t_grid0 + n_samples * step - 1e-12
 
-    links = config.link_params
+    lk = config.link
     # per leg, the round table as the loop builds it: start, confirm and
     # successes per round, (first round, sample, n) per block
     tables = [(array("d"), array("d"), array("q"), []) for _ in range(2)]
@@ -655,7 +648,7 @@ def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
         (p.eta.tolist(), _round_trip(p.distance_m, lk).tolist(), _next_true(np.asarray(p.visible, dtype=bool)).tolist(),
          cap.tolist(), _eligible(p.radial_velocity_mps, lk.m_sat, lk, config.drift).tolist(), lk.emission_period_s,
          _PhotonStream(_leg_rng(config.rng_seed, leg), config.m_s, lk.p_bsm), *table)
-        for leg, (p, lk, cap, table) in enumerate(zip(profiles, links, plan.caps, tables))
+        for leg, (p, cap, table) in enumerate(zip(profiles, plan.caps, tables))
     ]
 
     # leg state: next event time, whether it is a confirmation, finished,
@@ -765,7 +758,7 @@ def _run_dual_event(config: SimConfig, plan: _Plan) -> SimResult:
                 break
         held[leg] = hits, h, w_sample, off, size, block_i, block_n
 
-    for leg, (p, lk, (start, confirm, succ, block_l)) in enumerate(zip(profiles, links, tables)):
+    for leg, (p, (start, confirm, succ, block_l)) in enumerate(zip(profiles, tables)):
         first, sample, n_col = np.asarray(block_l, dtype=np.int64).reshape(-1, 3).T
         start, v_r = np.asarray(start), p.radial_velocity_mps[sample]
         table = tables[leg] = _RoundTable(

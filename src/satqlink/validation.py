@@ -81,7 +81,7 @@ def predict_bin_moments(config: SimConfig, n_runs: int = 1, *, plan: _Plan | Non
     width = config.bin_width_s
     out = []
     for leg, table in enumerate((_plan(config) if plan is None else plan).schedules):
-        q = config.profiles[leg].eta[table.sample] * config.link_params[leg].p_bsm
+        q = config.profiles[leg].eta[table.sample] * config.link.p_bsm
         mean = table.eligible * q
         conf = table.confirm
         n_bins = int(math.floor(float(conf.max()) / width)) + 1 if conf.size else 0
@@ -147,6 +147,10 @@ def compare_counts(counts: np.ndarray, moments: BinMoments) -> ValidationReport:
     evaluated bins inside two sigma and the total inside three.
     """
     counts = np.asarray(counts)
+    if counts.ndim != 1 or counts.dtype.kind not in "iu" or not np.can_cast(counts.dtype, np.int64):
+        raise ConfigError(f"counts must be a 1-D integer array, got {counts.dtype} of shape {counts.shape}", "counts")
+    if counts.size and counts.min() < 0:
+        raise ConfigError(f"counts must be >= 0, got {counts.min()}", "counts")
     n = max(counts.size, moments.n_bins)
     c = _pad_sum([counts.astype(np.int64)], n)
     mu = _pad_sum([moments.mu], n)

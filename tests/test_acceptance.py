@@ -162,7 +162,7 @@ def test_criterion_4_constant_channel_validation():
             link = LinkParams(m_sat=m_s)
 
             def config(seed: int) -> SimConfig:
-                return SimConfig(profiles=(profile,), link_params=(link,),
+                return SimConfig(profiles=(profile,), link=link,
                                  policy="single", rng_seed=seed, drift=False)
 
             pooled = pool_counts([run(config(seed)) for seed in range(n_seeds)])
@@ -182,7 +182,7 @@ def test_criterion_5_full_pass_band_and_cap_structure(
         cases = {10: calibrated_m10, 50: calibrated_m50, 100: calibrated_m100}
         for m_s, (profiles, link) in cases.items():
             profile = profiles[0]
-            config = SimConfig(profiles=(profile,), link_params=(link,),
+            config = SimConfig(profiles=(profile,), link=link,
                                policy="single", rng_seed=0)
             report = compare(run(config), predict_bin_moments(config)[0])
             assert report.fraction_within_2sigma >= 0.9, f"m_s={m_s}"
@@ -256,7 +256,7 @@ def test_criterion_7_dynamic_beats_static(calibrated_m100):
 
         def total_pairs(policy: str, seed: int) -> int:
             config = SimConfig(
-                profiles=(pa, pb), link_params=(link, link), policy=policy,
+                profiles=(pa, pb), link=link, policy=policy,
                 rng_seed=seed, static_split=split if policy == "static" else None,
                 retain_until_swap=True,
             )
@@ -274,7 +274,7 @@ def test_criterion_8_determinism_and_replay(calibrated_m100):
     with announce(8, "same seed gives byte-identical CSVs; replay reproduces counts exactly"):
         t0 = time.perf_counter()
         (pa, pb), link = calibrated_m100
-        config = SimConfig(profiles=(pa, pb), link_params=(link, link),
+        config = SimConfig(profiles=(pa, pb), link=link,
                            policy="dynamic_int", rng_seed=3, capture_rounds=True)
         first, second = run(config), run(config)
         buf_a, buf_b = io.StringIO(), io.StringIO()

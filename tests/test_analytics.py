@@ -12,6 +12,7 @@ import hashlib
 import io
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,32 @@ def test_round_trip_time_oracles():
         round_trip_time(0.0, params())
 
 
+# each scalar wrapper fed a number its formula cannot take: the argument it names, and the call
+SA, SB = LinkState(0.01, 0.004), LinkState(0.002, 0.005)
+SCALAR_REFUSALS = {
+    "allocate_int_of_a_float": ("m_s", lambda: allocate_int(SA, SB, 2.5)),
+    "allocate_int_of_nan": ("m_s", lambda: allocate_int(SA, SB, math.nan)),
+    "allocate_real_of_a_negative": ("m_s", lambda: allocate_real(SA, SB, -4)),
+    "allocate_real_of_a_float": ("m_s", lambda: allocate_real(SA, SB, 10.0)),
+    "dual_rate_of_nan": ("m_a", lambda: dual_rate(SA, SB, math.nan, 5, params())),
+    "dual_rate_of_inf": ("m_b", lambda: dual_rate(SA, SB, 5, math.inf, params())),
+    "single_link_rate_of_nan": ("n_train", lambda: single_link_rate(SA, math.nan, params())),
+    "single_link_rate_of_inf": ("n_train", lambda: single_link_rate(SA, math.inf, params())),
+    "round_trip_time_of_nan": ("distance_m", lambda: round_trip_time(math.nan, params())),
+    "round_trip_time_of_inf": ("distance_m", lambda: round_trip_time(math.inf, params())),
+    "round_trip_time_of_a_string": ("distance_m", lambda: round_trip_time("5e5", params())),
+}
+
+
+@pytest.mark.parametrize("field, call", SCALAR_REFUSALS.values(), ids=SCALAR_REFUSALS.keys())
+def test_scalar_api_refuses_numbers_its_formula_cannot_take(field, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as got:
+            call()
+    assert got.value.field == field
+
+
 def test_link_params_validation():
     with pytest.raises(ConfigError):
         LinkParams(m_sat=0)
@@ -457,7 +484,7 @@ def _assert_series_match_reference(pa, pb, m_s, pr):
         assert got.dtype == column.dtype and np.array_equal(got, column), name
     assert alloc.static_split == split
     # the search adds one vector per sample in sample order: equal to a sequential sum
-    assert np.array_equal(_split_totals(pa, pb, m_s, pr, pr), totals)
+    assert np.array_equal(_split_totals(pa, pb, m_s, pr), totals)
     for (station, drift), column in rates.items():
         profile = pa if station == pa.station else pb
         assert np.array_equal(rate_series(profile, pr, use_drift_correction=drift), column)

@@ -39,7 +39,7 @@ def _retained_config() -> SimConfig:
     legs = (constant_profile(3, 0.3, 0.004, v_r_mps=3e3, station="a", step_s=0.1),
             constant_profile(3, 0.2, 0.006, station="b", step_s=0.1))
     lk = LinkParams(m_sat=10, p_bsm=0.5)
-    return SimConfig(profiles=legs, link_params=(lk, lk), policy="dynamic_int", rng_seed=3,
+    return SimConfig(profiles=legs, link=lk, policy="dynamic_int", rng_seed=3,
                      retain_until_swap=True, capture_rounds=True)
 
 

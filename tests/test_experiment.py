@@ -291,7 +291,7 @@ def test_sim_config_and_experiment_share_the_run_rules(tmp_path, policy, legs, m
     exp = load_experiment(write(tmp_path, MINIMAL))
     profiles = exp.profiles()[:legs]
     with pytest.raises(ConfigError) as from_sim:
-        SimConfig(profiles=profiles, link_params=(LinkParams(m_sat=m_sat),) * legs, policy=policy, rng_seed=0,
+        SimConfig(profiles=profiles, link=LinkParams(m_sat=m_sat), policy=policy, rng_seed=0,
                   static_split=split, retain_until_swap=retain, bin_width_s=bin_width)
     with pytest.raises(ConfigError) as from_exp:
         replace(exp, stations=exp.stations[:legs], satellite=SatelliteConfig(500e3, memory_slots=m_sat),
@@ -307,7 +307,7 @@ def test_only_sim_config_needs_a_declared_static_split(tmp_path):
     exp = load_experiment(write(tmp_path, doc))
     assert exp.static_split is None  # the experiment leaves it to the search
     with pytest.raises(ConfigError, match="static policy needs static_split"):
-        SimConfig(profiles=exp.profiles(), link_params=(exp.link, exp.link), policy="static", rng_seed=0)
+        SimConfig(profiles=exp.profiles(), link=exp.link, policy="static", rng_seed=0)
 
 
 def test_overrides_drop_a_declared_split_in_one_step(tmp_path, capsys):

@@ -49,7 +49,7 @@ def _profile(step_s=1.0, distance_m=5e5, eta=0.5, station="x", epoch="2026-01-01
 
 def _sim_config(**fields):
     """A valid single-leg run on :func:`_profile`, with the given fields."""
-    return SimConfig(**{"profiles": (_profile(),), "link_params": (LinkParams(m_sat=1),), "policy": "single",
+    return SimConfig(**{"profiles": (_profile(),), "link": LinkParams(m_sat=1), "policy": "single",
                         "rng_seed": 0, **fields})
 
 
@@ -214,7 +214,7 @@ def test_every_scalar_field_refuses_a_value_of_another_kind():
 
 def _dual(**fields):
     """A valid two-leg dynamic run of 100 slots on two copies of :func:`_profile`."""
-    return _sim_config(**{"profiles": (_profile(), _profile(station="y")), "link_params": (LinkParams(m_sat=100),) * 2,
+    return _sim_config(**{"profiles": (_profile(), _profile(station="y")), "link": LinkParams(m_sat=100),
                           "policy": "dynamic_int", **fields})
 
 
@@ -227,6 +227,9 @@ NAMED_REFUSALS = {
     "epoch_as_an_int": ("epoch", lambda: _profile(epoch=5)),
     "pooled_leg_as_a_bool": ("leg", lambda: pool_counts([run(_dual())], leg=True)),
     "seed_past_64_bits": ("rng_seed", lambda: _sim_config(rng_seed=2**64)),
+    "optics_as_an_int": ("optics", lambda: BUILD["Experiment"]("optics", 3)),
+    "profile_as_a_string": ("profiles", lambda: _sim_config(profiles=("x",))),
+    "link_as_a_dict": ("link", lambda: _sim_config(link={"m_sat": 1})),
 }
 
 

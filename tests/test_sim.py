@@ -54,7 +54,7 @@ def single_config(
     profile = constant_profile(n_s, eta, T_RT, v_r_mps=v_r)
     return SimConfig(
         profiles=(profile,),
-        link_params=(link(m_sat=m_sat, p=p),),
+        link=link(m_sat=m_sat, p=p),
         policy="single",
         rng_seed=seed,
         bin_width_s=bin_w,
@@ -111,7 +111,7 @@ def test_rounds_start_only_in_visible_samples():
     eta = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
     profile = make_profile(eta, distance_m=np.full(10, T_RT * 299792458.0 / 2))
     config = SimConfig(
-        profiles=(profile,), link_params=(link(p=1.0),), policy="single",
+        profiles=(profile,), link=link(p=1.0), policy="single",
         rng_seed=3, capture_rounds=True,
     )
     result = run(config)
@@ -126,43 +126,40 @@ def test_sim_config_validation():
     profile = constant_profile(5, 0.5, T_RT)
     good = link()
     with pytest.raises(ConfigError):
-        SimConfig(profiles=(profile,), link_params=(good,), policy="bogus", rng_seed=0)
+        SimConfig(profiles=(profile,), link=good, policy="bogus", rng_seed=0)
     with pytest.raises(ConfigError):
-        SimConfig(profiles=(profile,), link_params=(good,), policy="static", rng_seed=0,
+        SimConfig(profiles=(profile,), link=good, policy="static", rng_seed=0,
                   static_split=(5, 5))  # static needs two legs
     with pytest.raises(ConfigError):
-        SimConfig(profiles=(profile,), link_params=(good,), policy="single", rng_seed=-1)
+        SimConfig(profiles=(profile,), link=good, policy="single", rng_seed=-1)
     with pytest.raises(ConfigError, match="integer"):
-        SimConfig(profiles=(profile,), link_params=(good,), policy="single", rng_seed=1.5)
+        SimConfig(profiles=(profile,), link=good, policy="single", rng_seed=1.5)
     with pytest.raises(ConfigError):
-        SimConfig(profiles=(profile,), link_params=(good,), policy="single", rng_seed=0,
+        SimConfig(profiles=(profile,), link=good, policy="single", rng_seed=0,
                   retain_until_swap=True)
     for bad in (math.nan, math.inf):
         with pytest.raises(ConfigError, match="bin_width_s is not finite"):
-            SimConfig(profiles=(profile,), link_params=(good,), policy="single", rng_seed=0,
+            SimConfig(profiles=(profile,), link=good, policy="single", rng_seed=0,
                       bin_width_s=bad)
         with pytest.raises(ConfigError, match="rng_seed is not finite"):
-            SimConfig(profiles=(profile,), link_params=(good,), policy="single", rng_seed=bad)
+            SimConfig(profiles=(profile,), link=good, policy="single", rng_seed=bad)
     pair = (profile, constant_profile(5, 0.5, T_RT, station="d"))
     with pytest.raises(ConfigError):
-        SimConfig(profiles=pair, link_params=(good, good), policy="static", rng_seed=0,
+        SimConfig(profiles=pair, link=good, policy="static", rng_seed=0,
                   static_split=(4, 5))
-    with pytest.raises(ConfigError):
-        SimConfig(profiles=pair, link_params=(good, link(m_sat=20)), policy="dynamic_int",
-                  rng_seed=0)
     # the bins run to the last confirmation: at most the longest round past the 5 s pass
     slow = dataclasses.replace(good, processing_delay_s=1e300)
-    for links, width, end in (((good, slow), 1.0, "1e+300"), ((good, good), 5e-6, "5.00401")):
+    for lk, width, end in ((slow, 1.0, "1e+300"), (good, 5e-6, "5.00401")):
         with pytest.raises(ConfigError, match=re.escape(f"bin_width_s {width} makes more than 1000000 bins "
                                                         f"up to {end} s")):
-            SimConfig(profiles=pair, link_params=links, policy="dynamic_int", rng_seed=0, bin_width_s=width)
+            SimConfig(profiles=pair, link=lk, policy="dynamic_int", rng_seed=0, bin_width_s=width)
 
 
 def test_sim_config_refuses_a_bool_seed():
     profile = constant_profile(5, 0.5, T_RT)
     for seed in (True, False):
         with pytest.raises(ConfigError, match="rng_seed must be an integer") as got:
-            SimConfig(profiles=(profile,), link_params=(link(),), policy="single", rng_seed=seed)
+            SimConfig(profiles=(profile,), link=link(), policy="single", rng_seed=seed)
         assert got.value.field == "rng_seed"
 
 
@@ -173,10 +170,10 @@ def test_sim_config_bounds_the_rounds_of_a_leg():
         profile = constant_profile(10, 0.5, t_rt)
         if refused:
             with pytest.raises(ConfigError, match="leg const could run .* rounds, more than 1000000") as info:
-                SimConfig(profiles=(profile,), link_params=(link(m_sat=1),), policy="single", rng_seed=0)
-            assert info.value.field == "link_params"
+                SimConfig(profiles=(profile,), link=link(m_sat=1), policy="single", rng_seed=0)
+            assert info.value.field == "link"
         else:
-            SimConfig(profiles=(profile,), link_params=(link(m_sat=1),), policy="single", rng_seed=0)
+            SimConfig(profiles=(profile,), link=link(m_sat=1), policy="single", rng_seed=0)
 
 
 def dual_config(policy="dynamic_int", seed=5, m_sat=10, retain=False, capture=False,
@@ -185,7 +182,7 @@ def dual_config(policy="dynamic_int", seed=5, m_sat=10, retain=False, capture=Fa
     pa, pb = unimodal_pair(rng, n=n)
     lk = link(m_sat=m_sat)
     return SimConfig(
-        profiles=(pa, pb), link_params=(lk, lk), policy=policy, rng_seed=seed,
+        profiles=(pa, pb), link=lk, policy=policy, rng_seed=seed,
         static_split=split, retain_until_swap=retain, capture_rounds=capture,
     )
 
@@ -231,7 +228,7 @@ def test_fractional_step_grid_terminates():
     lk = link(m_sat=10)
     for policy, split in (("dynamic_int", None), ("static", (4, 6))):
         for retain in (False, True):
-            config = SimConfig(profiles=(pa, pb), link_params=(lk, lk), policy=policy,
+            config = SimConfig(profiles=(pa, pb), link=lk, policy=policy,
                                rng_seed=1, static_split=split, retain_until_swap=retain,
                                capture_rounds=True)
             samples = {int(r.start_time_s // 0.1) for r in run(config).rounds if r.leg == 0}
@@ -372,7 +369,7 @@ LONG_TAIL_DIGEST = "3164166706f1ecd11c60d1691532eab1c5d62b5756bb7ea7858745544662
 
 def test_uncaptured_long_drift_tail_counts_are_pinned():
     configs = [single_config(eta=0.7, p=0.5, m_sat=1000, v_r=6998.0, seed=seed) for seed in range(3)]
-    table = sim_mod._leg_schedule(configs[0].profiles[0], configs[0].link_params[0],
+    table = sim_mod._leg_schedule(configs[0].profiles[0], configs[0].link,
                                   sim_mod._capacity_series(configs[0])[0], True)
     assert 2 * int((table.n - table.eligible).min()) >= sim_mod._ADVANCE_MIN
     assert _counts_digest([run(c) for c in configs]) == LONG_TAIL_DIGEST
@@ -432,7 +429,7 @@ def test_retained_rounds_respect_slot_accounting():
                 i = int((r.start_time_s - profile.t_s[0]) // profile.step_s)
                 assert config.profiles[r.leg].visible[i], (seed, policy, r)
                 free = int(caps[r.leg][i]) - buffered[r.leg]
-                assert r.train_length == min(free, config.link_params[r.leg].m_ground), (seed, policy, r)
+                assert r.train_length == min(free, config.link.m_ground), (seed, policy, r)
                 assert r.train_length >= 1
                 audited_with_pairs_held += buffered[r.leg] > 0
     # the audit is not vacuous: retained pairs shrank many trains
@@ -478,16 +475,16 @@ def _reference_event_tables(config, ends=None):
     next event (``partner``).
     """
     caps = sim_mod._capacity_series(config)
-    profiles, links = config.profiles, config.link_params
+    profiles, lk = config.profiles, config.link
     step, t_grid0, n_samples = profiles[0].step_s, float(profiles[0].t_s[0]), profiles[0].n_samples
     cover_end = t_grid0 + n_samples * step
     t_end = cover_end - 1e-12
     eta = [p.eta.tolist() for p in profiles]
-    t_rt = [sim_mod._round_trip(p.distance_m, lk).tolist() for p, lk in zip(profiles, links)]
+    t_rt = [sim_mod._round_trip(p.distance_m, lk).tolist() for p in profiles]
     next_vis = [sim_mod._next_true(np.asarray(p.visible, dtype=bool)).tolist() for p in profiles]
     alloc = [c.tolist() for c in caps]
     cap_e = [_reference_eligible(p.radial_velocity_mps, lk.m_sat, lk, config.drift).tolist()
-             for p, lk in zip(profiles, links)]
+             for p in profiles]
     streams = [_PrefixStream(sim_mod._leg_rng(config.rng_seed, leg), config.m_s, config.capture_rounds)
                for leg in range(2)]
     ev, confirming, done, buffered = [cover_end, cover_end], [False, False], [False, False], [0, 0]
@@ -544,10 +541,10 @@ def _reference_event_tables(config, ends=None):
         if stream.sample != i or stream.off + n > stream.size:
             if quiet and stream.sample == i:
                 ends["window"] += 1
-            stream.window(i, n, eta[leg][i], links[leg].p_bsm)
+            stream.window(i, n, eta[leg][i], lk.p_bsm)
         off = stream.off
         stream.off = off + n
-        conf_t = t + ((n - 1) * links[leg].emission_period_s + t_rt[leg][i])
+        conf_t = t + ((n - 1) * lk.emission_period_s + t_rt[leg][i])
         text = None if stream.text is None else stream.text[off : off + eligible] + "D" * (n - eligible)
         succ = stream.prefix[off + eligible] - stream.prefix[off]
         if ends is not None and succ == 0 and buffered[leg] and not done[other] and conf_t >= ev[other]:
@@ -600,7 +597,7 @@ def _event_loop_cases(draw, max_samples=50, retain=st.booleans(), capture=st.boo
         ))
     a = draw(st.integers(1, m_sat - 1))
     policy, split = draw(st.sampled_from((("dynamic_int", None), ("static", (a, m_sat - a)))))
-    return SimConfig(profiles=tuple(profiles), link_params=(lk, lk), policy=policy,
+    return SimConfig(profiles=tuple(profiles), link=lk, policy=policy,
                      rng_seed=draw(st.integers(0, 2**32)), static_split=split,
                      retain_until_swap=draw(retain), capture_rounds=draw(capture))
 
@@ -609,7 +606,7 @@ def _tied_legs_case(retain):
     """Both legs on one constant channel with equal trains: every start and confirmation ties."""
     pa, pb = (constant_profile(20, 0.3, T_RT, station=s, step_s=0.1) for s in ("a", "b"))
     lk = link(m_sat=10, p=0.5)
-    return SimConfig(profiles=(pa, pb), link_params=(lk, lk), policy="static", rng_seed=4,
+    return SimConfig(profiles=(pa, pb), link=lk, policy="static", rng_seed=4,
                      static_split=(5, 5), retain_until_swap=retain, capture_rounds=True)
 
 
@@ -673,7 +670,7 @@ def _zero_success_run_cases():
         legs = tuple(constant_profile(3, eta, t_rt, v_r, station=s) for eta, t_rt, s in zip(etas, t_rts, "ab"))
         for seed in range(3):
             for capture in (False, True):
-                yield SimConfig(profiles=legs, link_params=(link(m_sat=m, p=0.5, w=1.5e-11),) * 2, policy="static",
+                yield SimConfig(profiles=legs, link=link(m_sat=m, p=0.5, w=1.5e-11), policy="static",
                                 rng_seed=seed, static_split=(m // 2, m // 2), retain_until_swap=True,
                                 capture_rounds=capture)
 
@@ -723,7 +720,7 @@ def test_retained_counts_are_pinned(calibrated_m100):
                 for seed in range(10)]
         assert _counts_digest(dual) == RETAINED_DIGESTS[("dual", policy)]
         calibrated = [
-            run(SimConfig(profiles=(pa, pb), link_params=(lk, lk), policy=policy, rng_seed=seed,
+            run(SimConfig(profiles=(pa, pb), link=lk, policy=policy, rng_seed=seed,
                           static_split=calibrated_split, retain_until_swap=True))
             for seed in range(2)
         ]
@@ -733,7 +730,7 @@ def test_retained_counts_are_pinned(calibrated_m100):
 def test_drift_heavy_retained_counts_are_pinned(calibrated_m1000):
     (pa, pb), lk = calibrated_m1000
     for policy, split in (("dynamic_int", None), ("static", (500, 500))):
-        config = SimConfig(profiles=(pa, pb), link_params=(lk, lk), policy=policy, rng_seed=0,
+        config = SimConfig(profiles=(pa, pb), link=lk, policy=policy, rng_seed=0,
                            static_split=split, retain_until_swap=True)
         assert _counts_digest([run(config)]) == DRIFT_HEAVY_DIGESTS[policy]
 
@@ -741,7 +738,7 @@ def test_drift_heavy_retained_counts_are_pinned(calibrated_m1000):
 def test_drift_heavy_retained_capture_draws_the_photons_the_run_used(calibrated_m1000):
     # drifted tails here reach _draw's advance branch, which the small retained cases never do
     (pa, pb), lk = calibrated_m1000
-    result = run(SimConfig(profiles=(pa, pb), link_params=(lk, lk), policy="dynamic_int", rng_seed=0,
+    result = run(SimConfig(profiles=(pa, pb), link=lk, policy="dynamic_int", rng_seed=0,
                            retain_until_swap=True, capture_rounds=True))
     assert _counts_digest([result]) == DRIFT_HEAVY_DIGESTS["dynamic_int"]
     for leg, (table, profile) in enumerate(zip(result._tables, (pa, pb))):
@@ -764,7 +761,7 @@ def test_disjoint_visibility_has_no_overlap():
     pa = make_profile(np.array([0.5, 0.5, 0.0, 0.0]), station="a")
     pb = make_profile(np.array([0.0, 0.0, 0.5, 0.5]), station="b")
     lk = link()
-    config = SimConfig(profiles=(pa, pb), link_params=(lk, lk), policy="dynamic_int", rng_seed=0)
+    config = SimConfig(profiles=(pa, pb), link=lk, policy="dynamic_int", rng_seed=0)
     with pytest.raises(NoOverlapError):
         run(config)
 
@@ -929,7 +926,7 @@ def test_array_holding_records_compare_by_identity_and_configs_hash():
     same = dataclasses.replace(config)
     result = run(config)
     moments = predict_bin_moments(config)[0]
-    alloc = allocation_series(*config.profiles, config.m_s, config.link_params[0])
+    alloc = allocation_series(*config.profiles, config.m_s, config.link)
     for record in (result, config.profiles[0], moments, compare(result, moments), alloc):
         assert (record == record) is True
         assert (record == copy.copy(record)) is False

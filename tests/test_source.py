@@ -1,5 +1,6 @@
 """Invariants of the package source, read with ``ast``: Python version, reachability, one opener, one JSON reader,
-one producer of outcome strings, one kind table, one round log record, one entry into the event loop."""
+one producer of outcome strings, one kind table, one round log record, one entry into the event loop, one link per
+run."""
 
 from __future__ import annotations
 
@@ -139,3 +140,15 @@ def test_only_run_enters_the_event_loop():
                     callers.add((path.name, getattr(top, "name", None), node.lineno))
     assert len(callers) == 1 and {(module, where) for module, where, _ in callers} == {("sim.py", "run")}, \
         sorted(callers)
+
+
+def test_one_link_per_run():
+    # one satellite memory and one set of link hardware serve both legs: SimConfig holds one LinkParams, so a run
+    # with a link per leg cannot be built
+    mentions = [(path.name, n) for path in SRC.glob("*.py")
+                for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if "link_params" in line]
+    assert mentions == []
+    config = next(node for node in _tree(SRC / "sim.py").body if getattr(node, "name", None) == "SimConfig")
+    links = [(node.target.id, ast.unparse(node.annotation)) for node in config.body
+             if isinstance(node, ast.AnnAssign) and "LinkParams" in ast.unparse(node.annotation)]
+    assert links == [("link", "LinkParams")]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ def link(m_sat=10, p=0.5):
 
 def config_for(eta, m_sat=10, p=0.5, n_s=20, seed=0, v_r=0.0, drift=True):
     profile = constant_profile(n_s, eta, T_RT, v_r_mps=v_r)
-    return SimConfig(profiles=(profile,), link_params=(link(m_sat, p),),
+    return SimConfig(profiles=(profile,), link=link(m_sat, p),
                      policy="single", rng_seed=seed, drift=drift)
 
 
@@ -101,7 +102,7 @@ def test_grid_padding_counts_longer_than_moments():
 def test_binomial_calibration_pooled_seeds():
     base = config_for(eta=0.01, m_sat=50, n_s=30)
     k = 30
-    results = [run(SimConfig(profiles=base.profiles, link_params=base.link_params,
+    results = [run(SimConfig(profiles=base.profiles, link=base.link,
                              policy="single", rng_seed=s)) for s in range(k)]
     pooled = pool_counts(results)
     moments = predict_bin_moments(base, n_runs=k)[0]
@@ -131,7 +132,7 @@ def test_drift_cap_enters_moments():
 def test_total_count_within_three_se_across_seeds():
     base = config_for(eta=0.001, m_sat=10, n_s=20)
     k = 200
-    totals = [run(SimConfig(profiles=base.profiles, link_params=base.link_params,
+    totals = [run(SimConfig(profiles=base.profiles, link=base.link,
                             policy="single", rng_seed=s)).totals_per_leg[0]
               for s in range(k)]
     moments = predict_bin_moments(base)[0]
@@ -144,7 +145,7 @@ def test_dual_moments_per_leg():
     rng = np.random.default_rng(5)
     pa, pb = unimodal_pair(rng)
     lk = link(m_sat=10)
-    config = SimConfig(profiles=(pa, pb), link_params=(lk, lk),
+    config = SimConfig(profiles=(pa, pb), link=lk,
                        policy="dynamic_int", rng_seed=3)
     moments = predict_bin_moments(config)
     assert len(moments) == 2
@@ -158,7 +159,7 @@ def test_retained_mode_has_no_closed_form():
     rng = np.random.default_rng(6)
     pa, pb = unimodal_pair(rng)
     lk = link(m_sat=10)
-    config = SimConfig(profiles=(pa, pb), link_params=(lk, lk),
+    config = SimConfig(profiles=(pa, pb), link=lk,
                        policy="dynamic_int", rng_seed=3, retain_until_swap=True)
     with pytest.raises(ConfigError):
         predict_bin_moments(config)
@@ -195,6 +196,29 @@ def test_pool_counts_and_moments_refuse_arguments_they_cannot_use():
             predict_bin_moments(config, n_runs=n_runs)
         assert got.value.field == "n_runs"
     assert predict_bin_moments(config, n_runs=np.int64(2))[0].mu.sum() == 2 * predict_bin_moments(config)[0].mu.sum()
+
+
+# counts compare_counts would score as other counts, or fail on with a bare numpy error or warning
+BAD_COUNTS = {
+    "floats": [1.5, 2.7, 3.2],
+    "negative": [-1, 2, 3],
+    "two_dimensional": [[1, 2], [3, 4]],
+    "nan": [math.nan, 1.0, 2.0],
+    "bools": [True, False, True],
+    "past_int64": np.array([2**63, 1, 1], dtype=np.uint64),
+    "past_uint64": [2**70, 1, 1],
+}
+
+
+@pytest.mark.parametrize("counts", BAD_COUNTS.values(), ids=BAD_COUNTS.keys())
+def test_compare_counts_refuses_counts_it_would_change(counts):
+    moments = BinMoments(bin_width_s=1.0, mu=np.ones(3), sigma=np.ones(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="^counts must be ") as got:
+            compare_counts(counts, moments)
+    assert got.value.field == "counts"
+    assert compare_counts([1, 2, 3], moments).count.tolist() == [1, 2, 3]  # a list of integers is counts
 
 
 def test_validation_csv_format():
