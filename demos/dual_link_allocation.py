@@ -28,7 +28,7 @@ def main() -> None:
 
     exp = load_experiment(Path(__file__).parent / "specs" / "two_station.json").with_overrides(m_sat=args.m_sat)
     (nice, paris), link = exp.profiles(), exp.link
-    alloc = allocation_series(nice, paris, args.m_sat, link)
+    alloc = allocation_series(nice, paris, link)
     both = (nice.visible & (nice.eta > 0)) & (paris.visible & (paris.eta > 0))
     window = np.flatnonzero(both)
     print(f"co-visible window: t = {window[0]}..{window[-1]} s "

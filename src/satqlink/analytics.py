@@ -195,6 +195,8 @@ def round_trip_time(distance_m: float, params: LinkParams) -> float:
 
 def differential_shift(v_r_mps: float, params: LinkParams) -> float:
     """Per-photon arrival-time drift within a train, signed: v_r * T_em / c."""
+    if _kind_fault(float, v_r_mps) or not -np.inf < v_r_mps < np.inf:
+        raise ConfigError(f"v_r_mps must be a finite number: {v_r_mps!r}", "v_r_mps")
     return v_r_mps * params.emission_period_s / params.light_speed_mps
 
 
@@ -203,6 +205,8 @@ def max_train_length(v_r_mps: float, params: LinkParams) -> float:
 
     Returns ``math.inf`` for v_r = 0 (no drift, unbounded train).
     """
+    if _kind_fault(float, v_r_mps) or not -np.inf < v_r_mps < np.inf:
+        raise ConfigError(f"v_r_mps must be a finite number: {v_r_mps!r}", "v_r_mps")
     return float(np.floor(_drift_bound(v_r_mps, params)))
 
 
@@ -263,8 +267,8 @@ def allocate_real(state_a: LinkState, state_b: LinkState, m_s: int) -> tuple[flo
     m_B = m_S - m_A.  This maximizes the min-rate over all real splits
     summing to m_S.
     """
-    if _kind_fault(int, m_s) or m_s < 1:
-        raise ConfigError(f"m_s must be an integer >= 1: {m_s!r}", "m_s")
+    if _kind_fault(int, m_s) or not _within(_SLOTS)["inside"](m_s):
+        raise ConfigError(f"m_s must be an integer in {_SLOTS}: {m_s!r}", "m_s")
     m_a = _split_real(*_load_ratios(state_a, state_b), m_s)
     return m_a, m_s - m_a
 
@@ -277,8 +281,8 @@ def allocate_int(state_a: LinkState, state_b: LinkState, m_s: int) -> tuple[int,
     over integer splits confirms optimality.  Both legs always receive at
     least one slot.
     """
-    if _kind_fault(int, m_s) or m_s < 2:
-        raise ConfigError(f"integer allocation needs an integer m_s >= 2: {m_s!r}", "m_s")
+    if _kind_fault(int, m_s) or m_s < 2 or not _within(_SLOTS)["inside"](m_s):
+        raise ConfigError(f"integer allocation needs an integer m_s >= 2 in {_SLOTS}: {m_s!r}", "m_s")
     m_a = int(_split_int(*_load_ratios(state_a, state_b), m_s))
     return m_a, m_s - m_a
 
@@ -332,21 +336,23 @@ def _dual_rate_series(profile_a, profile_b, m_a, m_b, params) -> np.ndarray:
     return out
 
 
-def _split_totals(profile_a, profile_b, m_s, params) -> np.ndarray:
-    """Dual rate summed over the co-visible samples for every fixed split m_A = 0..m_S.
+def _split_totals(profile_a, profile_b, params) -> np.ndarray:
+    """Dual rate summed over the co-visible samples for every fixed split m_A = 0..m_S, m_S = ``params.m_sat``.
 
     One vector per sample is added in sample order, so each total is the
     same float as a sequential sum over samples; ``np.sum`` would add
     pairwise and can move the argmax.
     """
+    if params.m_sat < 2:
+        raise ConfigError(f"splitting m_sat between two legs needs m_sat >= 2: {params.m_sat}", "m_sat")
     both, eta_a, t_a, eta_b, t_b = _covisible(profile_a, profile_b, params)
     if not both.any():
         raise NoOverlapError(
             f"stations {profile_a.station} and {profile_b.station} are never co-visible"
         )
-    m_a = np.arange(m_s + 1)
-    m_b = m_s - m_a
-    totals = np.zeros(m_s + 1)
+    m_a = np.arange(params.m_sat + 1)
+    m_b = params.m_sat - m_a
+    totals = np.zeros(params.m_sat + 1)
     for sample in zip(eta_a.tolist(), t_a.tolist(), eta_b.tolist(), t_b.tolist()):
         totals += _dual_rate(*sample, m_a, m_b, params, params)
     return totals
@@ -355,10 +361,9 @@ def _split_totals(profile_a, profile_b, m_s, params) -> np.ndarray:
 def best_static_split(
     profile_a: PassProfile,
     profile_b: PassProfile,
-    m_s: int,
     params: LinkParams,
 ) -> tuple[int, int]:
-    """Fixed split with the largest integrated pair count over the pass pair.
+    """Fixed split of the slot count ``params.m_sat`` with the largest integrated pair count over the pass pair.
 
     Exhaustive over integer splits: the dual rate is summed over all
     co-visible samples for every m_A and the best total wins (ties broken
@@ -368,8 +373,8 @@ def best_static_split(
     :class:`NoOverlapError` when the legs are never co-visible.
     """
     # argmax returns the first maximum, the smaller m_A on ties
-    m_a = int(np.argmax(_split_totals(profile_a, profile_b, m_s, params)))
-    return m_a, m_s - m_a
+    m_a = int(np.argmax(_split_totals(profile_a, profile_b, params)))
+    return m_a, params.m_sat - m_a
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,10 +408,6 @@ class AllocationResult:
         if np.any(self.rate_int > self.rate_real + 1e-9):
             raise ConfigError("integer-split rate exceeds real-split rate")
 
-    @property
-    def m_s(self) -> int:
-        return int(self.static_split[0] + self.static_split[1])
-
     def to_json_dict(self) -> dict:
         """Summary with fields named exactly as the dataclass fields."""
         return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
@@ -415,10 +416,9 @@ class AllocationResult:
 def allocation_series(
     profile_a: PassProfile,
     profile_b: PassProfile,
-    m_s: int,
     params: LinkParams,
 ) -> AllocationResult:
-    """Evaluate real, integer, and static allocations at every sample.
+    """Evaluate real, integer, and static splits of the slot count ``params.m_sat`` at every sample.
 
     The integer series is what a dynamically re-allocating satellite would
     run (one re-evaluation per sample); the static series uses
@@ -426,10 +426,9 @@ def allocation_series(
     the visible leg; fully dark samples split evenly (integer series gives
     the extra slot to leg A).
     """
-    if m_s < 2:
-        raise ConfigError(f"allocation needs m_s >= 2: {m_s}")
+    split = best_static_split(profile_a, profile_b, params)  # first: it refuses m_sat < 2 before reading the profiles
     both, eta_a, t_a, eta_b, t_b = _covisible(profile_a, profile_b, params)
-    split = best_static_split(profile_a, profile_b, m_s, params)
+    m_s = params.m_sat
 
     vis_a = _transmitting(profile_a)
     dark = ~(vis_a | _transmitting(profile_b))

@@ -137,7 +137,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
         raise ConfigError("allocate needs a two-station spec")
     out_dir = _out_dir(args, exp)
     profiles = exp.profiles()
-    alloc = allocation_series(profiles[0], profiles[1], exp.link.m_sat, exp.link)
+    alloc = allocation_series(profiles[0], profiles[1], exp.link)
     json_path = out_dir / "allocation.json"
     _write_json(json_path, alloc.to_json_dict())
     csv_path = out_dir / "allocation.csv"
@@ -279,7 +279,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         "note": _TRAIN_BOUND_NOTE,
     }
 
-    alloc = allocation_series(profiles[0], profiles[1], exp.link.m_sat, exp.link) if len(profiles) == 2 else None
+    alloc = allocation_series(profiles[0], profiles[1], exp.link) if len(profiles) == 2 else None
     if alloc is not None:
         if exp.policy == "static" and exp.static_split is None:  # the split the search just found
             exp = replace(exp, static_split=alloc.static_split)

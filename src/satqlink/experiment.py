@@ -84,7 +84,9 @@ class Experiment:
         object.__setattr__(self, "policy", _POLICY_ALIASES.get(policy, policy))
         # no station is farther from the satellite than the orbit radius plus its own radius
         top = max((st.altitude_m for st in self.stations), default=0.0)
-        _check_run(self.policy, n, self.satellite.memory_slots, self.static_split, self.retain_until_swap,
+        if self.link.m_sat != self.satellite.memory_slots:
+            raise ConfigError(f"link.m_sat {self.link.m_sat} is not memory_slots {self.satellite.memory_slots}", "link")
+        _check_run(self.policy, n, self.static_split, self.retain_until_swap,
                    self.bin_width_s, self.duration_s + self.step_s, self.link,
                    self.satellite.semi_major_axis_m + EARTH_RADIUS + top)
         names = [st.name for st in self.stations]
@@ -111,7 +113,7 @@ class Experiment:
             profiles = self.profiles()
         split = None
         if self.policy == "static":
-            split = self.static_split or best_static_split(*profiles, self.link.m_sat, self.link)
+            split = self.static_split or best_static_split(*profiles, self.link)
         return SimConfig(
             profiles=profiles,
             link=self.link,

@@ -99,7 +99,7 @@ ENGINE_VERSION = "satqlink-engine-1"
 _POLICIES = ("single", "static", "dynamic_int")
 
 
-def _check_run(policy: str, n_legs: int, m_s: int, static_split: tuple[int, int] | None, retain_until_swap: bool,
+def _check_run(policy: str, n_legs: int, static_split: tuple[int, int] | None, retain_until_swap: bool,
                bin_width_s: float, pass_end_s: float, link: LinkParams, d_max: float) -> None:
     """The run rules of :class:`SimConfig` and of the experiment file, which may leave the split to a search.
 
@@ -111,21 +111,21 @@ def _check_run(policy: str, n_legs: int, m_s: int, static_split: tuple[int, int]
     want = 1 if policy == "single" else 2
     if n_legs != want:
         raise ConfigError(f"policy {policy} needs {want} leg(s), got {n_legs}", "policy")
-    if want == 2 and m_s < 2:
-        raise ConfigError(f"policy {policy} shares m_sat between two legs: m_sat must be >= 2, got {m_s}",
+    if want == 2 and link.m_sat < 2:
+        raise ConfigError(f"policy {policy} shares m_sat between two legs: m_sat must be >= 2, got {link.m_sat}",
                           "policy")
     if static_split is not None:
         if policy != "static":
             raise ConfigError(f"static_split is only meaningful for the static policy, not {policy}",
                               "static_split")
-        if min(static_split) < 1 or sum(static_split) != m_s:  # a pair of integers, by _check_fields
-            raise ConfigError(f"static_split {tuple(static_split)} must be positive and sum to m_sat={m_s}",
+        if min(static_split) < 1 or sum(static_split) != link.m_sat:  # a pair of integers, by _check_fields
+            raise ConfigError(f"static_split {tuple(static_split)} must be positive and sum to m_sat={link.m_sat}",
                               "static_split")
     if retain_until_swap and want == 1:
         raise ConfigError("retain_until_swap applies to dual runs only", "retain_until_swap")
     if bin_width_s <= 0.0:
         raise ConfigError(f"bin_width_s must be > 0: {bin_width_s}", "bin_width_s")
-    end = pass_end_s + _round_duration(m_s, _round_trip(d_max, link), link)
+    end = pass_end_s + _round_duration(link.m_sat, _round_trip(d_max, link), link)
     if end / bin_width_s > _MAX_GRID:
         raise ConfigError(f"bin_width_s {bin_width_s} makes more than {_MAX_GRID} bins up to {end:g} s, "
                           "the last confirmation time the pass allows", "bin_width_s")
@@ -156,7 +156,7 @@ class SimConfig:
         if not self.profiles:
             raise ConfigError("need at least one profile", "profiles")
         grid = self.profiles[0]  # rounds start before the end of its last sample
-        _check_run(self.policy, self.n_legs, self.m_s, self.static_split, self.retain_until_swap, self.bin_width_s,
+        _check_run(self.policy, self.n_legs, self.static_split, self.retain_until_swap, self.bin_width_s,
                    float(grid.t_s[0]) + grid.n_samples * grid.step_s, self.link,
                    max(float(p.distance_m.max()) for p in self.profiles))
         for p in self.profiles:  # no round is shorter than the round trip at its start
@@ -485,7 +485,7 @@ def _bin_counts(times: np.ndarray, weights: np.ndarray, width: float, n_bins: in
 def _capacity_series(config: SimConfig) -> list[np.ndarray]:
     """Per-sample satellite slot share for each leg under the policy, as int64."""
     if config.policy == "dynamic_int":
-        alloc = allocation_series(*config.profiles, config.m_s, config.link)
+        alloc = allocation_series(*config.profiles, config.link)
         return [alloc.m_A_int, alloc.m_B_int]
     shares = config.static_split or (config.m_s,)  # single: the whole memory
     return [np.full(config.profiles[0].n_samples, m, dtype=np.int64) for m in shares]

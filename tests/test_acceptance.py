@@ -223,7 +223,7 @@ def test_criterion_6_static_split_targets_and_exhaustive(
         targets = {100: (48, 52), 50: (24, 26), 10: (5, 5)}
         cases = {10: calibrated_m10, 50: calibrated_m50, 100: calibrated_m100}
         for m_s, (profiles, link) in cases.items():
-            split = best_static_split(profiles[0], profiles[1], m_s, link)
+            split = best_static_split(profiles[0], profiles[1], link)
             want = targets[m_s]
             assert abs(split[0] - want[0]) <= 4 and abs(split[1] - want[1]) <= 4, (
                 f"m_s={m_s}: {split} vs {want}"
@@ -234,7 +234,7 @@ def test_criterion_6_static_split_targets_and_exhaustive(
         link10 = LinkParams(m_sat=10)
         for _ in range(20):
             pa, pb = unimodal_pair(rng)
-            split = best_static_split(pa, pb, 10, link10)
+            split = best_static_split(pa, pb, link10)
             totals = [_integrated_static(pa, pb, k, 10 - k, link10) for k in range(11)]
             assert totals[split[0]] == max(totals)
         assert time.perf_counter() - t0 < 60.0
@@ -245,7 +245,7 @@ def test_criterion_7_dynamic_beats_static(calibrated_m100):
     with announce(7, label):
         t0 = time.perf_counter()
         (pa, pb), link = calibrated_m100
-        alloc = allocation_series(pa, pb, link.m_sat, link)
+        alloc = allocation_series(pa, pb, link)
         dynamic_total = float(np.sum(alloc.rate_int)) * pa.step_s
         static_total = float(np.sum(alloc.static_rate)) * pa.step_s
         assert dynamic_total > static_total

@@ -280,6 +280,15 @@ SCALAR_REFUSALS = {
     "round_trip_time_of_nan": ("distance_m", lambda: round_trip_time(math.nan, params())),
     "round_trip_time_of_inf": ("distance_m", lambda: round_trip_time(math.inf, params())),
     "round_trip_time_of_a_string": ("distance_m", lambda: round_trip_time("5e5", params())),
+    "allocate_int_past_int64": ("m_s", lambda: allocate_int(SA, SB, 2**70)),
+    "allocate_int_past_the_slot_interval": ("m_s", lambda: allocate_int(SA, SB, 10**6 + 1)),
+    "allocate_real_past_the_slot_interval": ("m_s", lambda: allocate_real(SA, SB, 10**6 + 1)),
+    "max_train_length_of_nan": ("v_r_mps", lambda: max_train_length(math.nan, params())),
+    "max_train_length_of_inf": ("v_r_mps", lambda: max_train_length(math.inf, params())),
+    "max_train_length_of_a_string": ("v_r_mps", lambda: max_train_length("7e3", params())),
+    "differential_shift_of_nan": ("v_r_mps", lambda: differential_shift(math.nan, params())),
+    "differential_shift_of_minus_inf": ("v_r_mps", lambda: differential_shift(-math.inf, params())),
+    "differential_shift_of_a_bool": ("v_r_mps", lambda: differential_shift(True, params())),
 }
 
 
@@ -317,8 +326,8 @@ def test_best_static_split_identical_profiles():
     eta = np.concatenate([np.zeros(3), np.full(20, 1e-3), np.zeros(3)])
     pa = make_profile(eta, station="a")
     pb = make_profile(eta, station="b")
-    assert best_static_split(pa, pb, 10, params(m_sat=10)) == (5, 5)
-    assert best_static_split(pa, pb, 11, params(m_sat=11)) == (5, 6)
+    assert best_static_split(pa, pb, params(m_sat=10)) == (5, 5)
+    assert best_static_split(pa, pb, params(m_sat=11)) == (5, 6)
 
 
 def test_best_static_split_single_covisible_sample():
@@ -327,7 +336,7 @@ def test_best_static_split_single_covisible_sample():
     pa = make_profile(eta_a, station="a")
     pb = make_profile(eta_b, station="b")
     pr = params(m_sat=20)
-    split = best_static_split(pa, pb, 20, pr)
+    split = best_static_split(pa, pb, pr)
     sa = link_state_at(pa, 2, pr)
     sb = link_state_at(pb, 2, pr)
     assert split == allocate_int(sa, sb, 20)
@@ -343,7 +352,7 @@ def test_best_static_split_beats_integrated_exhaustive():
         if not both.any():
             continue
         checked += 1
-        split = best_static_split(pa, pb, 10, pr)
+        split = best_static_split(pa, pb, pr)
         idx = np.flatnonzero(both)
         states = [(link_state_at(pa, int(i), pr), link_state_at(pb, int(i), pr)) for i in idx]
         totals = [
@@ -358,24 +367,34 @@ def test_best_static_split_no_overlap():
     pa = make_profile(np.array([1e-3, 1e-3, 0.0, 0.0]), station="a")
     pb = make_profile(np.array([0.0, 0.0, 1e-3, 1e-3]), station="b")
     with pytest.raises(NoOverlapError):
-        best_static_split(pa, pb, 10, params(m_sat=10))
+        best_static_split(pa, pb, params(m_sat=10))
+
+
+@pytest.mark.parametrize("search", [best_static_split, allocation_series], ids=lambda f: f.__name__)
+def test_split_search_refuses_a_link_of_one_slot(search):
+    # one slot cannot be split between two legs: the link's m_sat is refused before the profiles are compared
+    pa = make_profile(np.full(5, 1e-3), station="a")
+    for pb in (make_profile(np.full(5, 1e-3), station="b"), make_profile(np.full(6, 1e-3), station="b")):
+        with pytest.raises(ConfigError) as got:
+            search(pa, pb, params(m_sat=1))
+        assert got.value.field == "m_sat"
 
 
 def test_grid_mismatch_detected():
     pa = make_profile(np.full(5, 1e-3))
     pb = make_profile(np.full(6, 1e-3))
     with pytest.raises(GridMismatchError):
-        best_static_split(pa, pb, 10, params(m_sat=10))
+        best_static_split(pa, pb, params(m_sat=10))
     pc = make_profile(np.full(5, 1e-3), step_s=2.0)
     with pytest.raises(GridMismatchError):
-        allocation_series(pa, pc, 10, params(m_sat=10))
+        allocation_series(pa, pc, params(m_sat=10))
 
 
 def test_allocation_series_properties():
     rng = np.random.default_rng(29)
     pr = params(m_sat=10)
     pa, pb = unimodal_pair(rng)
-    alloc = allocation_series(pa, pb, 10, pr)
+    alloc = allocation_series(pa, pb, pr)
     assert np.all(alloc.m_A_int + alloc.m_B_int == 10)
     assert np.allclose(alloc.m_A_real + alloc.m_B_real, 10.0)
     assert np.all(alloc.rate_int <= alloc.rate_real + 1e-9)
@@ -394,7 +413,7 @@ def test_allocation_series_properties():
 def test_allocation_series_json_fields():
     rng = np.random.default_rng(31)
     pa, pb = unimodal_pair(rng)
-    alloc = allocation_series(pa, pb, 10, params(m_sat=10))
+    alloc = allocation_series(pa, pb, params(m_sat=10))
     doc = alloc.to_json_dict()
     assert set(doc) == {
         "t_s", "m_A_real", "m_B_real", "m_A_int", "m_B_int",
@@ -477,14 +496,14 @@ def _reference_series(pa, pb, m_s, pr):
 
 
 def _assert_series_match_reference(pa, pb, m_s, pr):
-    alloc = allocation_series(pa, pb, m_s, pr)
+    alloc = allocation_series(pa, pb, pr)
     want, split, totals, rates = _reference_series(pa, pb, m_s, pr)
     for name, column in want.items():
         got = getattr(alloc, name)
         assert got.dtype == column.dtype and np.array_equal(got, column), name
     assert alloc.static_split == split
     # the search adds one vector per sample in sample order: equal to a sequential sum
-    assert np.array_equal(_split_totals(pa, pb, m_s, pr), totals)
+    assert np.array_equal(_split_totals(pa, pb, pr), totals)
     for (station, drift), column in rates.items():
         profile = pa if station == pa.station else pb
         assert np.array_equal(rate_series(profile, pr, use_drift_correction=drift), column)

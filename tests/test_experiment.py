@@ -310,6 +310,18 @@ def test_only_sim_config_needs_a_declared_static_split(tmp_path):
         SimConfig(profiles=exp.profiles(), link=exp.link, policy="static", rng_seed=0)
 
 
+@pytest.mark.parametrize("desync", [
+    lambda exp: replace(exp, satellite=replace(exp.satellite, memory_slots=50)),
+    lambda exp: replace(exp, link=exp.link.with_m_sat(50), policy="static", static_split=(50, 50)),
+], ids=["satellite_memory", "link_m_sat"])
+def test_experiment_refuses_a_link_apart_from_the_satellite_memory(tmp_path, desync):
+    # one slot count: the run rules and the run read link.m_sat, which is the satellite's memory_slots
+    exp = load_experiment(write(tmp_path, MINIMAL))
+    with pytest.raises(ConfigError) as got:
+        desync(exp)
+    assert got.value.field == "link"
+
+
 def test_overrides_drop_a_declared_split_in_one_step(tmp_path, capsys):
     doc = json.loads(DEMO_SPEC.read_text(encoding="utf-8"))
     doc["run"].update(policy="static", static_split=[40, 60], seeds=1)

@@ -926,7 +926,7 @@ def test_array_holding_records_compare_by_identity_and_configs_hash():
     same = dataclasses.replace(config)
     result = run(config)
     moments = predict_bin_moments(config)[0]
-    alloc = allocation_series(*config.profiles, config.m_s, config.link)
+    alloc = allocation_series(*config.profiles, config.link)
     for record in (result, config.profiles[0], moments, compare(result, moments), alloc):
         assert (record == record) is True
         assert (record == copy.copy(record)) is False

@@ -1,6 +1,6 @@
 """Invariants of the package source, read with ``ast``: Python version, reachability, one opener, one JSON reader,
 one producer of outcome strings, one kind table, one round log record, one entry into the event loop, one link per
-run."""
+run, one slot count."""
 
 from __future__ import annotations
 
@@ -152,3 +152,17 @@ def test_one_link_per_run():
     links = [(node.target.id, ast.unparse(node.annotation)) for node in config.body
              if isinstance(node, ast.AnnAssign) and "LinkParams" in ast.unparse(node.annotation)]
     assert links == [("link", "LinkParams")]
+
+
+def test_one_slot_count():
+    # a run's slot count is its link's m_sat: no function takes a link and a second count m_s that could disagree
+    both = []
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                takes_link = any(a.arg in ("params", "link") or "LinkParams" in ast.unparse(a.annotation or ast.Pass())
+                                 for a in args)
+                if takes_link and "m_s" in [a.arg for a in args]:
+                    both.append((path.name, node.name, node.lineno))
+    assert both == []
